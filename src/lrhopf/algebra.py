@@ -377,18 +377,28 @@ class AlgebraMorphism:
         self.source = source
         self.target = target
         self.images = images
+        # exponent tuple -> image of that monomial; sound because a
+        # LaurentPoly is never mutated in place
+        self._monomial_images: dict = {}
+
+    def _monomial_image(self, exps) -> LaurentPoly:
+        image = self._monomial_images.get(exps)
+        if image is None:
+            image = self.target.one()
+            for img, e in zip(self.images, exps):
+                if e:
+                    image = image * img**e
+            self._monomial_images[exps] = image
+        return image
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
         if p.algebra != self.source:
             raise ValueError("argument lives in the wrong algebra")
-        result = self.target.zero()
+        terms: dict = {}
         for exps, c in p.terms.items():
-            term = self.target.const(c)
-            for img, e in zip(self.images, exps):
-                if e:
-                    term = term * img**e
-            result = result + term
-        return result
+            for e, q in self._monomial_image(exps).terms.items():
+                terms[e] = terms.get(e, 0) + c * q
+        return LaurentPoly(self.target, terms)
 
     def then(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
         """Composite: apply self first, then other."""

@@ -8,7 +8,8 @@ reports can be compared byte for byte.
 
 Exit status: 0 when all checks pass (or the value was computed), 1 when a
 check fails, 2 on input errors (unreadable file, parse error, a command
-that needs declarations the file does not provide).
+that needs declarations the file does not provide, a sample count below 1
+or a negative bound).
 """
 
 from __future__ import annotations
@@ -36,21 +37,34 @@ _BATTERY_SAMPLES = {
 }
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(p, *, samples=False, max_degree=False, max_word=False, max_grade=False):
     p.add_argument("file", help="structure declaration file")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     if samples:
-        p.add_argument("--samples", type=int, default=None,
+        p.add_argument("--samples", type=_int_at_least(1), default=None,
                        help="number of random samples per sampled check")
     if max_degree:
-        p.add_argument("--max-degree", type=int, default=2,
+        p.add_argument("--max-degree", type=_int_at_least(0), default=2,
                        help="polynomial degree bound for random coefficients")
     if max_word:
-        p.add_argument("--max-word", type=int, default=None,
+        p.add_argument("--max-word", type=_int_at_least(0), default=None,
                        help="word length bound for exhaustive and random words")
     if max_grade:
-        p.add_argument("--max-grade", type=int, default=2,
+        p.add_argument("--max-grade", type=_int_at_least(0), default=2,
                        help="highest multivector grade exercised")
 
 

@@ -150,6 +150,8 @@ def _parse_term(ts: _Stream):
         elif ts.peek().kind == "/":
             ts.next()
             t = ts.expect("int", "an integer denominator")
+            if int(t.text) == 0:
+                raise ParseError(f"line {t.line}:{t.col}: division by zero")
             node = ("scale", node, Fraction(1, int(t.text)))
         else:
             return node

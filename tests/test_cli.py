@@ -3,6 +3,8 @@ and byte-stable JSON output."""
 
 import json
 
+import pytest
+
 from lrhopf.cli import main
 
 from conftest import fixture_path
@@ -133,3 +135,27 @@ def test_probe_command_reports_all_axes(capsys):
     names = {c["name"] for c in json.loads(out)["checks"]}
     assert {"perturbation-constructed", "perturbed-multiplicative",
             "perturbed-coassociative", "perturbed-counital"} <= names
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-hopf", "aff2.lra", "--samples", "-5"),
+    ("check", "aff2.lra", "--samples", "0"),
+    ("pbw", "aff2.lra", "--max-word", "-1"),
+    ("check-bi", "aff2.lra", "--max-degree", "-1"),
+    ("gerstenhaber", "aff2.lra", "--max-grade", "-2"),
+])
+def test_count_flags_below_their_floor_are_input_errors(capsys, argv):
+    cmd, name, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, fixture_path(name), *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+
+
+def test_division_by_zero_is_an_input_error(capsys):
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), "1/0")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: line 1:3: division by zero"

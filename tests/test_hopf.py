@@ -1,10 +1,18 @@
 """The coproduct, counit, and antipode on enveloping algebras, their
 tensor-square carrier, and the full verification battery."""
 
+import os
 from fractions import Fraction
 
+import pytest
+
 from lrhopf import (
+    CommutativeAlgebra,
+    CoproductLikeMap,
+    Derivation,
     EnvElement,
+    GeneratorDecl,
+    LieRinehartAlgebra,
     antipode,
     check_antipode,
     check_bialgebra,
@@ -14,8 +22,11 @@ from lrhopf import (
     tensor_pair,
     tensor_power_structure,
 )
-from lrhopf.hopf import antipode_convolution, counit_collapse, standard_coproduct
+from lrhopf.dsl import parse_structure_file
+from lrhopf.hopf import _unit_words, antipode_convolution, counit_collapse, standard_coproduct
 from lrhopf.sampling import make_rng, random_env_element
+
+from conftest import FIXTURES, fixture_path
 
 
 def test_tensor_power_structure_shape(aff2):
@@ -152,3 +163,59 @@ def test_full_battery_rejects_broken_coefficient_antipode(euler):
         coefficient_antipode=identity_morphism(euler.algebra),
     )
     assert not report.ok
+
+
+_FIXTURE_FILES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra"))
+
+
+def _load(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        S, _ = parse_structure_file(fh.read()).build()
+    return S
+
+
+@pytest.mark.parametrize("name", _FIXTURE_FILES)
+def test_closed_form_coproduct_matches_rewriting(name):
+    # every fixture: generators all carry Hopf markers (torus is group-like
+    # with negative exponents) or there are none (sl2 and friends, n = 0)
+    S = _load(name)
+    dmap = standard_coproduct(S)
+    assert dmap.standard
+    A = S.algebra
+    rng = make_rng(23)
+    inputs = _unit_words(S, 3)
+    inputs += [random_env_element(rng, S, max_word=3, max_degree=2) for _ in range(40)]
+    total = sum((EnvElement.generator(S, i) for i in range(S.rank)), EnvElement.zero(S))
+    total = total + sum((A.gen(g) for g in range(A.ngens)), A.zero())
+    inputs.append(total ** 3)
+    for u in inputs:
+        fast, slow = dmap(u), dmap.by_rewriting(u)
+        assert fast.terms == slow.terms, f"{name}: coproduct of {u}"
+
+
+def test_perturbed_images_take_the_rewriting_path(euler):
+    T2 = tensor_power_structure(euler, 2)
+    x1, x2 = EnvElement.generator(T2, 0), EnvElement.generator(T2, 1)
+    dmap = CoproductLikeMap(euler, [x1 + x2 + x1 * x2])
+    assert not dmap.standard
+    u = EnvElement.generator(euler, 0) ** 2
+    assert dmap(u) == dmap.by_rewriting(u)
+    assert dmap(u) != coproduct(u)
+
+
+def test_a_valued_bracket_coefficient_fails_hopf_battery():
+    # [x1, x2] = y*x2 over Q[y] with y primitive: the A-valued bracket
+    # coefficient breaks multiplicativity of the coproduct
+    A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])
+    y, z = A.gen(0), A.zero()
+    S = LieRinehartAlgebra(
+        A, ["x1", "x2"], {(0, 1): [z, y]}, [Derivation(A, [y]), Derivation(A, [z])]
+    )
+    report = check_hopf_lr(S, seed=0, samples=40)
+    failing = {c.name: c.witness for c in report.checks if c.verdict == "fail"}
+    assert failing == {
+        "coproduct-multiplicative-words": "at u=x2, v=x1",
+        "coproduct-multiplicative-random": "at u=3*x1*x2 - 2*y, v=x2^2 + x1*x2",
+        "antipode-antihomomorphism": "at u=-y*x2 + 2*y, v=x1^2*x2 - 2*x1*x2",
+    }
+    assert len(report.checks) == 27
