@@ -61,7 +61,7 @@ class CommutativeAlgebra:
         return cls(())
 
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly(self, {})
+        return LaurentPoly._trusted(self, {})
 
     def one(self) -> "LaurentPoly":
         return self.const(1)
@@ -134,9 +134,29 @@ class CommutativeAlgebra:
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial: map from exponent tuples to Fractions."""
+    """A sparse Laurent polynomial: map from exponent tuples to Fractions.
+
+    Invariant of `terms`, kept by every constructor:
+      * every exponent tuple has one entry per generator of the algebra;
+      * only invertible generators carry negative exponents;
+      * every coefficient is a nonzero Fraction.
+
+    The constructor checks and normalises its input (coefficients are
+    converted, zeros dropped).  Arithmetic builds its results with
+    `_trusted`, which stores a dict that already satisfies the invariant
+    without looking at it again.  A LaurentPoly is never mutated in place.
+    """
 
     __slots__ = ("algebra", "terms")
+
+    @classmethod
+    def _trusted(cls, algebra: CommutativeAlgebra, terms: dict) -> "LaurentPoly":
+        """Wrap `terms`, which must already satisfy the class invariant and
+        must not be shared with code that will mutate it."""
+        p = object.__new__(cls)
+        p.algebra = algebra
+        p.terms = terms
+        return p
 
     def __init__(self, algebra: CommutativeAlgebra, terms: dict):
         clean = {}
@@ -204,7 +224,7 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "LaurentPoly"):
-        if self.algebra != other.algebra:
+        if not (self.algebra is other.algebra or self.algebra == other.algebra):
             raise ValueError("elements of different algebras")
 
     def __add__(self, other):
@@ -214,12 +234,14 @@ class LaurentPoly:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + c
-        return LaurentPoly(self.algebra, terms)
+        return LaurentPoly._trusted(self.algebra, _nonzero(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.algebra, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.algebra, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -233,7 +255,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return self.algebra.zero()
-            return LaurentPoly(
+            return LaurentPoly._trusted(
                 self.algebra, {e: c * other for e, c in self.terms.items()}
             )
         if not isinstance(other, LaurentPoly):
@@ -244,7 +266,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.algebra, terms)
+        return LaurentPoly._trusted(self.algebra, _nonzero(terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -307,6 +329,11 @@ class LaurentPoly:
         return f"<{self}>"
 
 
+def _nonzero(terms: dict) -> dict:
+    """Drop the entries of a freshly summed term dict that cancelled."""
+    return {k: c for k, c in terms.items() if c}
+
+
 def coeff_str(p: LaurentPoly) -> str:
     """Render a coefficient for use in front of a noncommutative word,
     parenthesised when it has more than one term."""
@@ -347,7 +374,27 @@ def spread_copies(p: LaurentPoly, base: CommutativeAlgebra, copies, target: Comm
             out[dest] = tuple(a + b for a, b in zip(out[dest], block))
         key = merge_exponents(out) if n else ()
         terms[key] = terms.get(key, Fraction(0)) + c
-    return LaurentPoly(target, terms)
+    if not _copies_fit(p.algebra, n, copies, target):
+        return LaurentPoly(target, terms)  # reports what does not fit
+    return LaurentPoly._trusted(target, _nonzero(terms))
+
+
+def _copies_fit(source: CommutativeAlgebra, n: int, copies, target: CommutativeAlgebra) -> bool:
+    """True when target is made of whole copies of n slots and every
+    invertible source slot lands on an invertible target slot, so that
+    spread_copies keeps the LaurentPoly invariant."""
+    if n == 0:
+        return target.ngens == 0
+    if target.ngens % n:
+        return False
+    return all(
+        (dest + 1) * n <= target.ngens
+        and all(
+            target.gens[dest * n + i].invertible or not source.gens[c * n + i].invertible
+            for i in range(n)
+        )
+        for c, dest in enumerate(copies)
+    )
 
 
 def tensor_embed(p: LaurentPoly, copy: int, target: CommutativeAlgebra) -> LaurentPoly:
@@ -392,13 +439,13 @@ class AlgebraMorphism:
         return image
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
-        if p.algebra != self.source:
+        if not (p.algebra is self.source or p.algebra == self.source):
             raise ValueError("argument lives in the wrong algebra")
         terms: dict = {}
         for exps, c in p.terms.items():
             for e, q in self._monomial_image(exps).terms.items():
                 terms[e] = terms.get(e, 0) + c * q
-        return LaurentPoly(self.target, terms)
+        return LaurentPoly._trusted(self.target, _nonzero(terms))
 
     def then(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
         """Composite: apply self first, then other."""

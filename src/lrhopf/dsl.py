@@ -37,6 +37,13 @@ class ParseError(ValueError):
     pass
 
 
+MAX_EXPONENT = 100
+"""Largest absolute exponent accepted after `^`.  Powers are computed by
+repeated multiplication and a power of a basis letter is a word of that
+length, so a larger exponent is refused as an input error (line:col)
+before any work is done, instead of hanging or exhausting the stack."""
+
+
 # -- tokens --------------------------------------------------------------------
 
 _SYMBOLS = "{}()[],;:=+-*^/"
@@ -129,7 +136,7 @@ class _Stream:
 #
 # expr   := term (("+" | "-") term)*
 # term   := factor (("*" factor) | ("/" INT))*
-# factor := "-" factor | atom ["^" ["-"] INT]
+# factor := "-" factor | atom ["^" ["-"] INT]     (INT <= MAX_EXPONENT)
 # atom   := INT | IDENT | "(" expr ")"
 
 
@@ -164,6 +171,11 @@ def _parse_factor(ts: _Stream):
     if ts.accept("^"):
         negative = ts.accept("-") is not None
         t = ts.expect("int", "an integer exponent")
+        # the length test keeps int() away from huge digit strings
+        if len(t.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(t.text) > MAX_EXPONENT:
+            raise ParseError(
+                f"line {t.line}:{t.col}: exponent above the limit of {MAX_EXPONENT}"
+            )
         e = int(t.text)
         node = ("pow", node, -e if negative else e)
     return node

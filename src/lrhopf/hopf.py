@@ -90,9 +90,29 @@ def _split_flat_word(word, m: int):
 
 class TensorEnvElement:
     """An element of the tensor square of the enveloping algebra: a map
-    from word pairs to coefficients in the tensor square of A."""
+    from word pairs to coefficients in the tensor square of A.
+
+    Invariant of `terms`, kept by every constructor:
+      * each key is a pair of normal (nondecreasing) words in the basis
+        letters 0 .. rank-1;
+      * each value is a nonzero LaurentPoly over the tensor square of A.
+
+    The constructor checks its input, converts scalar coefficients and
+    sums repeated keys.  Arithmetic, from_flat and the closed-form
+    coproduct build their results with `_trusted`, which stores a dict that
+    already satisfies the invariant without looking at it again."""
 
     __slots__ = ("structure", "tpow", "terms")
+
+    @classmethod
+    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict) -> "TensorEnvElement":
+        """Wrap `terms`, which must already satisfy the class invariant and
+        must not be shared with code that will mutate it."""
+        t = object.__new__(cls)
+        t.structure = structure
+        t.tpow = tensor_power_structure(structure, 2)
+        t.terms = terms
+        return t
 
     def __init__(self, structure: LieRinehartAlgebra, terms: dict):
         tpow = tensor_power_structure(structure, 2)
@@ -117,14 +137,19 @@ class TensorEnvElement:
 
     @classmethod
     def zero(cls, structure) -> "TensorEnvElement":
-        return cls(structure, {})
+        return cls._trusted(structure, {})
 
     @classmethod
     def from_flat(cls, structure, u: EnvElement) -> "TensorEnvElement":
+        """Split the words of an element of the doubled structure into
+        their copy-0 and copy-1 parts.  Normal flat words split into
+        normal word pairs, and distinct flat words into distinct pairs."""
+        tpow = tensor_power_structure(structure, 2)
+        if not (u.structure is tpow or u.structure == tpow):
+            raise ValueError("element outside the tensor square")
         m = structure.rank
-        return cls(
-            structure,
-            {_split_flat_word(w, m): c for w, c in u.terms.items()},
+        return cls._trusted(
+            structure, {_split_flat_word(w, m): c for w, c in u.terms.items()}
         )
 
     def to_flat(self) -> EnvElement:
@@ -146,10 +171,10 @@ class TensorEnvElement:
         acc = dict(self.terms)
         for key, c in other.terms.items():
             _add_term(acc, key, c)
-        return TensorEnvElement(self.structure, acc)
+        return TensorEnvElement._trusted(self.structure, acc)
 
     def __neg__(self):
-        return TensorEnvElement(
+        return TensorEnvElement._trusted(
             self.structure, {k: -c for k, c in self.terms.items()}
         )
 
@@ -158,7 +183,9 @@ class TensorEnvElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TensorEnvElement(
+            if other == 0:
+                return TensorEnvElement.zero(self.structure)
+            return TensorEnvElement._trusted(
                 self.structure, {k: c * other for k, c in self.terms.items()}
             )
         if isinstance(other, LaurentPoly):
@@ -272,7 +299,7 @@ class CoproductLikeMap:
             image = self.delta_A(a)
             for key, mult in self._word_splits(w):
                 _add_term(terms, key, image if mult == 1 else image * mult)
-        return TensorEnvElement(self.S, terms)
+        return TensorEnvElement._trusted(self.S, terms)
 
     def _word_splits(self, w):
         """The closed-form coproduct of a normal word: every split into a

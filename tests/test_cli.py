@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lrhopf.cli import main
+from lrhopf.dsl import MAX_EXPONENT
 
 from conftest import fixture_path
 
@@ -159,3 +160,20 @@ def test_division_by_zero_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: line 1:3: division by zero"
+
+
+@pytest.mark.parametrize("expr, col", [("x1^3000", 4), ("y^99999999999", 3)])
+def test_exponent_above_the_limit_is_an_input_error(capsys, expr, col):
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), expr)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        f"error: line 1:{col}: exponent above the limit of {MAX_EXPONENT}"
+    )
+
+
+def test_power_at_the_exponent_limit_normalizes(capsys):
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), f"x1^{MAX_EXPONENT}")
+    assert code == 0
+    assert out.strip() == f"x1^{MAX_EXPONENT}"
+    assert err == ""

@@ -1,0 +1,160 @@
+"""Arithmetic builds LaurentPoly and TensorEnvElement results without
+re-validating them.  Every such result must be exactly what the
+validating public constructors make of the same terms: no zero or
+non-Fraction coefficient, no malformed exponent tuple or word."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from lrhopf import EnvElement, TensorEnvElement, coproduct, tensor_pair  # noqa: E402
+from lrhopf.algebra import (  # noqa: E402
+    LaurentPoly,
+    antipode_morphism,
+    comultiplication,
+    multiplication_morphism,
+    spread_copies,
+    tensor_embed,
+)
+from lrhopf.dsl import parse_structure_file  # noqa: E402
+
+from conftest import fixture_path  # noqa: E402
+
+NAMES = ("euler", "aff2", "torus")
+STRUCTURES = {
+    name: parse_structure_file(open(fixture_path(f"{name}.lra")).read()).build()[0]
+    for name in NAMES
+}
+# each structure's coefficients and their tensor square (the algebra the
+# coproduct lands in)
+ALGEBRAS = [S.algebra for S in STRUCTURES.values()] + [
+    S.algebra.tensor_power(2) for S in STRUCTURES.values()
+]
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+fractions = st.builds(
+    Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3))
+)
+
+
+def polys(alg, max_terms=3):
+    """Sums of a few monomials of degree <= 2 per slot, Laurent slots
+    included; terms may collide and cancel."""
+    exps = st.tuples(
+        *(st.integers(-2 if g.invertible else 0, 2) for g in alg.gens)
+    )
+    return st.lists(st.tuples(exps, fractions), max_size=max_terms).map(
+        lambda terms: sum(
+            (alg.monomial(e, c) for e, c in terms), alg.zero()
+        )
+    )
+
+
+def env_elements(S, max_terms=3):
+    words = st.lists(st.integers(0, S.rank - 1), max_size=2).map(
+        lambda w: tuple(sorted(w))
+    )
+    return st.lists(st.tuples(words, polys(S.algebra, 2)), max_size=max_terms).map(
+        lambda terms: sum(
+            (EnvElement(S, {w: c}) for w, c in terms), EnvElement.zero(S)
+        )
+    )
+
+
+def assert_valid_poly(p):
+    """p is a result of arithmetic: equal, term for term, to what the
+    validating constructor makes of its terms, with only nonzero Fraction
+    coefficients."""
+    assert isinstance(p, LaurentPoly)
+    rebuilt = LaurentPoly(p.algebra, p.terms)
+    assert rebuilt == p
+    assert rebuilt.terms == p.terms
+    for c in p.terms.values():
+        assert type(c) is Fraction
+        assert c != 0
+
+
+def assert_valid_tensor(t):
+    assert isinstance(t, TensorEnvElement)
+    rebuilt = TensorEnvElement(t.structure, t.terms)
+    assert rebuilt == t
+    assert rebuilt.terms == t.terms
+    for c in t.terms.values():
+        assert c.algebra == t.tpow.algebra
+        assert not c.is_zero()
+        assert_valid_poly(c)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_poly_arithmetic_matches_the_validating_constructor(alg, data):
+    p = data.draw(polys(alg))
+    q = data.draw(polys(alg))
+    for r in (p, q, p + q, p - q, -p, p * q, p * Fraction(-2, 3), p * 0,
+              p + 1, 3 - p, p ** 2):
+        assert_valid_poly(r)
+    assert p - p == alg.zero()
+    assert (p - p).terms == {}
+    if p.is_unit():
+        assert_valid_poly(p ** -2)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@SETTINGS
+@given(data=st.data())
+def test_morphisms_and_spread_copies_match_the_validating_constructor(name, data):
+    A = STRUCTURES[name].algebra
+    A2, A3 = A.tensor_power(2), A.tensor_power(3)
+    p = data.draw(polys(A))
+    pp = data.draw(polys(A2))
+    delta = comultiplication(A)
+    assert_valid_poly(delta(p))
+    assert_valid_poly(antipode_morphism(A)(p))
+    assert_valid_poly(multiplication_morphism(A)(pp))
+    # an antipode image summed with its argument cancels on primitives
+    assert_valid_poly(antipode_morphism(A)(p) + p)
+    for copies in ((0, 1), (1, 2), (2, 0), (1, 1)):
+        assert_valid_poly(spread_copies(pp, A, copies, A3))
+    # both legs onto one copy: every term cancels against its mirror
+    mirror = tensor_embed(p, 0, A2) - tensor_embed(p, 1, A2)
+    folded = spread_copies(mirror, A, (1, 1), A3)
+    assert_valid_poly(folded)
+    assert folded.terms == {}
+
+
+@pytest.mark.parametrize("name", NAMES)
+@SETTINGS
+@given(data=st.data())
+def test_tensor_results_match_the_validating_constructor(name, data):
+    S = STRUCTURES[name]
+    u = data.draw(env_elements(S))
+    v = data.draw(env_elements(S))
+    du, dv = coproduct(u), coproduct(v)
+    for t in (du, du + dv, du - dv, -du, du - du, du * 2, du * Fraction(1, 3),
+              du * 0, du * dv, tensor_pair(u, v),
+              TensorEnvElement.from_flat(S, du.to_flat())):
+        assert_valid_tensor(t)
+    assert (du - du).terms == {}
+
+
+def test_public_constructors_still_reject_bad_terms():
+    A = STRUCTURES["aff2"].algebra
+    with pytest.raises(ValueError):
+        LaurentPoly(A, {(1, 2): 1})
+    with pytest.raises(ValueError):
+        LaurentPoly(A, {(-1,): 1})
+    S = STRUCTURES["aff2"]
+    with pytest.raises(ValueError):
+        TensorEnvElement(S, {((1, 0), ()): 1})
+    with pytest.raises(ValueError):
+        TensorEnvElement(S, {((), (2,)): 1})
+    with pytest.raises(ValueError):
+        TensorEnvElement(S, {((), ()): A.one()})
+    with pytest.raises(ValueError):
+        TensorEnvElement.from_flat(S, EnvElement.one(S))
