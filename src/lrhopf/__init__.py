@@ -46,7 +46,6 @@ from .lie_rinehart import (
     LieAlgebra,
     LieRinehartAlgebra,
     LRElement,
-    LRMorphism,
     check_bi_lr,
     check_lr_axioms,
     diagonal_action,
@@ -72,7 +71,6 @@ __all__ = [
     "LieAlgebra",
     "LieRinehartAlgebra",
     "LRElement",
-    "LRMorphism",
     "MultiVector",
     "ParseError",
     "Report",

@@ -43,6 +43,14 @@ repeated multiplication and a power of a basis letter is a word of that
 length, so a larger exponent is refused as an input error (line:col)
 before any work is done, instead of hanging or exhausting the stack."""
 
+MAX_WORD_LENGTH = 128
+"""Longest word a product or power of enveloping algebra elements may
+produce.  Exponents are capped one `^` at a time, so nested powers such as
+`(x1^100)^100` would otherwise build words of length 10,000; the length of
+the result (the sum of the factors' filtration degrees, or the degree times
+the exponent) is checked before multiplying, and a longer one is refused
+as an input error at the operator (line:col)."""
+
 
 # -- tokens --------------------------------------------------------------------
 
@@ -152,8 +160,9 @@ def _parse_expr(ts: _Stream):
 def _parse_term(ts: _Stream):
     node = _parse_factor(ts)
     while True:
-        if ts.accept("*"):
-            node = ("mul", node, _parse_factor(ts))
+        star = ts.accept("*")
+        if star:
+            node = ("mul", node, _parse_factor(ts), (star.line, star.col))
         elif ts.peek().kind == "/":
             ts.next()
             t = ts.expect("int", "an integer denominator")
@@ -168,7 +177,8 @@ def _parse_factor(ts: _Stream):
     if ts.accept("-"):
         return ("neg", _parse_factor(ts))
     node = _parse_atom(ts)
-    if ts.accept("^"):
+    caret = ts.accept("^")
+    if caret:
         negative = ts.accept("-") is not None
         t = ts.expect("int", "an integer exponent")
         # the length test keeps int() away from huge digit strings
@@ -177,7 +187,7 @@ def _parse_factor(ts: _Stream):
                 f"line {t.line}:{t.col}: exponent above the limit of {MAX_EXPONENT}"
             )
         e = int(t.text)
-        node = ("pow", node, -e if negative else e)
+        node = ("pow", node, -e if negative else e, (caret.line, caret.col))
     return node
 
 
@@ -209,7 +219,26 @@ def parse_expression(text: str):
     return node
 
 
-def _combine(op, left, right):
+def _word_length_after(op, left, right) -> int:
+    """Length of the longest word of `left * right` or `left ** right` for
+    enveloping algebra elements; -1 when there are none.  Leading terms
+    multiply like the symmetric algebra over a domain, so this is exact."""
+    if op == "mul" and isinstance(left, EnvElement) and isinstance(right, EnvElement):
+        return left.filtration_degree() + right.filtration_degree()
+    if op == "pow" and isinstance(left, EnvElement) and isinstance(right, int):
+        return left.filtration_degree() * right
+    return -1
+
+
+def _combine(op, left, right, where=None):
+    if where is not None:
+        length = _word_length_after(op, left, right)
+        if length > MAX_WORD_LENGTH:
+            line, col = where
+            raise ParseError(
+                f"line {line}:{col}: a word of length {length} is above the "
+                f"limit of {MAX_WORD_LENGTH}"
+            )
     try:
         if op == "add":
             result = left + right
@@ -248,13 +277,14 @@ def eval_ast(node, env, *, constant):
             kind,
             eval_ast(node[1], env, constant=constant),
             eval_ast(node[2], env, constant=constant),
+            node[3] if kind == "mul" else None,
         )
     if kind == "neg":
         return -eval_ast(node[1], env, constant=constant)
     if kind == "scale":
         return _combine("mul", eval_ast(node[1], env, constant=constant), node[2])
     if kind == "pow":
-        return _combine("pow", eval_ast(node[1], env, constant=constant), node[2])
+        return _combine("pow", eval_ast(node[1], env, constant=constant), node[2], node[3])
     raise AssertionError(f"unhandled node {kind}")
 
 

@@ -43,11 +43,13 @@ def _word_times_poly(S: LieRinehartAlgebra, word, b: LaurentPoly) -> dict:
     """Normal form of (word * b): push the coefficient to the left.
 
     Every output word is a subword of the input, so ordering is preserved.
+    Anchors are derivations and kill constants, so a constant b passes
+    through unchanged.
     """
     if b.is_zero():
         return {}
-    if not word:
-        return {(): b}
+    if not word or b.is_constant():
+        return {word: b}
     head, last = word[:-1], word[-1]
     acc: dict = {}
     for u, p in _word_times_poly(S, head, b).items():
@@ -57,6 +59,22 @@ def _word_times_poly(S: LieRinehartAlgebra, word, b: LaurentPoly) -> dict:
         for u, p in _word_times_poly(S, head, derived).items():
             _add_term(acc, u, p)
     return acc
+
+
+def _word_poly_word(S: LieRinehartAlgebra, w, b: LaurentPoly, v) -> dict:
+    """Normal form of (w * b * v) for normal words w, v.  A letter that is
+    not below the last letter of a word is appended without rewriting."""
+    cur = _word_times_poly(S, w, b)
+    for letter in v:
+        nxt: dict = {}
+        for u, p in cur.items():
+            if not u or u[-1] <= letter:
+                _add_term(nxt, u + (letter,), p)
+                continue
+            for u2, q in _word_times_gen(S, u, letter).items():
+                _add_term(nxt, u2, p * q)
+        cur = nxt
+    return cur
 
 
 def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
@@ -86,9 +104,28 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
 
 class EnvElement:
     """An element of the enveloping algebra in normal form: a map from
-    nondecreasing index words to left coefficients."""
+    nondecreasing index words to left coefficients.
+
+    Invariant of `terms`, kept by every constructor:
+      * each key is a normal (nondecreasing) word in the basis letters
+        0 .. rank-1;
+      * each value is a nonzero LaurentPoly over the structure's algebra.
+
+    The constructor checks its input, converts scalar coefficients and
+    sums repeated keys.  The product builds its result with `_trusted`,
+    which stores a dict that already satisfies the invariant without
+    looking at it again."""
 
     __slots__ = ("structure", "terms")
+
+    @classmethod
+    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict) -> "EnvElement":
+        """Wrap `terms`, which must already satisfy the class invariant and
+        must not be shared with code that will mutate it."""
+        u = object.__new__(cls)
+        u.structure = structure
+        u.terms = terms
+        return u
 
     def __init__(self, structure: LieRinehartAlgebra, terms: dict):
         clean = {}
@@ -156,7 +193,7 @@ class EnvElement:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "EnvElement"):
-        if self.structure != other.structure:
+        if self.structure is not other.structure and self.structure != other.structure:
             raise ValueError("elements of different enveloping algebras")
 
     def __add__(self, other):
@@ -195,19 +232,10 @@ class EnvElement:
         result: dict = {}
         for w, a in self.terms.items():
             for v, b in other.terms.items():
-                # (a w)(b v) = a (w b) v, coefficients stay on the left
-                cur = {}
-                for u, p in _word_times_poly(S, w, b).items():
-                    _add_term(cur, u, a * p)
-                for letter in v:
-                    nxt: dict = {}
-                    for u, p in cur.items():
-                        for u2, q in _word_times_gen(S, u, letter).items():
-                            _add_term(nxt, u2, p * q)
-                    cur = nxt
-                for u, p in cur.items():
-                    _add_term(result, u, p)
-        return EnvElement(S, result)
+                # (a w)(b v) = a (w b v), coefficients stay on the left
+                for u, p in _word_poly_word(S, w, b, v).items():
+                    _add_term(result, u, a * p)
+        return EnvElement._trusted(S, result)
 
     def __rmul__(self, other):
         # scalars and coefficients commute past nothing: they multiply on

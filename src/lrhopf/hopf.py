@@ -1,12 +1,23 @@
 """Comultiplication, counit and antipode on the enveloping algebra.
 
-The tensor square of the enveloping algebra is realized as the enveloping
-algebra of a doubled structure: coefficients live in the tensor square of
-A, and the module basis is two commuting copies of the original basis,
-each acting on its own tensor leg.  Words stay segregated because copy 0
-letters sort before copy 1 letters.
+An element of the tensor square of the enveloping algebra maps pairs of
+normal words (w0, w1) to coefficients in the tensor square of A.  Its
+product is computed one leg at a time with the structure's own rewriting:
 
-On that realization:
+    (c; w0, w1)(q y^e0 (x) y^e1; v0, v1) = c q (w0 y^e0 v0) (x) (w1 y^e1 v1)
+
+for each monomial q y^e0 (x) y^e1 of the right coefficient, where both
+legs are products in the enveloping algebra itself; the leg products
+(w0, e0, v0) -> w0 y^e0 v0 are cached per structure.  The same space is
+the enveloping algebra of a doubled structure: coefficients in the tensor
+square of A, and two commuting copies of the basis, each acting on its own
+tensor leg, with copy 0 letters sorting before copy 1 letters (to_flat and
+from_flat convert).  Products there give the same element; the doubled
+structure carries the letter images of a coproduct-like map, its rewriting
+path, the one-leg application into the tripled structure, and it is the
+oracle the tests compare the legwise product against.
+
+The structure maps:
   * a coefficient comultiplies through the generator markers of A;
   * a basis letter e goes to e' + e'' (one letter in each copy);
   * the counit keeps the empty-word coefficient and applies the counit
@@ -33,11 +44,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .algebra import (
     AlgebraMorphism,
     LaurentPoly,
+    _nonzero,
     antipode_morphism,
     coeff_str,
     comultiplication,
@@ -48,7 +61,7 @@ from .algebra import (
     tensor_embed,
     check_hopf_axioms,
 )
-from .enveloping import EnvElement, _add_term
+from .enveloping import EnvElement, _add_term, _word_poly_word
 from .lie_rinehart import LieRinehartAlgebra, check_bi_lr
 from .report import Report
 
@@ -80,6 +93,82 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
     T = LieRinehartAlgebra(alg, names, table, anchor, validate=False)
     S._tensor_cache[k] = T
     return T
+
+
+def _leg_products(S: LieRinehartAlgebra):
+    """The product (w, e, v) -> normal form of w * y^e * v in S, for normal
+    words w, v and an exponent tuple e of A: one leg of a product in the
+    tensor square.  Cached per structure; the returned dicts are shared
+    and must not be mutated."""
+    cache = S._tensor_cache.get("legs")
+    if cache is None:
+        cache = S._tensor_cache["legs"] = {}
+    A = S.algebra
+    one = Fraction(1)
+
+    def leg(w, e, v):
+        key = (w, e, v)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = _word_poly_word(
+                S, w, LaurentPoly._trusted(A, {e: one}), v
+            )
+        return hit
+
+    return leg
+
+
+def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
+    """The terms of t * s, one leg at a time:
+
+        (c; w0, w1)(q y^e0 (x) y^e1; v0, v1) = c q (w0 y^e0 v0) (x) (w1 y^e1 v1)
+
+    where each leg is a product in S (`_leg_products`).  The copies commute
+    and act on separate legs, so this is the product in the doubled
+    structure without rewriting there.  Coefficients are summed as raw
+    exponent -> Fraction dicts and wrapped once at the end."""
+    S = t.structure
+    n = S.algebra.ngens
+    unit = (0,) * (2 * n)
+    leg = _leg_products(S)
+    sums: dict = {}  # word pair -> {exponent tuple of A (x) A: Fraction}
+    for (w0, w1), c in t.terms.items():
+        # a constant c folds into the scalars; otherwise the legs of one
+        # pair of terms are summed first and multiplied by c after
+        scalar = c.terms.get(unit) if len(c.terms) == 1 else None
+        for (v0, v1), b in s.terms.items():
+            acc = sums if scalar is not None else {}
+            for e, q in b.terms.items():
+                if scalar is not None:
+                    q = q * scalar
+                legs1 = leg(w1, e[n:], v1)
+                for z0, p0 in leg(w0, e[:n], v0).items():
+                    for z1, p1 in legs1.items():
+                        coeffs = acc.get((z0, z1))
+                        if coeffs is None:
+                            coeffs = acc[(z0, z1)] = {}
+                        for a0, c0 in p0.terms.items():
+                            qc0 = q * c0
+                            for a1, c1 in p1.terms.items():
+                                exps = a0 + a1
+                                x = qc0 * c1
+                                coeffs[exps] = coeffs[exps] + x if exps in coeffs else x
+            if scalar is not None:
+                continue
+            for key, coeffs in acc.items():
+                out = sums.setdefault(key, {})
+                for f, k in c.terms.items():
+                    for exps, x in coeffs.items():
+                        exps = tuple(map(operator.add, f, exps))
+                        x = k * x
+                        out[exps] = out[exps] + x if exps in out else x
+    A2 = tensor_power_structure(S, 2).algebra
+    result = {}
+    for key, coeffs in sums.items():
+        coeffs = _nonzero(coeffs)
+        if coeffs:
+            result[key] = LaurentPoly._trusted(A2, coeffs)
+    return result
 
 
 def _split_flat_word(word, m: int):
@@ -163,7 +252,7 @@ class TensorEnvElement:
         return not self.terms
 
     def _check(self, other):
-        if self.structure != other.structure:
+        if self.structure is not other.structure and self.structure != other.structure:
             raise ValueError("tensor elements over different structures")
 
     def __add__(self, other: "TensorEnvElement") -> "TensorEnvElement":
@@ -189,14 +278,12 @@ class TensorEnvElement:
                 self.structure, {k: c * other for k, c in self.terms.items()}
             )
         if isinstance(other, LaurentPoly):
-            return TensorEnvElement.from_flat(
-                self.structure, self.to_flat() * other
-            )
+            other = TensorEnvElement(self.structure, {((), ()): other})
         if not isinstance(other, TensorEnvElement):
             return NotImplemented
         self._check(other)
-        return TensorEnvElement.from_flat(
-            self.structure, self.to_flat() * other.to_flat()
+        return TensorEnvElement._trusted(
+            self.structure, _legwise_product(self, other)
         )
 
     def __rmul__(self, other):

@@ -530,73 +530,6 @@ def tensor_square(S: LieRinehartAlgebra, validate: bool = True) -> LieRinehartAl
     return induce(S, delta, diagonal_action(S, doubled), validate=validate)
 
 
-# -- morphisms of structures --------------------------------------------------
-
-
-class LRMorphism:
-    """A map of Lie-Rinehart structures over an algebra morphism: basis
-    elements go to module elements of the target, coefficients through the
-    algebra map."""
-
-    def __init__(self, source: LieRinehartAlgebra, target: LieRinehartAlgebra,
-                 coeff_map: AlgebraMorphism, basis_images):
-        if coeff_map.source != source.algebra or coeff_map.target != target.algebra:
-            raise ValueError("coefficient map endpoints do not match")
-        basis_images = tuple(basis_images)
-        if len(basis_images) != source.rank:
-            raise ValueError("need one image per basis element")
-        for x in basis_images:
-            if x.structure != target:
-                raise ValueError("basis image in the wrong structure")
-        self.source = source
-        self.target = target
-        self.coeff_map = coeff_map
-        self.basis_images = basis_images
-
-    def __call__(self, x: LRElement) -> LRElement:
-        out = self.target.zero_element()
-        for a, img in zip(x.coeffs, self.basis_images):
-            if not a.is_zero():
-                out = out + self.coeff_map(a) * img
-        return out
-
-    def check(self) -> Report:
-        """Bracket compatibility on basis pairs and compatibility of the
-        anchors through the coefficient map on generators."""
-        report = Report()
-        witness = None
-        for i in range(self.source.rank):
-            for j in range(i + 1, self.source.rank):
-                lhs = self(self.source.bracket_of_basis(i, j))
-                rhs = self.basis_images[i].bracket(self.basis_images[j])
-                if lhs != rhs:
-                    witness = (
-                        f"images of ({self.source.basis_names[i]}, "
-                        f"{self.source.basis_names[j]}) do not bracket compatibly"
-                    )
-                    break
-            if witness:
-                break
-        report.add("bracket-compatibility", witness is None, witness)
-
-        witness = None
-        for i in range(self.source.rank):
-            for g in range(self.source.algebra.ngens):
-                a = self.source.algebra.gen(g)
-                lhs = self.target.anchor_of(self.basis_images[i])(self.coeff_map(a))
-                rhs = self.coeff_map(self.source.anchor[i](a))
-                if lhs != rhs:
-                    witness = (
-                        f"anchor square fails at {self.source.basis_names[i]} on "
-                        f"{self.source.algebra.gens[g].name}: {lhs} != {rhs}"
-                    )
-                    break
-            if witness:
-                break
-        report.add("anchor-compatibility", witness is None, witness)
-        return report
-
-
 # -- compatibility of the coalgebra with the module structure ----------------
 
 

@@ -2,11 +2,12 @@
 and byte-stable JSON output."""
 
 import json
+import time
 
 import pytest
 
 from lrhopf.cli import main
-from lrhopf.dsl import MAX_EXPONENT
+from lrhopf.dsl import MAX_EXPONENT, MAX_WORD_LENGTH
 
 from conftest import fixture_path
 
@@ -176,4 +177,29 @@ def test_power_at_the_exponent_limit_normalizes(capsys):
     code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), f"x1^{MAX_EXPONENT}")
     assert code == 0
     assert out.strip() == f"x1^{MAX_EXPONENT}"
+    assert err == ""
+
+
+@pytest.mark.parametrize("expr, col, length", [
+    ("(x1^100)^100", 9, 10000),
+    ("(x2*x1)^100", 8, 200),
+    (f"x1^100*x1^{MAX_WORD_LENGTH - 99}", 7, MAX_WORD_LENGTH + 1),
+])
+def test_nested_powers_above_the_word_length_limit_are_input_errors(capsys, expr, col, length):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), expr)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        f"error: line 1:{col}: a word of length {length} is above the limit of "
+        f"{MAX_WORD_LENGTH}"
+    )
+
+
+def test_product_at_the_word_length_limit_normalizes(capsys):
+    expr = f"x1^100*x1^{MAX_WORD_LENGTH - 100}"
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), expr)
+    assert code == 0
+    assert out.strip() == f"x1^{MAX_WORD_LENGTH}"
     assert err == ""

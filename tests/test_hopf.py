@@ -13,6 +13,7 @@ from lrhopf import (
     EnvElement,
     GeneratorDecl,
     LieRinehartAlgebra,
+    TensorEnvElement,
     antipode,
     check_antipode,
     check_bialgebra,
@@ -191,6 +192,50 @@ def test_closed_form_coproduct_matches_rewriting(name):
     for u in inputs:
         fast, slow = dmap(u), dmap.by_rewriting(u)
         assert fast.terms == slow.terms, f"{name}: coproduct of {u}"
+
+
+def _flat_product(a, b):
+    """The tensor-square product computed in the doubled structure: the
+    oracle of the legwise product."""
+    return TensorEnvElement.from_flat(a.structure, a.to_flat() * b.to_flat())
+
+
+def _legwise_inputs(S, seed):
+    rng = make_rng(seed)
+    rand = lambda: random_env_element(rng, S, max_word=2, max_degree=2)
+    basis = sum((EnvElement.generator(S, i) for i in range(S.rank)), EnvElement.zero(S))
+    tensors = [coproduct(basis ** 2), coproduct(basis)]
+    tensors += [coproduct(rand()) for _ in range(6)]
+    # elementary tensors carry coefficients that differ between the legs
+    tensors += [tensor_pair(rand(), rand()) for _ in range(6)]
+    return tensors
+
+
+def _legwise_structure(name):
+    if name != "a-valued":
+        return _load(name)
+    # the structure of test_a_valued_bracket_coefficient_fails_hopf_battery
+    A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])
+    y, z = A.gen(0), A.zero()
+    return LieRinehartAlgebra(
+        A, ["x1", "x2"], {(0, 1): [z, y]}, [Derivation(A, [y]), Derivation(A, [z])]
+    )
+
+
+@pytest.mark.parametrize("name", _FIXTURE_FILES + ["a-valued"])
+def test_legwise_tensor_product_matches_the_flat_product(name):
+    S = _legwise_structure(name)
+    tensors = _legwise_inputs(S, 31)
+    for i, a in enumerate(tensors):
+        for b in tensors[i % 3 :: 3]:
+            assert (a * b).terms == _flat_product(a, b).terms, f"{name}: {a} times {b}"
+    A2 = tensor_power_structure(S, 2).algebra
+    c = A2.const(Fraction(-2, 3))
+    if A2.ngens:
+        c = c + A2.gen(0) - A2.gen(A2.ngens - 1) * A2.gen(0)
+    for a in tensors[:4]:
+        flat = TensorEnvElement.from_flat(S, a.to_flat() * c)
+        assert (a * c).terms == flat.terms, f"{name}: {a} times {c}"
 
 
 def test_perturbed_images_take_the_rewriting_path(euler):

@@ -1,5 +1,5 @@
-"""Arithmetic builds LaurentPoly and TensorEnvElement results without
-re-validating them.  Every such result must be exactly what the
+"""Arithmetic builds LaurentPoly, EnvElement and TensorEnvElement results
+without re-validating them.  Every such result must be exactly what the
 validating public constructors make of the same terms: no zero or
 non-Fraction coefficient, no malformed exponent tuple or word."""
 
@@ -79,6 +79,17 @@ def assert_valid_poly(p):
         assert c != 0
 
 
+def assert_valid_env(u):
+    assert isinstance(u, EnvElement)
+    rebuilt = EnvElement(u.structure, u.terms)
+    assert rebuilt == u
+    assert rebuilt.terms == u.terms
+    for c in u.terms.values():
+        assert c.algebra == u.structure.algebra
+        assert not c.is_zero()
+        assert_valid_poly(c)
+
+
 def assert_valid_tensor(t):
     assert isinstance(t, TensorEnvElement)
     rebuilt = TensorEnvElement(t.structure, t.terms)
@@ -141,6 +152,39 @@ def test_tensor_results_match_the_validating_constructor(name, data):
               TensorEnvElement.from_flat(S, du.to_flat())):
         assert_valid_tensor(t)
     assert (du - du).terms == {}
+
+
+@pytest.mark.parametrize("name", NAMES)
+@SETTINGS
+@given(data=st.data())
+def test_env_products_match_the_validating_constructor(name, data):
+    S = STRUCTURES[name]
+    u = data.draw(env_elements(S))
+    v = data.draw(env_elements(S))
+    x = EnvElement.generator(S, S.rank - 1)
+    # x * x appends in order, u * x and x * u rewrite, u * (-u) may cancel
+    for r in (u * v, v * u, u * x, x * u, x * x, u * (-u), u * (v - v),
+              u * v * u, (u + v) * (u - v)):
+        assert_valid_env(r)
+    assert (u * EnvElement.zero(S)).terms == {}
+
+
+@pytest.mark.parametrize("name", NAMES)
+@SETTINGS
+@given(data=st.data())
+def test_legwise_tensor_products_match_the_validating_constructor(name, data):
+    S = STRUCTURES[name]
+    A2 = S.algebra.tensor_power(2)
+    u, v, w = (data.draw(env_elements(S)) for _ in range(3))
+    c = data.draw(polys(A2))
+    # tensor_pair coefficients differ between the legs; coproducts of words
+    # have constant ones
+    s, t = tensor_pair(u, v), tensor_pair(v, w)
+    d = coproduct(u)
+    for r in (s * t, t * s, s * d, d * s, d * d, s * (-s), s * (t - t),
+              s * c, d * c, (s + d) * (s - d)):
+        assert_valid_tensor(r)
+    assert (s * c * 0).terms == {}
 
 
 def test_public_constructors_still_reject_bad_terms():
