@@ -19,8 +19,8 @@ import itertools
 from fractions import Fraction
 
 from .algebra import LaurentPoly, comultiplication
-from .enveloping import EnvElement, _add_term
-from .hopf import CoproductLikeMap, TensorEnvElement, counit_collapse, standard_coproduct, tensor_power_structure
+from .enveloping import _add_term
+from .hopf import CoproductLikeMap, TensorEnvElement, counit_collapse, standard_coproduct
 from .lie_rinehart import LieRinehartAlgebra, LRElement
 from .report import Report
 
@@ -547,13 +547,8 @@ def conjecture_probe(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
     from .hopf import _unit_words
 
     report = Report()
-    T2 = tensor_power_structure(S, 2)
-    m = S.rank
     deltas = cobracket_images(S, dual)
-    images = [
-        EnvElement.generator(T2, i) + EnvElement.generator(T2, m + i) + deltas[i].to_flat()
-        for i in range(m)
-    ]
+    images = [e + d for e, d in zip(standard_coproduct(S).images, deltas)]
     dmap = CoproductLikeMap(S, images, label="perturbed-coproduct")
     report.add("perturbation-constructed", True)
 

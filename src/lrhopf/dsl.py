@@ -51,6 +51,12 @@ the result (the sum of the factors' filtration degrees, or the degree times
 the exponent) is checked before multiplying, and a longer one is refused
 as an input error at the operator (line:col)."""
 
+MAX_TERMS = 5000
+"""Most pairs of terms (a rational times a monomial of A times a normal
+word) one product of enveloping algebra elements may multiply.  Powers are
+multiplied out one checked factor at a time, so `(E11+E12+E21+E22+y1)^40`
+on gl2, within the limits above, is refused at the operator (line:col)."""
+
 
 # -- tokens --------------------------------------------------------------------
 
@@ -230,22 +236,37 @@ def _word_length_after(op, left, right) -> int:
     return -1
 
 
+def _refuse(where, message):
+    line, col = where
+    raise ParseError(f"line {line}:{col}: {message}")
+
+
+def _times(left, right, where):
+    if isinstance(left, EnvElement) and isinstance(right, EnvElement):
+        sizes = [sum(len(c.terms) for c in u.terms.values()) for u in (left, right)]
+        if sizes[0] * sizes[1] > MAX_TERMS:
+            _refuse(where, f"a product of {sizes[0] * sizes[1]} pairs of terms is above "
+                    f"the limit of {MAX_TERMS}")
+    return left * right
+
+
 def _combine(op, left, right, where=None):
     if where is not None:
         length = _word_length_after(op, left, right)
         if length > MAX_WORD_LENGTH:
-            line, col = where
-            raise ParseError(
-                f"line {line}:{col}: a word of length {length} is above the "
-                f"limit of {MAX_WORD_LENGTH}"
-            )
+            _refuse(where, f"a word of length {length} is above the limit of "
+                    f"{MAX_WORD_LENGTH}")
     try:
         if op == "add":
             result = left + right
         elif op == "sub":
             result = left - right
         elif op == "mul":
-            result = left * right
+            result = _times(left, right, where)
+        elif isinstance(left, EnvElement) and isinstance(right, int) and right >= 0:
+            result = EnvElement.one(left.structure)  # as EnvElement.__pow__ does
+            for _ in range(right):
+                result = _times(result, left, where)
         else:
             result = left ** right
     except ParseError:

@@ -1,31 +1,29 @@
 """Comultiplication, counit and antipode on the enveloping algebra.
 
-An element of the tensor square of the enveloping algebra maps pairs of
-normal words (w0, w1) to coefficients in the tensor square of A.  Its
+An element of the k-th tensor power of the enveloping algebra maps k-tuples
+of normal words to coefficients in the k-th tensor power of A: the coproduct
+lands in k = 2, and applying it again to one leg lands in k = 3.  The
 product is computed one leg at a time with the structure's own rewriting:
 
-    (c; w0, w1)(q y^e0 (x) y^e1; v0, v1) = c q (w0 y^e0 v0) (x) (w1 y^e1 v1)
+    (c; w_0, .., w_{k-1})(q y^e_0 .. y^e_{k-1}; v_0, .., v_{k-1})
+        = c q (w_0 y^e_0 v_0) (x) .. (x) (w_{k-1} y^e_{k-1} v_{k-1})
 
-for each monomial q y^e0 (x) y^e1 of the right coefficient, where both
-legs are products in the enveloping algebra itself; the leg products
-(w0, e0, v0) -> w0 y^e0 v0 are cached per structure.  The same space is
-the enveloping algebra of a doubled structure: coefficients in the tensor
-square of A, and two commuting copies of the basis, each acting on its own
-tensor leg, with copy 0 letters sorting before copy 1 letters (to_flat and
-from_flat convert).  Products there give the same element; the doubled
-structure carries the letter images of a coproduct-like map, its rewriting
-path, the one-leg application into the tripled structure, and it is the
-oracle the tests compare the legwise product against.
+for each monomial q y^e_0 .. y^e_{k-1} of the right coefficient, where each
+leg w y^e v is a product in the enveloping algebra itself, cached per
+structure.  The same space is the enveloping algebra of
+`tensor_power_structure` (k commuting copies of the basis, copy c acting on
+leg c); only its coefficient algebra is used here, and the tests multiply
+in it as the oracle of the legwise product.
 
 The structure maps:
   * a coefficient comultiplies through the generator markers of A;
-  * a basis letter e goes to e' + e'' (one letter in each copy);
+  * a basis letter e goes to e' + e'' (one letter in each leg);
   * the counit keeps the empty-word coefficient and applies the counit
     of A;
   * the antipode reverses words, signs them by length, and applies the
     antipode of A to coefficients.
 
-The standard coproduct is computed in closed form.  The two copies
+The standard coproduct is computed in closed form.  The two legs
 commute and the letter images carry no coefficients, so for a normal word
 w the product of the images e' + e'' needs no rewriting:
 
@@ -34,7 +32,7 @@ w the product of the images e' + e'' needs no rewriting:
 over the splits of the multiset w into a sub-multiset w1 and its
 complement w2, where mult is the product over letters l of
 binomial(count of l in w, count of l in w1).  Multiplying the letter
-images out in the doubled structure (CoproductLikeMap.by_rewriting) gives
+images out with the legwise product (CoproductLikeMap.by_rewriting) gives
 the same element; it stays as the engine for any other letter images and
 as the independent oracle the leading-split check and the tests compare
 against.
@@ -48,14 +46,12 @@ import operator
 from fractions import Fraction
 
 from .algebra import (
-    AlgebraMorphism,
     LaurentPoly,
     _nonzero,
+    _tensor_leg_maps,
     antipode_morphism,
-    coeff_str,
     comultiplication,
     counit_morphism,
-    inclusion_of_scalars,
     split_exponents,
     spread_copies,
     tensor_embed,
@@ -95,158 +91,143 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
     return T
 
 
-def _leg_products(S: LieRinehartAlgebra):
-    """The product (w, e, v) -> normal form of w * y^e * v in S, for normal
-    words w, v and an exponent tuple e of A: one leg of a product in the
-    tensor square.  Cached per structure; the returned dicts are shared
-    and must not be mutated."""
-    cache = S._tensor_cache.get("legs")
-    if cache is None:
-        cache = S._tensor_cache["legs"] = {}
+def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
+    """The terms of t * s, one leg at a time (see the module docstring).
+    Per monomial of the right coefficient, the products of all legs but the
+    last are collected per word tuple first; the last leg is accumulated in
+    place.  Coefficients are summed as raw exponent -> Fraction dicts and
+    wrapped once at the end."""
+    S = t.structure
     A = S.algebra
+    k = t.legs
+    n = A.ngens
+    unit = (0,) * (k * n)
+    slices = [slice(l * n, (l + 1) * n) for l in range(k)]
+    first, middle, final = slices[0], list(enumerate(slices))[1:-1], slices[-1]
+    # (w, e, v) -> normal form of w y^e v in S, per structure; shared dicts
+    cache = S._tensor_cache.setdefault("legs", {})
     one = Fraction(1)
 
     def leg(w, e, v):
-        key = (w, e, v)
-        hit = cache.get(key)
+        hit = cache.get((w, e, v))
         if hit is None:
-            hit = cache[key] = _word_poly_word(
-                S, w, LaurentPoly._trusted(A, {e: one}), v
-            )
+            y = LaurentPoly._trusted(A, {e: one})
+            hit = cache[(w, e, v)] = _word_poly_word(S, w, y, v)
         return hit
 
-    return leg
-
-
-def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
-    """The terms of t * s, one leg at a time:
-
-        (c; w0, w1)(q y^e0 (x) y^e1; v0, v1) = c q (w0 y^e0 v0) (x) (w1 y^e1 v1)
-
-    where each leg is a product in S (`_leg_products`).  The copies commute
-    and act on separate legs, so this is the product in the doubled
-    structure without rewriting there.  Coefficients are summed as raw
-    exponent -> Fraction dicts and wrapped once at the end."""
-    S = t.structure
-    n = S.algebra.ngens
-    unit = (0,) * (2 * n)
-    leg = _leg_products(S)
-    sums: dict = {}  # word pair -> {exponent tuple of A (x) A: Fraction}
-    for (w0, w1), c in t.terms.items():
+    sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: Fraction}
+    for ws, c in t.terms.items():
         # a constant c folds into the scalars; otherwise the legs of one
         # pair of terms are summed first and multiplied by c after
         scalar = c.terms.get(unit) if len(c.terms) == 1 else None
-        for (v0, v1), b in s.terms.items():
+        for vs, b in s.terms.items():
             acc = sums if scalar is not None else {}
             for e, q in b.terms.items():
                 if scalar is not None:
                     q = q * scalar
-                legs1 = leg(w1, e[n:], v1)
-                for z0, p0 in leg(w0, e[:n], v0).items():
-                    for z1, p1 in legs1.items():
-                        coeffs = acc.get((z0, z1))
-                        if coeffs is None:
-                            coeffs = acc[(z0, z1)] = {}
-                        for a0, c0 in p0.terms.items():
+                head = {}
+                for z, p in leg(ws[0], e[first], vs[0]).items():
+                    head[(z,)] = p.terms
+                for l, cut in middle:
+                    # distinct (zs, z) and (a0, a1) give distinct keys: nothing to sum
+                    factor = leg(ws[l], e[cut], vs[l])
+                    head = {
+                        zs + (z,): {a0 + a1: c0 * c1 for a0, c0 in coeffs.items()
+                                    for a1, c1 in p.terms.items()}
+                        for zs, coeffs in head.items() for z, p in factor.items()
+                    }
+                last = leg(ws[-1], e[final], vs[-1])
+                for zs, coeffs in head.items():
+                    for z, p in last.items():
+                        key = zs + (z,)
+                        out = acc.get(key)
+                        if out is None:
+                            out = acc[key] = {}
+                        for a0, c0 in coeffs.items():
                             qc0 = q * c0
-                            for a1, c1 in p1.terms.items():
+                            for a1, c1 in p.terms.items():
                                 exps = a0 + a1
                                 x = qc0 * c1
-                                coeffs[exps] = coeffs[exps] + x if exps in coeffs else x
+                                out[exps] = out[exps] + x if exps in out else x
             if scalar is not None:
                 continue
             for key, coeffs in acc.items():
                 out = sums.setdefault(key, {})
-                for f, k in c.terms.items():
+                for f, x0 in c.terms.items():
                     for exps, x in coeffs.items():
                         exps = tuple(map(operator.add, f, exps))
-                        x = k * x
+                        x = x0 * x
                         out[exps] = out[exps] + x if exps in out else x
-    A2 = tensor_power_structure(S, 2).algebra
+    Ak = tensor_power_structure(S, k).algebra
     result = {}
     for key, coeffs in sums.items():
         coeffs = _nonzero(coeffs)
         if coeffs:
-            result[key] = LaurentPoly._trusted(A2, coeffs)
+            result[key] = LaurentPoly._trusted(Ak, coeffs)
     return result
 
 
-def _split_flat_word(word, m: int):
-    w1 = tuple(l for l in word if l < m)
-    w2 = tuple(l - m for l in word if l >= m)
-    return w1, w2
-
-
 class TensorEnvElement:
-    """An element of the tensor square of the enveloping algebra: a map
-    from word pairs to coefficients in the tensor square of A.
+    """An element of the tensor power of the enveloping algebra with `legs`
+    legs: a map from word tuples to coefficients in `algebra`.
 
     Invariant of `terms`, kept by every constructor:
-      * each key is a pair of normal (nondecreasing) words in the basis
-        letters 0 .. rank-1;
-      * each value is a nonzero LaurentPoly over the tensor square of A.
+      * each key is a tuple of `legs` normal (nondecreasing) words in the
+        basis letters 0 .. rank-1;
+      * each value is a nonzero LaurentPoly over `algebra`.
 
     The constructor checks its input, converts scalar coefficients and
-    sums repeated keys.  Arithmetic, from_flat and the closed-form
-    coproduct build their results with `_trusted`, which stores a dict that
-    already satisfies the invariant without looking at it again."""
+    sums repeated keys.  Arithmetic and the closed-form coproduct build
+    their results with `_trusted`, which stores a dict that already
+    satisfies the invariant without looking at it again.  Elements with
+    different numbers of legs neither add nor multiply, and never compare
+    equal."""
 
-    __slots__ = ("structure", "tpow", "terms")
+    __slots__ = ("structure", "legs", "terms")
 
     @classmethod
-    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict) -> "TensorEnvElement":
+    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict,
+                 legs: int = 2) -> "TensorEnvElement":
         """Wrap `terms`, which must already satisfy the class invariant and
         must not be shared with code that will mutate it."""
         t = object.__new__(cls)
         t.structure = structure
-        t.tpow = tensor_power_structure(structure, 2)
+        t.legs = legs
         t.terms = terms
         return t
 
-    def __init__(self, structure: LieRinehartAlgebra, terms: dict):
-        tpow = tensor_power_structure(structure, 2)
+    def __init__(self, structure: LieRinehartAlgebra, terms: dict, legs: int = 2):
+        if legs < 2:
+            raise ValueError("a tensor power has at least two legs")
+        algebra = tensor_power_structure(structure, legs).algebra
         clean = {}
-        for (w1, w2), c in terms.items():
-            w1, w2 = tuple(w1), tuple(w2)
-            for w in (w1, w2):
+        for words, c in terms.items():
+            key = tuple(tuple(w) for w in words)
+            if len(key) != legs:
+                raise ValueError(f"key {key} does not have {legs} legs")
+            for w in key:
                 if any(w[t] > w[t + 1] for t in range(len(w) - 1)):
                     raise ValueError(f"word {w} is not nondecreasing")
                 if any(not (0 <= i < structure.rank) for i in w):
                     raise ValueError(f"word {w} uses letters outside the basis")
             if not isinstance(c, LaurentPoly):
-                c = tpow.algebra.const(c)
-            if c.algebra != tpow.algebra:
-                raise ValueError("coefficient must live in the tensor square of A")
+                c = algebra.const(c)
+            if c.algebra != algebra:
+                raise ValueError(f"coefficient outside the {legs}-fold tensor power of A")
             if not c.is_zero():
-                key = (w1, w2)
-                clean[key] = clean.get(key, tpow.algebra.zero()) + c
+                clean[key] = clean.get(key, algebra.zero()) + c
         self.structure = structure
-        self.tpow = tpow
+        self.legs = legs
         self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
 
-    @classmethod
-    def zero(cls, structure) -> "TensorEnvElement":
-        return cls._trusted(structure, {})
+    @property
+    def algebra(self):
+        """The coefficient algebra: the tensor power of A with `legs` legs."""
+        return tensor_power_structure(self.structure, self.legs).algebra
 
     @classmethod
-    def from_flat(cls, structure, u: EnvElement) -> "TensorEnvElement":
-        """Split the words of an element of the doubled structure into
-        their copy-0 and copy-1 parts.  Normal flat words split into
-        normal word pairs, and distinct flat words into distinct pairs."""
-        tpow = tensor_power_structure(structure, 2)
-        if not (u.structure is tpow or u.structure == tpow):
-            raise ValueError("element outside the tensor square")
-        m = structure.rank
-        return cls._trusted(
-            structure, {_split_flat_word(w, m): c for w, c in u.terms.items()}
-        )
-
-    def to_flat(self) -> EnvElement:
-        m = self.structure.rank
-        terms = {}
-        for (w1, w2), c in self.terms.items():
-            terms[w1 + tuple(l + m for l in w2)] = c
-        return EnvElement(self.tpow, terms)
+    def zero(cls, structure, legs: int = 2) -> "TensorEnvElement":
+        return cls._trusted(structure, {}, legs)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -254,17 +235,19 @@ class TensorEnvElement:
     def _check(self, other):
         if self.structure is not other.structure and self.structure != other.structure:
             raise ValueError("tensor elements over different structures")
+        if self.legs != other.legs:
+            raise ValueError(f"tensor elements with {self.legs} and {other.legs} legs")
 
     def __add__(self, other: "TensorEnvElement") -> "TensorEnvElement":
         self._check(other)
         acc = dict(self.terms)
         for key, c in other.terms.items():
             _add_term(acc, key, c)
-        return TensorEnvElement._trusted(self.structure, acc)
+        return TensorEnvElement._trusted(self.structure, acc, self.legs)
 
     def __neg__(self):
         return TensorEnvElement._trusted(
-            self.structure, {k: -c for k, c in self.terms.items()}
+            self.structure, {k: -c for k, c in self.terms.items()}, self.legs
         )
 
     def __sub__(self, other):
@@ -273,17 +256,17 @@ class TensorEnvElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return TensorEnvElement.zero(self.structure)
+                return TensorEnvElement.zero(self.structure, self.legs)
             return TensorEnvElement._trusted(
-                self.structure, {k: c * other for k, c in self.terms.items()}
+                self.structure, {k: c * other for k, c in self.terms.items()}, self.legs
             )
         if isinstance(other, LaurentPoly):
-            other = TensorEnvElement(self.structure, {((), ()): other})
+            other = TensorEnvElement(self.structure, {((),) * self.legs: other}, self.legs)
         if not isinstance(other, TensorEnvElement):
             return NotImplemented
         self._check(other)
         return TensorEnvElement._trusted(
-            self.structure, _legwise_product(self, other)
+            self.structure, _legwise_product(self, other), self.legs
         )
 
     def __rmul__(self, other):
@@ -294,30 +277,28 @@ class TensorEnvElement:
     def __eq__(self, other):
         if not isinstance(other, TensorEnvElement):
             return NotImplemented
-        return self.structure == other.structure and self.terms == other.terms
+        return (
+            self.legs == other.legs
+            and self.structure == other.structure
+            and self.terms == other.terms
+        )
 
     def __str__(self):
         if not self.terms:
             return "0"
         S = self.structure
-        n = S.algebra.ngens
         pieces = []
         ordered = sorted(
             self.terms.items(),
-            key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0]),
+            key=lambda kv: (sum(map(len, kv[0])), kv[0]),
             reverse=True,
         )
-        for (w1, w2), c in ordered:
+        for words, c in ordered:
             for exps, q in sorted(
                 c.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
             ):
-                if n:
-                    b1, b2 = split_exponents(exps, n)
-                else:
-                    b1 = b2 = ()
-                left = EnvElement(S, {w1: S.algebra.monomial(b1, abs(q))})
-                right = EnvElement(S, {w2: S.algebra.monomial(b2, 1)})
-                pieces.append((q < 0, f"{left} (x) {right}"))
+                factors = _split_term(S, words, exps, abs(q))
+                pieces.append((q < 0, " (x) ".join(map(str, factors))))
         out = ("-" if pieces[0][0] else "") + pieces[0][1]
         for neg, body in pieces[1:]:
             out += (" - " if neg else " + ") + body
@@ -327,18 +308,28 @@ class TensorEnvElement:
         return f"<{self}>"
 
 
+def _split_term(S: LieRinehartAlgebra, words, exps, q) -> list:
+    """The legs of the term q y^exps (words) as elements of the enveloping
+    algebra, with the scalar q on the first leg."""
+    n = S.algebra.ngens
+    blocks = split_exponents(exps, n) if n else ((),) * len(words)
+    return [
+        EnvElement(S, {w: S.algebra.monomial(b, q if l == 0 else 1)})
+        for l, (w, b) in enumerate(zip(words, blocks))
+    ]
+
+
 def tensor_pair(u1: EnvElement, u2: EnvElement) -> TensorEnvElement:
     """The elementary tensor of two enveloping algebra elements."""
     if u1.structure != u2.structure:
         raise ValueError("tensor factors over different structures")
     S = u1.structure
     alg2 = tensor_power_structure(S, 2).algebra
-    terms: dict = {}
-    for w1, c1 in u1.terms.items():
-        for w2, c2 in u2.terms.items():
-            coeff = tensor_embed(c1, 0, alg2) * tensor_embed(c2, 1, alg2)
-            _add_term(terms, (w1, w2), coeff)
-    return TensorEnvElement(S, terms)
+    return TensorEnvElement(S, {
+        (w1, w2): tensor_embed(c1, 0, alg2) * tensor_embed(c2, 1, alg2)
+        for w1, c1 in u1.terms.items()
+        for w2, c2 in u2.terms.items()
+    })
 
 
 class CoproductLikeMap:
@@ -356,22 +347,18 @@ class CoproductLikeMap:
     def __init__(self, S: LieRinehartAlgebra, letter_images, label: str = "coproduct"):
         self.S = S
         self.label = label
-        self.T2 = tensor_power_structure(S, 2)
         self.delta_A = comultiplication(S.algebra)
-        images = []
-        for img in letter_images:
-            if isinstance(img, TensorEnvElement):
-                img = img.to_flat()
-            if img.structure != self.T2:
+        images = list(letter_images)
+        for img in images:
+            if not isinstance(img, TensorEnvElement) or img.legs != 2 or img.structure != S:
                 raise ValueError("letter image outside the tensor square")
-            images.append(img)
         if len(images) != S.rank:
             raise ValueError("need one image per basis letter")
-        self.flat_images = images
+        self.images = images
         self._lifted = {}
-        m = S.rank
+        one = tensor_power_structure(S, 2).algebra.one()
         self.standard = all(
-            img == EnvElement.generator(self.T2, i) + EnvElement.generator(self.T2, m + i)
+            img.terms == {((i,), ()): one, ((), (i,)): one}
             for i, img in enumerate(images)
         )
         self._splits = {}
@@ -408,83 +395,57 @@ class CoproductLikeMap:
         return self._splits[w]
 
     def by_rewriting(self, u: EnvElement) -> TensorEnvElement:
-        """Multiply the letter images out in the doubled structure.  Valid
+        """Multiply the letter images out with the legwise product.  Valid
         for any letter images; for the standard ones it is the oracle of
         the closed form in __call__."""
         if u.structure != self.S:
             raise ValueError("argument in the wrong enveloping algebra")
-        total = EnvElement.zero(self.T2)
-        for w, a in u.terms.items():
-            cur = EnvElement.from_poly(self.T2, self.delta_A(a))
-            for letter in w:
-                cur = cur * self.flat_images[letter]
-            total = total + cur
-        return TensorEnvElement.from_flat(self.S, total)
+        terms = (((w,), a) for w, a in u.terms.items())
+        return _multiply_out(self.S, 2, terms, self.delta_A, [self.images])
 
     # -- one-leg application, for coassociativity ---------------------------
 
     def _leg_data(self, leg: int):
+        """The coefficient map from the tensor square of A to its cube and
+        the three-leg images of the letters of legs 0 and 1 when the map is
+        applied to `leg`: that leg's letters go to their images on two
+        adjacent legs, the other leg's letters stay as they are."""
         cached = self._lifted.get(leg)
         if cached is not None:
             return cached
-        S = self.S
-        A = S.algebra
-        m = S.rank
-        n = A.ngens
-        T3 = tensor_power_structure(S, 3)
-        A2, A3 = self.T2.algebra, T3.algebra
-        if leg == 0:
-            coeff_map = AlgebraMorphism(
-                A2,
-                A3,
-                [spread_copies(self.delta_A(A.gen(i)), A, (0, 1), A3) for i in range(n)]
-                + [tensor_embed(A.gen(i), 2, A3) for i in range(n)],
-            )
-            first = [
-                _reinterpret(S, self.flat_images[i], (0, 1), T3) for i in range(m)
-            ]
-            second = [EnvElement.generator(T3, 2 * m + j) for j in range(m)]
-        else:
-            coeff_map = AlgebraMorphism(
-                A2,
-                A3,
-                [tensor_embed(A.gen(i), 0, A3) for i in range(n)]
-                + [spread_copies(self.delta_A(A.gen(i)), A, (1, 2), A3) for i in range(n)],
-            )
-            first = [EnvElement.generator(T3, i) for i in range(m)]
-            second = [
-                _reinterpret(S, self.flat_images[j], (1, 2), T3) for j in range(m)
-            ]
-        data = (T3, coeff_map, first, second)
-        self._lifted[leg] = data
-        return data
+        S, A = self.S, self.S.algebra
+        A3 = tensor_power_structure(S, 3).algebra
+        copies = (0, 1) if leg == 0 else (1, 2)
+        place = (lambda pair, w: pair + (w,)) if leg == 0 else (lambda pair, w: (w,) + pair)
+        mapped = [
+            TensorEnvElement(S, {place(ws, ()): spread_copies(c, A, copies, A3)
+                                 for ws, c in img.terms.items()}, 3)
+            for img in self.images
+        ]
+        plain = [TensorEnvElement(S, {place(((), ()), (i,)): 1}, 3) for i in range(S.rank)]
+        images = [mapped, plain] if leg == 0 else [plain, mapped]
+        self._lifted[leg] = (_coefficient_leg_maps(S)[leg], images)
+        return self._lifted[leg]
 
-    def apply_to_leg(self, t: TensorEnvElement, leg: int) -> EnvElement:
-        """Apply the map to one leg of a tensor element, producing an
-        element of the triple tensor power (flattened)."""
-        T3, coeff_map, first, second = self._leg_data(leg)
-        out = EnvElement.zero(T3)
-        for (w1, w2), c in t.terms.items():
-            cur = EnvElement.from_poly(T3, coeff_map(c))
-            for i in w1:
-                cur = cur * first[i]
-            for j in w2:
-                cur = cur * second[j]
-            out = out + cur
-        return out
+    def apply_to_leg(self, t: TensorEnvElement, leg: int) -> TensorEnvElement:
+        """Apply the map to one leg of a tensor-square element, producing a
+        three-leg element."""
+        coeff_map, images = self._leg_data(leg)
+        return _multiply_out(self.S, 3, t.terms.items(), coeff_map, images)
 
 
-def _reinterpret(S, u: EnvElement, copies, T3) -> EnvElement:
-    """View an element of the doubled structure inside the tripled one,
-    with the two copies landing on the given pair of legs."""
-    m = S.rank
-    offset = copies[0] * m
-    terms = {}
-    for w, c in u.terms.items():
-        terms[tuple(l + offset for l in w)] = spread_copies(
-            c, S.algebra, copies, T3.algebra
-        )
-    return EnvElement(T3, terms)
+def _multiply_out(S, legs: int, terms, coefficient, letter_images) -> TensorEnvElement:
+    """The sum over `terms` (word tuple, a) of coefficient(a) times the
+    images of the letters of each word in turn, legwise; letter_images[l][i]
+    is the image of letter i of word l."""
+    out = TensorEnvElement.zero(S, legs)
+    for words, a in terms:
+        cur = TensorEnvElement(S, {((),) * legs: coefficient(a)}, legs)
+        for images, w in zip(letter_images, words):
+            for i in w:
+                cur = cur * images[i]
+        out = out + cur
+    return out
 
 
 def standard_coproduct(S: LieRinehartAlgebra) -> CoproductLikeMap:
@@ -492,12 +453,7 @@ def standard_coproduct(S: LieRinehartAlgebra) -> CoproductLikeMap:
     cached = S._tensor_cache.get("std")
     if cached is not None:
         return cached
-    T2 = tensor_power_structure(S, 2)
-    m = S.rank
-    images = [
-        EnvElement.generator(T2, i) + EnvElement.generator(T2, m + i)
-        for i in range(m)
-    ]
+    images = [TensorEnvElement(S, {((i,), ()): 1, ((), (i,)): 1}) for i in range(S.rank)]
     dmap = CoproductLikeMap(S, images)
     S._tensor_cache["std"] = dmap
     return dmap
@@ -532,48 +488,36 @@ def antipode(u: EnvElement) -> EnvElement:
 # -- collapsing maps used to state the axioms ---------------------------------
 
 
+def _coefficient_leg_maps(S: LieRinehartAlgebra):
+    """The one-leg maps of A's own battery (`_tensor_leg_maps`): coproduct,
+    counit and antipode on leg 0 or 1.  Cached per structure."""
+    if "coefficient-legs" not in S._tensor_cache:
+        A = S.algebra
+        S._tensor_cache["coefficient-legs"] = _tensor_leg_maps(
+            A, comultiplication(A), counit_morphism(A), antipode_morphism(A)
+        )
+    return S._tensor_cache["coefficient-legs"]
+
+
 def counit_collapse(t: TensorEnvElement, leg: int) -> EnvElement:
     """Apply the counit to one leg of a tensor element."""
-    S = t.structure
-    A = S.algebra
-    key = ("eps-collapse", leg)
-    cm = S._tensor_cache.get(key)
-    if cm is None:
-        eps = counit_morphism(A)
-        inc = inclusion_of_scalars(A)
-        gens = [A.gen(i) for i in range(A.ngens)]
-        killed = [inc(eps(g)) for g in gens]
-        images = killed + gens if leg == 0 else gens + killed
-        cm = AlgebraMorphism(t.tpow.algebra, A, images)
-        S._tensor_cache[key] = cm
+    counit_on_leg = _coefficient_leg_maps(t.structure)[2 + leg]
     out: dict = {}
-    for (w1, w2), c in t.terms.items():
-        dead, kept = (w1, w2) if leg == 0 else (w2, w1)
-        if dead:
-            continue
-        _add_term(out, kept, cm(c))
-    return EnvElement(S, out)
+    for words, c in t.terms.items():
+        if not words[leg]:  # the counit kills every nonempty word
+            _add_term(out, words[1 - leg], counit_on_leg(c))
+    return EnvElement(t.structure, out)
 
 
 def antipode_convolution(t: TensorEnvElement, leg: int) -> EnvElement:
     """Multiply the two legs together after applying the antipode to one:
     the convolution products appearing in the antipode axioms."""
     S = t.structure
-    A = S.algebra
-    n = A.ngens
     out = EnvElement.zero(S)
-    for (w1, w2), c in t.terms.items():
+    for words, c in t.terms.items():
         for exps, q in c.terms.items():
-            if n:
-                b1, b2 = split_exponents(exps, n)
-            else:
-                b1 = b2 = ()
-            u1 = EnvElement(S, {w1: A.monomial(b1, q)})
-            u2 = EnvElement(S, {w2: A.monomial(b2, 1)})
-            if leg == 0:
-                out = out + antipode(u1) * u2
-            else:
-                out = out + u1 * antipode(u2)
+            u1, u2 = _split_term(S, words, exps, q)
+            out = out + (antipode(u1) * u2 if leg == 0 else u1 * antipode(u2))
     return out
 
 
@@ -690,7 +634,8 @@ def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
             if len(key[0]) + len(key[1]) == p
         }
         want = {
-            key: dmap.T2.algebra.const(mult) for key, mult in expected.items()
+            key: tensor_power_structure(S, 2).algebra.const(mult)
+            for key, mult in expected.items()
         }
         if top != want:
             witness = f"leading split of word {w} is off"

@@ -2,12 +2,13 @@
 and byte-stable JSON output."""
 
 import json
+import re
 import time
 
 import pytest
 
 from lrhopf.cli import main
-from lrhopf.dsl import MAX_EXPONENT, MAX_WORD_LENGTH
+from lrhopf.dsl import MAX_EXPONENT, MAX_TERMS, MAX_WORD_LENGTH
 
 from conftest import fixture_path
 
@@ -203,3 +204,20 @@ def test_product_at_the_word_length_limit_normalizes(capsys):
     assert code == 0
     assert out.strip() == f"x1^{MAX_WORD_LENGTH}"
     assert err == ""
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("(E11+E12+E21+E22+y1)^40", 21),
+    ("(E11+E12+E21+E22)^6*(E11+E12+E21+E22)^6", 20),
+])
+def test_products_above_the_term_limit_are_input_errors(capsys, expr, col):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", fixture_path("gl2.lra"), expr)
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    match = re.fullmatch(
+        rf"error: line 1:{col}: a product of (\d+) pairs of terms is above the "
+        rf"limit of {MAX_TERMS}\n", err
+    )
+    assert match and int(match.group(1)) > MAX_TERMS

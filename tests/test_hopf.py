@@ -1,6 +1,7 @@
 """The coproduct, counit, and antipode on enveloping algebras, their
 tensor-square carrier, and the full verification battery."""
 
+import operator
 import os
 from fractions import Fraction
 
@@ -23,11 +24,14 @@ from lrhopf import (
     tensor_pair,
     tensor_power_structure,
 )
+from lrhopf.algebra import comultiplication, spread_copies, tensor_embed
+from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_structure_file
 from lrhopf.hopf import _unit_words, antipode_convolution, counit_collapse, standard_coproduct
 from lrhopf.sampling import make_rng, random_env_element
 
 from conftest import FIXTURES, fixture_path
+from flat_oracle import flat_product, from_flat, to_flat
 
 
 def test_tensor_power_structure_shape(aff2):
@@ -194,12 +198,6 @@ def test_closed_form_coproduct_matches_rewriting(name):
         assert fast.terms == slow.terms, f"{name}: coproduct of {u}"
 
 
-def _flat_product(a, b):
-    """The tensor-square product computed in the doubled structure: the
-    oracle of the legwise product."""
-    return TensorEnvElement.from_flat(a.structure, a.to_flat() * b.to_flat())
-
-
 def _legwise_inputs(S, seed):
     rng = make_rng(seed)
     rand = lambda: random_env_element(rng, S, max_word=2, max_degree=2)
@@ -222,30 +220,135 @@ def _legwise_structure(name):
     )
 
 
+def _triple(S, t, u):
+    """The three-leg tensor t (x) u."""
+    A3 = tensor_power_structure(S, 3).algebra
+    terms = {}
+    for (w0, w1), c in t.terms.items():
+        for w2, a in u.terms.items():
+            c3 = spread_copies(c, S.algebra, (0, 1), A3) * tensor_embed(a, 2, A3)
+            terms[(w0, w1, w2)] = c3
+    return TensorEnvElement(S, terms, 3)
+
+
 @pytest.mark.parametrize("name", _FIXTURE_FILES + ["a-valued"])
 def test_legwise_tensor_product_matches_the_flat_product(name):
     S = _legwise_structure(name)
     tensors = _legwise_inputs(S, 31)
     for i, a in enumerate(tensors):
         for b in tensors[i % 3 :: 3]:
-            assert (a * b).terms == _flat_product(a, b).terms, f"{name}: {a} times {b}"
+            assert (a * b).terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
+    triples = [_triple(S, tensors[i], random_env_element(make_rng(i), S, 1, 2)) for i in (0, 9, 10)]
+    for i, a in enumerate(triples):
+        for b in triples[i:]:
+            assert (a * b).terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
     A2 = tensor_power_structure(S, 2).algebra
     c = A2.const(Fraction(-2, 3))
     if A2.ngens:
         c = c + A2.gen(0) - A2.gen(A2.ngens - 1) * A2.gen(0)
     for a in tensors[:4]:
-        flat = TensorEnvElement.from_flat(S, a.to_flat() * c)
+        flat = from_flat(S, to_flat(a) * c)
         assert (a * c).terms == flat.terms, f"{name}: {a} times {c}"
 
 
 def test_perturbed_images_take_the_rewriting_path(euler):
-    T2 = tensor_power_structure(euler, 2)
-    x1, x2 = EnvElement.generator(T2, 0), EnvElement.generator(T2, 1)
-    dmap = CoproductLikeMap(euler, [x1 + x2 + x1 * x2])
+    x, one = EnvElement.generator(euler, 0), EnvElement.one(euler)
+    # x' + x'' + x' x''
+    dmap = CoproductLikeMap(euler, [tensor_pair(x, one) + tensor_pair(one, x) + tensor_pair(x, x)])
     assert not dmap.standard
     u = EnvElement.generator(euler, 0) ** 2
     assert dmap(u) == dmap.by_rewriting(u)
     assert dmap(u) != coproduct(u)
+
+
+def _flat_apply_to_leg(dmap, t, leg):
+    """dmap applied to one leg of t, multiplied out in the tripled structure
+    from the letter images: the oracle of CoproductLikeMap.apply_to_leg."""
+    S, A, m, n = dmap.S, dmap.S.algebra, dmap.S.rank, dmap.S.algebra.ngens
+    T3 = tensor_power_structure(S, 3)
+    A3 = T3.algebra
+    delta = comultiplication(A)
+    copies = (0, 1) if leg == 0 else (1, 2)
+
+    def coefficient(c):
+        # the coproduct of A on the mapped leg, monomial by monomial
+        total = A3.zero()
+        for exps, q in c.terms.items():
+            y0, y1 = A.monomial(exps[:n], q), A.monomial(exps[n:])
+            if leg == 0:
+                total += spread_copies(delta(y0), A, copies, A3) * tensor_embed(y1, 2, A3)
+            else:
+                total += tensor_embed(y0, 0, A3) * spread_copies(delta(y1), A, copies, A3)
+        return total
+
+    def mapped(letter):
+        terms = {}
+        for (w0, w1), c in dmap.images[letter].terms.items():
+            word = tuple(l + copies[0] * m for l in w0) + tuple(l + copies[1] * m for l in w1)
+            terms[word] = spread_copies(c, A, copies, A3)
+        return EnvElement(T3, terms)
+
+    out = EnvElement.zero(T3)
+    for (w0, w1), c in t.terms.items():
+        cur = EnvElement.from_poly(T3, coefficient(c))
+        for l in w0:
+            cur = cur * (mapped(l) if leg == 0 else EnvElement.generator(T3, l))
+        for l in w1:
+            cur = cur * (EnvElement.generator(T3, 2 * m + l) if leg == 0 else mapped(l))
+        out = out + cur
+    return from_flat(S, out, 3)
+
+
+_DUAL_FIXTURES = ["euler_dual.lra", "heis_dual.lra", "lie2_trivial_dual.lra"]
+
+
+def _three_leg_map(name):
+    kind, _, base = name.partition(":")
+    if kind != "perturbed":
+        return standard_coproduct(_legwise_structure(name))
+    if base == "a-valued":
+        # its own bracket read as a cobracket: images with coefficients in y
+        S = dual = _legwise_structure(base)
+    else:
+        with open(fixture_path(base), encoding="utf-8") as fh:
+            S, dual = parse_structure_file(fh.read()).build()
+    images = [e + d for e, d in zip(standard_coproduct(S).images, cobracket_images(S, dual))]
+    return CoproductLikeMap(S, images, label="perturbed-coproduct")
+
+
+@pytest.mark.parametrize(
+    "name",
+    _FIXTURE_FILES + ["a-valued"] + [f"perturbed:{f}" for f in _DUAL_FIXTURES + ["a-valued"]],
+)
+def test_apply_to_leg_matches_the_tripled_structure(name):
+    dmap = _three_leg_map(name)
+    S = dmap.S
+    rng = make_rng(37)
+    rand = lambda: random_env_element(rng, S, max_word=2, max_degree=2)
+    tensors = [dmap(u) for u in _unit_words(S, 2)]
+    tensors += [dmap(rand()) for _ in range(4)]
+    tensors += [tensor_pair(rand(), rand()) for _ in range(4)]
+    for t in tensors:
+        for leg in (0, 1):
+            got = dmap.apply_to_leg(t, leg)
+            assert got.legs == 3
+            assert got.terms == _flat_apply_to_leg(dmap, t, leg).terms, f"{name}: leg {leg} of {t}"
+
+
+def test_elements_with_different_legs_do_not_mix(aff2):
+    t = coproduct(EnvElement.generator(aff2, 0))
+    t3 = standard_coproduct(aff2).apply_to_leg(t, 0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(t, t3)
+        with pytest.raises(ValueError):
+            op(t3, t)
+    assert t != t3
+    assert TensorEnvElement.zero(aff2) != TensorEnvElement.zero(aff2, 3)
+    with pytest.raises(ValueError):
+        CoproductLikeMap(aff2, [t3, t3])
+    with pytest.raises(ValueError):
+        TensorEnvElement(aff2, {((),): 1}, 1)
 
 
 def test_a_valued_bracket_coefficient_fails_hopf_battery():
