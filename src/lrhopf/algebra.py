@@ -278,6 +278,9 @@ class LaurentPoly:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
+        if len(self.terms) == 1:
+            (exps, c), = self.terms.items()
+            return LaurentPoly._trusted(self.algebra, {tuple(e * n for e in exps): c**n})
         result = self.algebra.one()
         for _ in range(n):
             result = result * self
@@ -526,11 +529,6 @@ def antipode_morphism(alg: CommutativeAlgebra) -> AlgebraMorphism:
         x = alg.gen(i)
         images.append(-x if g.hopf_kind == "primitive" else x.inverse())
     return AlgebraMorphism(alg, alg, images)
-
-
-def counit_into(alg: CommutativeAlgebra) -> AlgebraMorphism:
-    """Counit followed by the unit, as a map A -> A."""
-    return counit_morphism(alg).then(inclusion_of_scalars(alg))
 
 
 # The handful of tensor-leg maps needed to state the Hopf axioms.

@@ -20,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import LaurentPoly, coeff_str, counit_morphism
+from .algebra import LaurentPoly, _nonzero, coeff_str, counit_morphism
 from .lie_rinehart import LieRinehartAlgebra, LRElement
 from .report import Report
 
@@ -39,42 +39,139 @@ def _add_term(acc: dict, word, coeff):
             acc[word] = s
 
 
+def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
+    """Normal form of (word * y^e) for a nonempty normal word and a
+    non-constant exponent tuple e.  The result is shared: never mutate it.
+
+    Memo key: (word, e) in `S._poly_cache`.  The coefficient of the
+    monomial is not part of the key, since rewriting is linear over the
+    rationals, and neither is the coefficient algebra, which the structure
+    fixes.  With l the last letter and head the rest of the word,
+
+        word * y^e = (head * y^e) l + head * l(y^e),
+
+    and every word of head * y^e is a subword of head, so appending l
+    needs no rewriting.  A miss first walks down the prefixes of the word,
+    collecting the monomials each prefix must be multiplied by (a
+    monomial already in the memo, or constant, stops the walk), then
+    fills those entries from the shortest prefix up: no recursion, and a
+    word of length L costs O(L) entries per monomial that the anchors
+    reach from y^e."""
+    memo = S._poly_cache
+    hit = memo.get((word, e))
+    if hit is not None:
+        return hit
+    A = S.algebra
+    one, unit = Fraction(1), A.one()
+    derived = {}  # (k, f) -> terms of l(y^f), l the k-th letter
+    levels = []  # (k, the monomials f whose entry (word[:k], f) is missing)
+    k, need = len(word), {e}
+    while need:
+        levels.append((k, need))
+        below = set()
+        for f in need:
+            d = derived[(k, f)] = S.anchor[word[k - 1]](
+                LaurentPoly._trusted(A, {f: one})).terms
+            below.add(f)
+            below.update(d)
+        k -= 1
+        head = word[:k]
+        need = {f for f in below if k and any(f) and (head, f) not in memo}
+
+    def lookup(head, f):
+        if not any(f):
+            return {head: unit}
+        if not head:
+            return {(): LaurentPoly._trusted(A, {f: one})}
+        return memo[(head, f)]
+
+    for k, need in reversed(levels):
+        head, last = word[:k - 1], word[k - 1]
+        for f in need:
+            acc: dict = {}  # word -> {exponents: Fraction}
+            for u, p in lookup(head, f).items():
+                acc[u + (last,)] = dict(p.terms)
+            for g, c in derived[(k, f)].items():
+                for u, p in lookup(head, g).items():
+                    out = acc.setdefault(u, {})
+                    for h, q in p.terms.items():
+                        out[h] = out[h] + c * q if h in out else c * q
+            memo[(word[:k], f)] = _pooled(S, _wrap(A, acc))
+    return memo[(word, e)]
+
+
+def _wrap(A, acc: dict) -> dict:
+    """Turn word -> {exponents: Fraction} sums into word -> LaurentPoly,
+    dropping cancelled coefficients and words."""
+    out = {}
+    for u, terms in acc.items():
+        terms = _nonzero(terms)
+        if terms:
+            out[u] = LaurentPoly._trusted(A, terms)
+    return out
+
+
+def _pooled(S: LieRinehartAlgebra, terms: dict) -> dict:
+    """`terms` with each coefficient replaced by the structure's one copy
+    of its value, for storing in a cache.  A cache holds few distinct
+    coefficients many times over; sharing them is sound because a
+    LaurentPoly is never mutated in place."""
+    pool = S._coefficient_pool
+    return {u: pool.setdefault(frozenset(p.terms.items()), p) for u, p in terms.items()}
+
+
 def _word_times_poly(S: LieRinehartAlgebra, word, b: LaurentPoly) -> dict:
-    """Normal form of (word * b): push the coefficient to the left.
+    """Normal form of (word * b): push the coefficient to the left, one
+    monomial of b at a time through `_word_times_monomial`.  The result
+    may be shared with the memo: never mutate it.
 
     Every output word is a subword of the input, so ordering is preserved.
-    Anchors are derivations and kill constants, so a constant b passes
+    Anchors are derivations and kill constants, so a constant passes
     through unchanged.
     """
-    if b.is_zero():
+    if not b.terms:
         return {}
-    if not word or b.is_constant():
+    if not word:
         return {word: b}
-    head, last = word[:-1], word[-1]
+    if len(b.terms) == 1:
+        (e, c), = b.terms.items()
+        if not any(e):
+            return {word: b}
+        hit = _word_times_monomial(S, word, e)
+        return hit if c == 1 else {u: p * c for u, p in hit.items()}
     acc: dict = {}
-    for u, p in _word_times_poly(S, head, b).items():
-        _add_term(acc, u + (last,), p)
-    derived = S.anchor[last](b)
-    if not derived.is_zero():
-        for u, p in _word_times_poly(S, head, derived).items():
-            _add_term(acc, u, p)
-    return acc
+    for e, c in b.terms.items():
+        if not any(e):
+            out = acc.setdefault(word, {})
+            out[e] = out[e] + c if e in out else c
+            continue
+        for u, p in _word_times_monomial(S, word, e).items():
+            out = acc.setdefault(u, {})
+            for h, q in p.terms.items():
+                out[h] = out[h] + c * q if h in out else c * q
+    return _wrap(S.algebra, acc)
 
 
 def _word_poly_word(S: LieRinehartAlgebra, w, b: LaurentPoly, v) -> dict:
-    """Normal form of (w * b * v) for normal words w, v.  A letter that is
-    not below the last letter of a word is appended without rewriting."""
+    """Normal form of (w * b * v) for normal words w, v.  Once a word's
+    last letter is not above the next letter of v, the rest of v is
+    appended without rewriting."""
     cur = _word_times_poly(S, w, b)
-    for letter in v:
+    if not v:
+        return cur
+    done: dict = {}
+    for t, letter in enumerate(v):
         nxt: dict = {}
         for u, p in cur.items():
             if not u or u[-1] <= letter:
-                _add_term(nxt, u + (letter,), p)
+                _add_term(done, u + v[t:], p)
                 continue
             for u2, q in _word_times_gen(S, u, letter).items():
                 _add_term(nxt, u2, p * q)
         cur = nxt
-    return cur
+    for u, p in cur.items():
+        _add_term(done, u, p)
+    return done
 
 
 def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
@@ -98,7 +195,7 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
         for u, p in _word_times_poly(S, head, c).items():
             for v, q in _word_times_gen(S, u, k).items():
                 _add_term(acc, v, p * q)
-    S._nf_cache[key] = acc
+    acc = S._nf_cache[key] = _pooled(S, acc)
     return acc
 
 
@@ -112,9 +209,9 @@ class EnvElement:
       * each value is a nonzero LaurentPoly over the structure's algebra.
 
     The constructor checks its input, converts scalar coefficients and
-    sums repeated keys.  The product builds its result with `_trusted`,
-    which stores a dict that already satisfies the invariant without
-    looking at it again."""
+    sums repeated keys.  Sums, negation and the product build their
+    results with `_trusted`, which stores a dict that already satisfies
+    the invariant without looking at it again."""
 
     __slots__ = ("structure", "terms")
 
@@ -203,12 +300,12 @@ class EnvElement:
         acc = dict(self.terms)
         for w, c in other.terms.items():
             _add_term(acc, w, c)
-        return EnvElement(self.structure, acc)
+        return EnvElement._trusted(self.structure, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EnvElement(self.structure, {w: -c for w, c in self.terms.items()})
+        return EnvElement._trusted(self.structure, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):

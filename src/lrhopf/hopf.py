@@ -23,6 +23,22 @@ The structure maps:
   * the antipode reverses words, signs them by length, and applies the
     antipode of A to coefficients.
 
+The antipode of a w, for a normal word w = e_{w_1} .. e_{w_L}, is
+
+    S(a w) = S(w) S_A(a),   S(w) = (-1)^L e_{w_L} .. e_{w_1},
+
+a product in the enveloping algebra.  S(w) is memoized per structure and
+per word, and filled along the prefixes of w by
+
+    S(w l) = -e_l S(w),
+
+so each new word costs one product and each term of an argument one
+more.  Both identities only regroup the same product of letters and a
+coefficient, so they hold by associativity of the enveloping algebra
+alone: the antipode's Hopf properties (anti-multiplicativity, the
+convolution laws) are not used to compute it, and the battery still
+measures them.
+
 The standard coproduct is computed in closed form.  The two legs
 commute and the letter images carry no coefficients, so for a normal word
 w the product of the images e' + e'' needs no rewriting:
@@ -57,7 +73,7 @@ from .algebra import (
     tensor_embed,
     check_hopf_axioms,
 )
-from .enveloping import EnvElement, _add_term, _word_poly_word
+from .enveloping import EnvElement, _add_term, _pooled, _word_poly_word
 from .lie_rinehart import LieRinehartAlgebra, check_bi_lr
 from .report import Report
 
@@ -467,22 +483,43 @@ def counit(u: EnvElement) -> Fraction:
     return u.counit()
 
 
+def _word_antipode(S: LieRinehartAlgebra, w) -> EnvElement:
+    """The signed reversal (-1)^L e_{w_L} .. e_{w_1} of a normal word w of
+    length L, memoized per structure for w and each of its prefixes.  A
+    miss starts from the longest prefix already known and extends it a
+    letter at a time: appending the letter l multiplies by -e_l on the
+    left."""
+    memo = S._tensor_cache.get("antipode-words")
+    if memo is None:
+        memo = S._tensor_cache["antipode-words"] = {(): EnvElement.one(S)}
+    hit = memo.get(w)
+    if hit is not None:
+        return hit
+    k = len(w) - 1
+    while w[:k] not in memo:
+        k -= 1
+    cur = memo[w[:k]]
+    for k in range(k, len(w)):
+        cur = -(EnvElement.generator(S, w[k]) * cur)
+        cur = memo[w[:k + 1]] = EnvElement._trusted(S, _pooled(S, cur.terms))
+    return cur
+
+
 def antipode(u: EnvElement) -> EnvElement:
-    """Reverse each word, multiply back together, sign by length, and send
-    the coefficient through the antipode of A."""
+    """The sum over the terms a w of u of S(w) times the antipode of A
+    applied to a, with S(w) the memoized signed reversal of the word (see
+    the module docstring)."""
     S = u.structure
     anti_A = S._tensor_cache.get("antiA")
     if anti_A is None:
         anti_A = antipode_morphism(S.algebra)
         S._tensor_cache["antiA"] = anti_A
-    out = EnvElement.zero(S)
+    out: dict = {}
     for w, a in u.terms.items():
-        cur = EnvElement.from_poly(S, anti_A(a))
-        for letter in w:
-            # building e_reversed left to right: each letter lands on the left
-            cur = EnvElement.generator(S, letter) * cur
-        out = out + (cur if len(w) % 2 == 0 else -cur)
-    return out
+        image = _word_antipode(S, w) * EnvElement.from_poly(S, anti_A(a))
+        for v, c in image.terms.items():
+            _add_term(out, v, c)
+    return EnvElement._trusted(S, out)
 
 
 # -- collapsing maps used to state the axioms ---------------------------------

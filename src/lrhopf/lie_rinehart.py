@@ -226,6 +226,11 @@ class LieRinehartAlgebra:
         self.anchor = anchor
         # normal-form rewrite cache, filled lazily by the enveloping algebra
         self._nf_cache = {}
+        # (word, exponents) -> normal form of word * y^e, filled lazily by
+        # the enveloping algebra
+        self._poly_cache = {}
+        # one coefficient object per distinct value the caches hold
+        self._coefficient_pool = {}
         # tensor-power realizations, built on demand by the coalgebra layer
         self._tensor_cache = {}
         if validate:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .algebra import LaurentPoly, _nonzero
+
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
@@ -38,12 +40,12 @@ def random_exponents(rng: random.Random, alg, max_degree: int):
 def random_poly(rng: random.Random, alg, max_degree: int = 2, terms: int = 2):
     """A random element with a few small-degree terms; may collide terms,
     never returns an element of a different algebra."""
-    p = alg.zero()
+    acc: dict = {}
     for _ in range(rng.randint(1, terms)):
-        p = p + alg.monomial(
-            random_exponents(rng, alg, max_degree), random_fraction(rng)
-        )
-    return p
+        exps = random_exponents(rng, alg, max_degree)
+        c = random_fraction(rng)
+        acc[exps] = acc[exps] + c if exps in acc else c
+    return LaurentPoly._trusted(alg, _nonzero(acc))
 
 
 def random_lr_element(rng: random.Random, structure, max_degree: int = 2):
@@ -63,14 +65,13 @@ def random_word(rng: random.Random, rank: int, max_len: int = 3):
 def random_env_element(rng: random.Random, structure, max_word: int = 3,
                        max_degree: int = 2, terms: int = 2):
     """Random element of the enveloping algebra in normal form."""
-    from .enveloping import EnvElement
+    from .enveloping import EnvElement, _add_term
 
-    data = {}
+    data: dict = {}
     for _ in range(rng.randint(1, terms)):
         w = random_word(rng, structure.rank, max_word)
-        p = random_poly(rng, structure.algebra, max_degree, terms=1)
-        data[w] = data.get(w, structure.algebra.zero()) + p
-    return EnvElement(structure, data)
+        _add_term(data, w, random_poly(rng, structure.algebra, max_degree, terms=1))
+    return EnvElement._trusted(structure, data)
 
 
 def random_multivector(rng: random.Random, structure, grade: int,

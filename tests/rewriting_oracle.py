@@ -1,0 +1,51 @@
+"""The letter-by-letter rewriting that the memoized paths of lrhopf
+replaced, kept in the tests as their oracles.
+
+`word_times_poly` pushes a coefficient left through a word by recursion
+on the last letter, e a -> a e + e(a), without any cache: 2^L calls on a
+word of length L whose anchors never kill the coefficient.  `antipode`
+builds each reversed word by multiplying one generator at a time onto the
+left of the coefficient's antipode, then signs it by the word's length.
+"""
+
+from lrhopf import EnvElement, antipode_morphism
+
+
+def _add(acc: dict, word, coeff):
+    s = acc[word] + coeff if word in acc else coeff
+    if s.is_zero():
+        acc.pop(word, None)
+    else:
+        acc[word] = s
+
+
+def word_times_poly(S, word, b) -> dict:
+    """Normal form of (word * b) as a dict from words to coefficients."""
+    if b.is_zero():
+        return {}
+    if not word or b.is_constant():
+        return {word: b}
+    head, last = word[:-1], word[-1]
+    acc: dict = {}
+    for u, p in word_times_poly(S, head, b).items():
+        _add(acc, u + (last,), p)
+    derived = S.anchor[last](b)
+    if not derived.is_zero():
+        for u, p in word_times_poly(S, head, derived).items():
+            _add(acc, u, p)
+    return acc
+
+
+def antipode(u: EnvElement) -> EnvElement:
+    """Reverse each word letter by letter, sign it by its length, and send
+    the coefficient through the antipode of A."""
+    S = u.structure
+    anti_A = antipode_morphism(S.algebra)
+    out = EnvElement.zero(S)
+    for w, a in u.terms.items():
+        cur = EnvElement.from_poly(S, anti_A(a))
+        for letter in w:
+            # each letter lands on the left: e_{w_L} .. e_{w_1} S_A(a)
+            cur = EnvElement.generator(S, letter) * cur
+        out = out + (cur if len(w) % 2 == 0 else -cur)
+    return out

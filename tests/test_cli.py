@@ -2,6 +2,7 @@
 and byte-stable JSON output."""
 
 import json
+import math
 import re
 import time
 
@@ -218,6 +219,35 @@ def test_products_above_the_term_limit_are_input_errors(capsys, expr, col):
     assert out == ""
     match = re.fullmatch(
         rf"error: line 1:{col}: a product of (\d+) pairs of terms is above the "
+        rf"limit of {MAX_TERMS}\n", err
+    )
+    assert match and int(match.group(1)) > MAX_TERMS
+
+
+@pytest.mark.parametrize("fixture, letter, n", [("euler.lra", "x", 20), ("aff2.lra", "x1", 18)])
+def test_long_word_times_a_coefficient_normalizes_quickly(capsys, fixture, letter, n):
+    # letter(y) = y, so letter^n * y = y * (letter + 1)^n
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", fixture_path(fixture), f"{letter}^{n}*y")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert err == ""
+    pieces = []
+    for k in range(n, -1, -1):
+        coeff = "y" if math.comb(n, k) == 1 else f"{math.comb(n, k)}*y"
+        word = "" if k == 0 else letter if k == 1 else f"{letter}^{k}"
+        pieces.append(f"{coeff}*{word}" if word else coeff)
+    assert out.strip() == " + ".join(pieces)
+
+
+def test_power_of_a_sum_with_a_coefficient_hits_the_term_limit_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), "(x1+x2+y)^30")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    match = re.fullmatch(
+        rf"error: line 1:10: a product of (\d+) pairs of terms is above the "
         rf"limit of {MAX_TERMS}\n", err
     )
     assert match and int(match.group(1)) > MAX_TERMS

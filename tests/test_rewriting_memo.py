@@ -1,0 +1,94 @@
+"""The per-structure memos of the rewriting and of the antipode against
+their letter-by-letter oracles (tests/rewriting_oracle.py), term for
+term, and on words longer than the default recursion limit."""
+
+import itertools
+import os
+import sys
+
+import pytest
+
+from lrhopf import (
+    CommutativeAlgebra,
+    Derivation,
+    EnvElement,
+    GeneratorDecl,
+    LieRinehartAlgebra,
+    antipode,
+)
+from lrhopf.dsl import parse_structure_file
+from lrhopf.enveloping import _word_times_poly
+from lrhopf.sampling import make_rng, random_env_element, random_poly
+
+from conftest import FIXTURES, fixture_path
+import rewriting_oracle as oracle
+
+_NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")) + ["a-valued"]
+
+
+def _fresh(name):
+    """A newly built structure, so every memo starts empty."""
+    if name == "a-valued":
+        # [x1, x2] = y*x2 over Q[y], y primitive: a bracket with a coefficient
+        A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])
+        y, z = A.gen(0), A.zero()
+        return LieRinehartAlgebra(
+            A, ["x1", "x2"], {(0, 1): [z, y]}, [Derivation(A, [y]), Derivation(A, [z])]
+        )
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return parse_structure_file(fh.read()).build()[0]
+
+
+def _words(S, max_len=4):
+    return [w for p in range(max_len + 1)
+            for w in itertools.combinations_with_replacement(range(S.rank), p)]
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_word_times_poly_matches_the_recursive_oracle(name):
+    # shortest words first reuse the memo of their prefixes; longest first
+    # walk down through prefixes the memo does not hold yet
+    for longest_first in (False, True):
+        S = _fresh(name)
+        A = S.algebra
+        rng = make_rng(41)
+        coefficients = list(A.monomials_up_to(2))
+        coefficients += [random_poly(rng, A, 3, terms=3) for _ in range(12)]
+        words = _words(S)
+        if longest_first:
+            words.reverse()
+        for w in words:
+            for b in coefficients:
+                assert _word_times_poly(S, w, b) == oracle.word_times_poly(S, w, b), (
+                    f"{name}: {w} times {b}")
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_antipode_matches_the_letter_by_letter_oracle(name):
+    S = _fresh(name)
+    A = S.algebra
+    rng = make_rng(43)
+    inputs = [EnvElement(S, {w: A.one()}) for w in _words(S)]
+    inputs += [random_env_element(rng, S, max_word=4, max_degree=2, terms=3)
+               for _ in range(40)]
+    inputs.append(sum(inputs[:6], EnvElement.zero(S)) ** 2)
+    for u in inputs:
+        assert antipode(u).terms == oracle.antipode(u).terms, f"{name}: antipode of {u}"
+
+
+def test_words_longer_than_the_recursion_limit():
+    # x(y) = 1 over Q[y]: the derived coefficient is a constant after one
+    # step, so x^L y = y x^L + L x^(L-1)
+    A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])
+    S = LieRinehartAlgebra(A, ["x"], {}, [Derivation(A, [A.one()])])
+    y = A.gen(0)
+    L = sys.getrecursionlimit() + 100
+    w = (0,) * L
+    with pytest.raises(RecursionError):
+        oracle.word_times_poly(S, w, y)
+    expected = {w: y, w[:-1]: A.const(L)}
+    assert _word_times_poly(S, w, y) == expected
+    assert (EnvElement(S, {w: A.one()}) * EnvElement.from_poly(S, y)).terms == expected
+    # S(y x^L) = S(x^L) S_A(y) = (-1)^L x^L (-y) = (-1)^(L+1) (y x^L + L x^(L-1))
+    sign = -1 if L % 2 == 0 else 1
+    assert antipode(EnvElement(S, {w: y})).terms == {v: c * sign for v, c in expected.items()}
