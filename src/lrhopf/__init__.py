@@ -43,14 +43,12 @@ from .hopf import (
 )
 from .lie_rinehart import (
     InducedStructureError,
-    LieAlgebra,
     LieRinehartAlgebra,
     LRElement,
     check_bi_lr,
     check_lr_axioms,
     diagonal_action,
     induce,
-    make_crossed_product,
     make_opposite,
     tensor_square,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "GeneratorDecl",
     "InducedStructureError",
     "LaurentPoly",
-    "LieAlgebra",
     "LieRinehartAlgebra",
     "LRElement",
     "MultiVector",
@@ -98,7 +95,6 @@ __all__ = [
     "dual_differential",
     "identity_morphism",
     "induce",
-    "make_crossed_product",
     "make_opposite",
     "parse_env_element",
     "parse_expression",

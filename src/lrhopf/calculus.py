@@ -18,9 +18,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import LaurentPoly, comultiplication
+from . import sampling
+from .algebra import LaurentPoly, coeff_str, comultiplication
 from .enveloping import _add_term
-from .hopf import CoproductLikeMap, TensorEnvElement, counit_collapse, standard_coproduct
+from .hopf import (
+    CoproductLikeMap,
+    TensorEnvElement,
+    _random_pairs,
+    _unit_words,
+    counit_collapse,
+    standard_coproduct,
+)
 from .lie_rinehart import LieRinehartAlgebra, LRElement
 from .report import Report
 
@@ -168,8 +176,6 @@ class MultiVector:
     def __str__(self):
         if not self.terms:
             return "0"
-        from .algebra import coeff_str
-
         names = self.structure.basis_names
         pieces = []
         for idx in sorted(self.terms):
@@ -296,8 +302,6 @@ def check_gerstenhaber(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 4
                        max_grade: int = 2) -> Report:
     """The differential squares to zero and the odd bracket satisfies the
     graded identities, on seeded random multivectors."""
-    from . import sampling
-
     report = Report()
     rng = sampling.make_rng(seed)
     top = min(max_grade, S.rank)
@@ -309,70 +313,51 @@ def check_gerstenhaber(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 4
             )
         return sampling.random_multivector(rng, S, grade)
 
-    witness = None
-    for _ in range(samples):
+    def shifted_sign(u, w):
+        return -1 if ((u - 1) * (w - 1)) % 2 else 1
+
+    def squares_to_zero(_):
         g = rng.randint(0, top)
         phi = rand_mv(g)
         dd = ce_differential(S, ce_differential(S, phi))
         if not dd.is_zero():
-            witness = f"d(d(phi)) = {dd} at phi={phi} (grade {g})"
-            break
-    report.add("differential-squares-to-zero", witness is None, witness)
+            return f"d(d(phi)) = {dd} at phi={phi} (grade {g})"
 
-    witness = None
-    for _ in range(samples):
+    def extends_module_bracket(_):
         x = sampling.random_lr_element(rng, S)
         y = sampling.random_lr_element(rng, S)
         lhs = schouten_bracket(MultiVector.from_lr(x), MultiVector.from_lr(y))
         rhs = MultiVector.from_lr(x.bracket(y))
         if lhs != rhs:
-            witness = f"at x={x}, y={y}"
-            break
-    report.add("bracket-extends-module-bracket", witness is None, witness)
+            return f"at x={x}, y={y}"
 
-    witness = None
-    for _ in range(samples):
+    def acts_by_anchor(_):
         x = sampling.random_lr_element(rng, S)
         b = sampling.random_poly(rng, S.algebra, 2)
         lhs = schouten_bracket(MultiVector.from_lr(x), MultiVector.from_scalar(S, b))
         rhs = MultiVector.from_scalar(S, x.act(b))
         if lhs != rhs:
-            witness = f"at x={x}, b={b}"
-            break
-    report.add("bracket-acts-by-anchor", witness is None, witness)
+            return f"at x={x}, b={b}"
 
-    witness = None
-    for _ in range(samples):
+    def antisymmetric(_):
         p, q = rng.randint(0, top), rng.randint(0, top)
         P, Q = rand_mv(p), rand_mv(q)
-        sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
-        rhs = schouten_bracket(Q, P)
-        total = schouten_bracket(P, Q) + sign * rhs
+        total = schouten_bracket(P, Q) + shifted_sign(p, q) * schouten_bracket(Q, P)
         if not total.is_zero():
-            witness = f"at P={P} (grade {p}), Q={Q} (grade {q})"
-            break
-    report.add("graded-antisymmetry", witness is None, witness)
+            return f"at P={P} (grade {p}), Q={Q} (grade {q})"
 
-    witness = None
-    for _ in range(samples):
+    def jacobi(_):
         p, q, r = (rng.randint(1, max(1, top)) for _ in range(3))
         P, Q, R = rand_mv(p), rand_mv(q), rand_mv(r)
-
-        def shifted_sign(u, w):
-            return -1 if ((u - 1) * (w - 1)) % 2 else 1
-
         total = (
             shifted_sign(p, r) * schouten_bracket(schouten_bracket(P, Q), R)
             + shifted_sign(q, p) * schouten_bracket(schouten_bracket(Q, R), P)
             + shifted_sign(r, q) * schouten_bracket(schouten_bracket(R, P), Q)
         )
         if not total.is_zero():
-            witness = f"grades ({p},{q},{r}) at P={P}, Q={Q}, R={R}"
-            break
-    report.add("graded-jacobi", witness is None, witness)
+            return f"grades ({p},{q},{r}) at P={P}, Q={Q}, R={R}"
 
-    witness = None
-    for _ in range(samples):
+    def wedge_leibniz(_):
         p = rng.randint(1, max(1, top))
         q = rng.randint(0, top - 1) if top > 1 else 0
         r = rng.randint(0, max(0, top - q))
@@ -381,9 +366,14 @@ def check_gerstenhaber(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 4
         sign = -1 if ((p - 1) * q) % 2 else 1
         rhs = schouten_bracket(P, Q).wedge(R) + sign * Q.wedge(schouten_bracket(P, R))
         if lhs != rhs:
-            witness = f"grades ({p},{q},{r}) at P={P}, Q={Q}, R={R}"
-            break
-    report.add("wedge-leibniz", witness is None, witness)
+            return f"grades ({p},{q},{r}) at P={P}, Q={Q}, R={R}"
+
+    report.law("differential-squares-to-zero", range(samples), squares_to_zero)
+    report.law("bracket-extends-module-bracket", range(samples), extends_module_bracket)
+    report.law("bracket-acts-by-anchor", range(samples), acts_by_anchor)
+    report.law("graded-antisymmetry", range(samples), antisymmetric)
+    report.law("graded-jacobi", range(samples), jacobi)
+    report.law("wedge-leibniz", range(samples), wedge_leibniz)
     return report
 
 
@@ -402,8 +392,6 @@ def check_lr_bialgebra(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
     Both verdicts are reported, along with whether they agree, and both
     differentials are checked to square to zero.
     """
-    from . import sampling
-
     if dual.rank != S.rank or dual.algebra != S.algebra:
         raise ValueError("dual structure must share the algebra and the rank")
     report = Report()
@@ -424,15 +412,16 @@ def check_lr_bialgebra(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
         pairs.append(
             (sampling.random_lr_element(rng, S), sampling.random_lr_element(rng, S))
         )
-    witness_a = None
-    for x, y in pairs:
+
+    def cocycle(pair):
+        x, y = pair
         lhs = dstar(MultiVector.from_lr(x.bracket(y)))
         rhs = schouten_bracket(dstar(MultiVector.from_lr(x)), MultiVector.from_lr(y)) + \
             schouten_bracket(MultiVector.from_lr(x), dstar(MultiVector.from_lr(y)))
         if lhs != rhs:
-            witness_a = f"at x={x}, y={y}: {lhs} != {rhs}"
-            break
-    report.add("cobracket-cocycle", witness_a is None, witness_a)
+            return f"at x={x}, y={y}: {lhs} != {rhs}"
+
+    witness_a = report.law("cobracket-cocycle", pairs, cocycle)
 
     dual_pairs = [
         (dual.basis_element(i), dual.basis_element(j))
@@ -446,15 +435,17 @@ def check_lr_bialgebra(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
                 sampling.random_lr_element(rng, dual),
             )
         )
-    witness_b = None
-    for xi, eta in dual_pairs:
+
+    def derives_dual_bracket(pair):
+        xi, eta = pair
         mxi, meta = MultiVector.from_lr(xi), MultiVector.from_lr(eta)
         lhs = d(schouten_bracket(mxi, meta))
         rhs = schouten_bracket(d(mxi), meta) + schouten_bracket(mxi, d(meta))
         if lhs != rhs:
-            witness_b = f"at xi={xi}, eta={eta}: {lhs} != {rhs}"
-            break
-    report.add("differential-derives-dual-bracket", witness_b is None, witness_b)
+            return f"at xi={xi}, eta={eta}: {lhs} != {rhs}"
+
+    witness_b = report.law("differential-derives-dual-bracket", dual_pairs,
+                           derives_dual_bracket)
 
     agree = (witness_a is None) == (witness_b is None)
     report.add(
@@ -466,50 +457,43 @@ def check_lr_bialgebra(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
         f"derivation says {'pass' if witness_b is None else 'fail'}",
     )
 
+    top = min(2, dual.rank)
+
+    def derivation_graded(_):
+        g1, g2 = rng.randint(1, top), rng.randint(1, top)
+        xi = sampling.random_multivector(rng, dual, g1)
+        eta = sampling.random_multivector(rng, dual, g2)
+        lhs = d(schouten_bracket(xi, eta))
+        sign = 1 if (g1 - 1) % 2 == 0 else -1
+        rhs = schouten_bracket(d(xi), eta) + sign * schouten_bracket(xi, d(eta))
+        if lhs != rhs:
+            return f"grades ({g1},{g2}) at xi={xi}, eta={eta}"
+
     # the graded extension of the derivation property, meaningful only when
     # the grade-one statement already holds
     if witness_b is not None:
         report.add_na("derivation-compatibility-graded", "grade-one statement fails")
     else:
-        witness = None
-        top = min(2, dual.rank)
-        for _ in range(samples):
-            g1, g2 = rng.randint(1, top), rng.randint(1, top)
-            xi = sampling.random_multivector(rng, dual, g1)
-            eta = sampling.random_multivector(rng, dual, g2)
-            lhs = d(schouten_bracket(xi, eta))
-            sign = 1 if (g1 - 1) % 2 == 0 else -1
-            rhs = schouten_bracket(d(xi), eta) + sign * schouten_bracket(xi, d(eta))
-            if lhs != rhs:
-                witness = f"grades ({g1},{g2}) at xi={xi}, eta={eta}"
-                break
-        report.add("derivation-compatibility-graded", witness is None, witness)
+        report.law("derivation-compatibility-graded", range(samples), derivation_graded)
 
-    witness = None
-    for _ in range(samples):
-        g = rng.randint(0, min(2, S.rank))
-        P = (
-            MultiVector.from_scalar(S, sampling.random_poly(rng, S.algebra, 2))
-            if g == 0
-            else sampling.random_multivector(rng, S, g)
-        )
+    def random_form(T):
+        g = rng.randint(0, min(2, T.rank))
+        if g == 0:
+            return MultiVector.from_scalar(T, sampling.random_poly(rng, T.algebra, 2))
+        return sampling.random_multivector(rng, T, g)
+
+    def dual_squares_to_zero(_):
+        P = random_form(S)
         if not dstar(dstar(P)).is_zero():
-            witness = f"at P={P}"
-            break
-    report.add("dual-differential-squares-to-zero", witness is None, witness)
+            return f"at P={P}"
 
-    witness = None
-    for _ in range(samples):
-        g = rng.randint(0, min(2, dual.rank))
-        xi = (
-            MultiVector.from_scalar(dual, sampling.random_poly(rng, dual.algebra, 2))
-            if g == 0
-            else sampling.random_multivector(rng, dual, g)
-        )
+    def squares_to_zero(_):
+        xi = random_form(dual)
         if not d(d(xi)).is_zero():
-            witness = f"at xi={xi}"
-            break
-    report.add("differential-squares-to-zero", witness is None, witness)
+            return f"at xi={xi}"
+
+    report.law("dual-differential-squares-to-zero", range(samples), dual_squares_to_zero)
+    report.law("differential-squares-to-zero", range(samples), squares_to_zero)
     return report
 
 
@@ -543,9 +527,6 @@ def conjecture_probe(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
     """Perturb each letter's coproduct image by the cobracket of the dual
     and measure which coalgebra laws survive.  Reports verdicts; a failing
     law is an observation about the fixture, not an error."""
-    from . import sampling
-    from .hopf import _unit_words
-
     report = Report()
     deltas = cobracket_images(S, dual)
     images = [e + d for e, d in zip(standard_coproduct(S).images, deltas)]
@@ -558,36 +539,26 @@ def conjecture_probe(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
         sampling.random_env_element(rng, S, max_word, 1) for _ in range(samples)
     ]
 
-    witness = None
-    for u in words:
-        for v in words:
-            if dmap(u * v) != dmap(u) * dmap(v):
-                witness = f"at u={u}, v={v}"
-                break
-        if witness:
-            break
-    if witness is None:
-        for _ in range(samples):
-            u = sampling.random_env_element(rng, S, max_word, 1)
-            v = sampling.random_env_element(rng, S, max_word, 1)
-            if dmap(u * v) != dmap(u) * dmap(v):
-                witness = f"at u={u}, v={v}"
-                break
-    report.add("perturbed-multiplicative", witness is None, witness)
+    def multiplicative(pair):
+        u, v = pair
+        if dmap(u * v) != dmap(u) * dmap(v):
+            return f"at u={u}, v={v}"
 
-    witness = None
-    for u in words + randoms:
+    def coassociative(u):
         t = dmap(u)
         if dmap.apply_to_leg(t, 0) != dmap.apply_to_leg(t, 1):
-            witness = f"at u={u}"
-            break
-    report.add("perturbed-coassociative", witness is None, witness)
+            return f"at u={u}"
 
-    witness = None
-    for u in words + randoms:
+    def counital(u):
         t = dmap(u)
         if counit_collapse(t, 0) != u or counit_collapse(t, 1) != u:
-            witness = f"at u={u}"
-            break
-    report.add("perturbed-counital", witness is None, witness)
+            return f"at u={u}"
+
+    # random pairs are drawn only when every pair of unit words passes
+    report.law("perturbed-multiplicative",
+               itertools.chain(itertools.product(words, words),
+                               _random_pairs(S, rng, samples, max_word, 1)),
+               multiplicative)
+    report.law("perturbed-coassociative", words + randoms, coassociative)
+    report.law("perturbed-counital", words + randoms, counital)
     return report

@@ -26,14 +26,57 @@ from .hopf import antipode, check_hopf_lr, coproduct, counit
 from .lie_rinehart import check_bi_lr, check_lr_axioms
 from .report import Report
 
-_BATTERY_SAMPLES = {
-    "check": 50,
-    "check-bi": 50,
-    "check-hopf": 200,
-    "pbw": 500,
-    "gerstenhaber": 40,
-    "bialgebroid": 40,
-    "probe-conjecture": 25,
+
+def _needs_dual(dual, command: str):
+    if dual is None:
+        raise ParseError(f"the {command} command needs a dual block")
+    return dual
+
+
+# battery command -> (help, its options with their defaults, its batteries).
+# A battery is (default sample count, runner); the runner takes the
+# structure, its dual block (None when the file declares none) and the
+# keyword arguments seed, samples and the command's options.  --samples
+# overrides every default, and the batteries' reports are joined in order.
+_COMMANDS = {
+    "check": (
+        "module axioms: brackets, anchor, Leibniz", {"max_degree": 2},
+        [(50, lambda S, dual, **kw: check_lr_axioms(S, **kw))],
+    ),
+    "check-bi": (
+        "compatibility with the coefficient coproduct", {"max_degree": 2},
+        [(50, lambda S, dual, **kw: check_bi_lr(S, **kw))],
+    ),
+    "check-hopf": (
+        "full coproduct/counit/antipode battery", {"max_degree": 2, "max_word": 3},
+        [(200, lambda S, dual, **kw: check_hopf_lr(S, **kw))],
+    ),
+    "pbw": (
+        "normal-form confluence, layers, module action", {"max_degree": 2, "max_word": 3},
+        [(500, lambda S, dual, **kw: check_pbw(S, **kw)),
+         (200, lambda S, dual, **kw: check_action(S, **kw))],
+    ),
+    "gerstenhaber": (
+        "differential and bracket on multivectors", {"max_grade": 2},
+        [(40, lambda S, dual, **kw: check_gerstenhaber(S, **kw))],
+    ),
+    "bialgebroid": (
+        "dual-pair compatibility (needs a dual block)", {},
+        [(40, lambda S, dual, **kw: check_lr_bialgebra(
+            S, _needs_dual(dual, "bialgebroid"), **kw))],
+    ),
+    "probe-conjecture": (
+        "measure the perturbed coproduct (needs a dual block)", {"max_word": 2},
+        [(25, lambda S, dual, **kw: conjecture_probe(
+            S, _needs_dual(dual, "probe-conjecture"), **kw))],
+    ),
+}
+
+# every battery option: flag and help, in the order the parsers list them
+_OPTIONS = {
+    "max_degree": ("--max-degree", "polynomial degree bound for random coefficients"),
+    "max_word": ("--max-word", "word length bound for exhaustive and random words"),
+    "max_grade": ("--max-grade", "highest multivector grade exercised"),
 }
 
 
@@ -50,22 +93,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p, *, samples=False, max_degree=False, max_word=False, max_grade=False):
+def _add_battery_options(p, options: dict):
     p.add_argument("file", help="structure declaration file")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    if samples:
-        p.add_argument("--samples", type=_int_at_least(1), default=None,
-                       help="number of random samples per sampled check")
-    if max_degree:
-        p.add_argument("--max-degree", type=_int_at_least(0), default=2,
-                       help="polynomial degree bound for random coefficients")
-    if max_word:
-        p.add_argument("--max-word", type=_int_at_least(0), default=None,
-                       help="word length bound for exhaustive and random words")
-    if max_grade:
-        p.add_argument("--max-grade", type=_int_at_least(0), default=2,
-                       help="highest multivector grade exercised")
+    p.add_argument("--samples", type=_int_at_least(1), default=None,
+                   help="number of random samples per sampled check")
+    for name, (flag, help_text) in _OPTIONS.items():
+        if name in options:
+            p.add_argument(flag, type=_int_at_least(0), default=options[name],
+                           help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,27 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="module axioms: brackets, anchor, Leibniz")
-    _add_common(p, samples=True, max_degree=True)
-
-    p = sub.add_parser("check-bi", help="compatibility with the coefficient coproduct")
-    _add_common(p, samples=True, max_degree=True)
-
-    p = sub.add_parser("check-hopf", help="full coproduct/counit/antipode battery")
-    _add_common(p, samples=True, max_degree=True, max_word=True)
-
-    p = sub.add_parser("pbw", help="normal-form confluence, layers, module action")
-    _add_common(p, samples=True, max_degree=True, max_word=True)
-
-    p = sub.add_parser("gerstenhaber", help="differential and bracket on multivectors")
-    _add_common(p, samples=True, max_grade=True)
-
-    p = sub.add_parser("bialgebroid", help="dual-pair compatibility (needs a dual block)")
-    _add_common(p, samples=True)
-
-    p = sub.add_parser("probe-conjecture",
-                       help="measure the perturbed coproduct (needs a dual block)")
-    _add_common(p, samples=True, max_word=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        _add_battery_options(sub.add_parser(name, help=help_text), options)
 
     for name, help_text in (
         ("nf", "rewrite an expression to normal form"),
@@ -114,40 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _battery(args, S, dual) -> Report:
-    cmd = args.command
-    samples = args.samples if args.samples is not None else _BATTERY_SAMPLES[cmd]
-    if cmd == "check":
-        return check_lr_axioms(S, seed=args.seed, samples=samples,
-                               max_degree=args.max_degree)
-    if cmd == "check-bi":
-        return check_bi_lr(S, seed=args.seed, samples=samples,
-                           max_degree=args.max_degree)
-    if cmd == "check-hopf":
-        max_word = args.max_word if args.max_word is not None else 3
-        return check_hopf_lr(S, seed=args.seed, samples=samples,
-                             max_word=max_word, max_degree=args.max_degree)
-    if cmd == "pbw":
-        max_word = args.max_word if args.max_word is not None else 3
-        rep = check_pbw(S, seed=args.seed, samples=samples,
-                        max_word=max_word, max_degree=args.max_degree)
-        action_samples = args.samples if args.samples is not None else 200
-        rep.extend(check_action(S, seed=args.seed, samples=action_samples,
-                                max_word=max_word, max_degree=args.max_degree))
-        return rep
-    if cmd == "gerstenhaber":
-        return check_gerstenhaber(S, seed=args.seed, samples=samples,
-                                  max_grade=args.max_grade)
-    if cmd == "bialgebroid":
-        if dual is None:
-            raise ParseError("the bialgebroid command needs a dual block")
-        return check_lr_bialgebra(S, dual, seed=args.seed, samples=samples)
-    if cmd == "probe-conjecture":
-        if dual is None:
-            raise ParseError("the probe-conjecture command needs a dual block")
-        max_word = args.max_word if args.max_word is not None else 2
-        return conjecture_probe(S, dual, seed=args.seed, samples=samples,
-                                max_word=max_word)
-    raise AssertionError(cmd)
+    _, options, batteries = _COMMANDS[args.command]
+    kwargs = {name: getattr(args, name) for name in options}
+    report = Report()
+    for default, run in batteries:
+        samples = args.samples if args.samples is not None else default
+        report.extend(run(S, dual, seed=args.seed, samples=samples, **kwargs))
+    return report
 
 
 def _value(args, S) -> str:
@@ -184,7 +175,7 @@ def main(argv=None) -> int:
     try:
         decl = parse_structure_file(text)
         S, dual = decl.build()
-        if args.command in _BATTERY_SAMPLES:
+        if args.command in _COMMANDS:
             report = _battery(args, S, dual)
             result = None
         else:

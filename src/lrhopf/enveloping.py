@@ -20,6 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from . import sampling
 from .algebra import LaurentPoly, _nonzero, coeff_str, counit_morphism
 from .lie_rinehart import LieRinehartAlgebra, LRElement
 from .report import Report
@@ -446,96 +447,85 @@ def check_pbw(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 500,
       their sorted word with leading coefficient one, and the number of
       normal words is the stars-and-bars count.
     """
-    from . import sampling
-
     report = Report()
     m = S.rank
     E = lambda i: EnvElement.generator(S, i)
 
-    witness = None
-    for i in range(m):
-        for j in range(i):
-            for k in range(j):
-                # letters arrive as e_i e_j e_k with i > j > k
-                left = (E(i) * E(j)) * E(k)
-                right = E(i) * (E(j) * E(k))
-                if left != right:
-                    names = tuple(S.basis_names[t] for t in (i, j, k))
-                    witness = f"letter triple {names}: {left} != {right}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    if witness is None:
-        for i in range(m):
-            for j in range(i):
-                for g in range(S.algebra.ngens):
-                    a = EnvElement.from_poly(S, S.algebra.gen(g))
-                    left = (E(i) * E(j)) * a
-                    right = E(i) * (E(j) * a)
-                    if left != right:
-                        witness = (
-                            f"pair ({S.basis_names[i]}, {S.basis_names[j]}) over "
-                            f"{S.algebra.gens[g].name}: {left} != {right}"
-                        )
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    report.add("critical-pairs", witness is None, witness)
+    def letter_triple(i, j, k):
+        # letters arrive as e_i e_j e_k with i > j > k
+        left = (E(i) * E(j)) * E(k)
+        right = E(i) * (E(j) * E(k))
+        if left != right:
+            names = tuple(S.basis_names[t] for t in (i, j, k))
+            return f"letter triple {names}: {left} != {right}"
+
+    def pair_over_generator(i, j, g):
+        a = EnvElement.from_poly(S, S.algebra.gen(g))
+        left = (E(i) * E(j)) * a
+        right = E(i) * (E(j) * a)
+        if left != right:
+            return (
+                f"pair ({S.basis_names[i]}, {S.basis_names[j]}) over "
+                f"{S.algebra.gens[g].name}: {left} != {right}"
+            )
+
+    triples = (
+        (letter_triple, (i, j, k))
+        for i in range(m) for j in range(i) for k in range(j)
+    )
+    pairs = (
+        (pair_over_generator, (i, j, g))
+        for i in range(m) for j in range(i) for g in range(S.algebra.ngens)
+    )
+    # the pairs over a generator are tried only when every triple resolves
+    report.law("critical-pairs", itertools.chain(triples, pairs),
+               lambda case: case[0](*case[1]))
 
     rng = sampling.make_rng(seed)
-    witness = None
-    for _ in range(samples):
+
+    def associative(_):
         u = sampling.random_env_element(rng, S, max_word, max_degree)
         v = sampling.random_env_element(rng, S, max_word, max_degree)
         w = sampling.random_env_element(rng, S, max_word, max_degree)
         if (u * v) * w != u * (v * w):
-            witness = f"at u={u}, v={v}, w={w}"
-            break
-    report.add("random-associativity", witness is None, witness)
+            return f"at u={u}, v={v}, w={w}"
 
-    witness = None
-    for p in range(1, max_layer + 1):
+    report.law("random-associativity", range(samples), associative)
+
+    def layer(p):
         words = list(itertools.combinations_with_replacement(range(m), p))
         expected = math.comb(p + m - 1, p)
         if len(words) != expected:
-            witness = f"layer {p} has {len(words)} words, expected {expected}"
-            break
+            return f"layer {p} has {len(words)} words, expected {expected}"
         for w in words:
             product = EnvElement.one(S)
             for letter in reversed(w):
                 product = product * E(letter)
             top = product.filtration_layer(p)
             if top != EnvElement(S, {w: S.algebra.one()}):
-                witness = (
+                return (
                     f"reversed product of {w} has leading part {top}, "
                     f"expected the sorted word"
                 )
-                break
-        if witness:
-            break
-    report.add("layer-dimensions", witness is None, witness)
+
+    report.law("layer-dimensions", range(1, max_layer + 1), layer)
 
     # leading terms multiply like the symmetric algebra
-    witness = None
-    for _ in range(max(10, samples // 10)):
+    def graded(_):
         u = sampling.random_env_element(rng, S, max_word, max_degree)
         v = sampling.random_env_element(rng, S, max_word, max_degree)
         du, dv = u.filtration_degree(), v.filtration_degree()
         if du < 0 or dv < 0:
-            continue
+            return None
         prod_top = (u * v).filtration_layer(du + dv)
         expected_terms: dict = {}
         for w, a in u.filtration_layer(du).terms.items():
             for x, b in v.filtration_layer(dv).terms.items():
                 _add_term(expected_terms, tuple(sorted(w + x)), a * b)
         if prod_top != EnvElement(S, expected_terms):
-            witness = f"graded product mismatch at u={u}, v={v}"
-            break
-    report.add("graded-product", witness is None, witness)
+            return f"graded product mismatch at u={u}, v={v}"
+
+    report.law("graded-product", range(max(10, samples // 10)), graded)
     return report
 
 
@@ -543,37 +533,30 @@ def check_action(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
                  max_word: int = 3, max_degree: int = 2) -> Report:
     """The enveloping algebra acts on coefficients: unital, extends the
     anchor, and turns products into composites."""
-    from . import sampling
-
     report = Report()
     rng = sampling.make_rng(seed)
 
-    witness = None
-    for _ in range(samples):
+    def unital(_):
         a = sampling.random_poly(rng, S.algebra, max_degree)
         if EnvElement.one(S).act_on_A(a) != a:
-            witness = f"1 acts as {EnvElement.one(S).act_on_A(a)} on {a}"
-            break
-    report.add("action-unital", witness is None, witness)
+            return f"1 acts as {EnvElement.one(S).act_on_A(a)} on {a}"
 
-    witness = None
-    for _ in range(samples):
+    def extends_anchor(_):
         x = sampling.random_lr_element(rng, S, max_degree)
         a = sampling.random_poly(rng, S.algebra, max_degree)
         if EnvElement.from_lr(x).act_on_A(a) != x.act(a):
-            witness = f"at x={x}, a={a}"
-            break
-    report.add("action-extends-anchor", witness is None, witness)
+            return f"at x={x}, a={a}"
 
-    witness = None
-    for _ in range(samples):
+    def composes(_):
         u = sampling.random_env_element(rng, S, max_word, max_degree)
         v = sampling.random_env_element(rng, S, max_word, max_degree)
         a = sampling.random_poly(rng, S.algebra, max_degree)
         lhs = (u * v).act_on_A(a)
         rhs = u.act_on_A(v.act_on_A(a))
         if lhs != rhs:
-            witness = f"at u={u}, v={v}, a={a}: {lhs} != {rhs}"
-            break
-    report.add("action-composes", witness is None, witness)
+            return f"at u={u}, v={v}, a={a}: {lhs} != {rhs}"
+
+    report.law("action-unital", range(samples), unital)
+    report.law("action-extends-anchor", range(samples), extends_anchor)
+    report.law("action-composes", range(samples), composes)
     return report

@@ -59,8 +59,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
+from . import sampling
 from .algebra import (
     LaurentPoly,
     _nonzero,
@@ -571,12 +573,17 @@ def _unit_words(S, max_word: int):
 
 
 def _sample_elements(S, rng, count, max_word, max_degree):
-    from . import sampling
-
     return [
         sampling.random_env_element(rng, S, max_word, max_degree)
         for _ in range(count)
     ]
+
+
+def _random_pairs(S, rng, count, max_word, max_degree):
+    """Random element pairs, drawn lazily so a failing law stops the draws."""
+    for _ in range(count):
+        yield (sampling.random_env_element(rng, S, max_word, max_degree),
+               sampling.random_env_element(rng, S, max_word, max_degree))
 
 
 def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
@@ -585,70 +592,52 @@ def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
     is an algebra map (exhaustively on short words, then on random pairs),
     coassociative, counital, and its leading terms split words like the
     symmetric coalgebra."""
-    from . import sampling
-
     report = Report()
     dmap = standard_coproduct(S)
     rng = sampling.make_rng(seed)
     words = _unit_words(S, max_word)
     randoms = _sample_elements(S, rng, max(1, samples // 8), max_word, max_degree)
 
-    witness = None
-    for u in words:
-        for v in words:
-            if dmap(u * v) != dmap(u) * dmap(v):
-                witness = f"at u={u}, v={v}"
-                break
-        if witness:
-            break
-    report.add("coproduct-multiplicative-words", witness is None, witness)
-
-    witness = None
-    for _ in range(samples):
-        u = sampling.random_env_element(rng, S, max_word, max_degree)
-        v = sampling.random_env_element(rng, S, max_word, max_degree)
+    def multiplicative(pair):
+        u, v = pair
         if dmap(u * v) != dmap(u) * dmap(v):
-            witness = f"at u={u}, v={v}"
-            break
-    report.add("coproduct-multiplicative-random", witness is None, witness)
+            return f"at u={u}, v={v}"
 
-    witness = None
-    for u in words + randoms:
+    report.law("coproduct-multiplicative-words",
+               itertools.product(words, words), multiplicative)
+    report.law("coproduct-multiplicative-random",
+               _random_pairs(S, rng, samples, max_word, max_degree), multiplicative)
+
+    def coassociative(u):
         t = dmap(u)
         if dmap.apply_to_leg(t, 0) != dmap.apply_to_leg(t, 1):
-            witness = f"at u={u}"
-            break
-    report.add("coproduct-coassociative", witness is None, witness)
+            return f"at u={u}"
 
-    witness = None
-    for u in words + randoms:
+    report.law("coproduct-coassociative", words + randoms, coassociative)
+
+    def counital(u):
         t = dmap(u)
         left = counit_collapse(t, 0)
         right = counit_collapse(t, 1)
         if left != u:
-            witness = f"left counit law at u={u}: got {left}"
-            break
+            return f"left counit law at u={u}: got {left}"
         if right != u:
-            witness = f"right counit law at u={u}: got {right}"
-            break
-    report.add("coproduct-counital", witness is None, witness)
+            return f"right counit law at u={u}: got {right}"
 
-    witness = None
-    for _ in range(samples):
-        u = sampling.random_env_element(rng, S, max_word, max_degree)
-        v = sampling.random_env_element(rng, S, max_word, max_degree)
+    report.law("coproduct-counital", words + randoms, counital)
+
+    def counit_multiplicative(pair):
+        u, v = pair
         if (u * v).counit() != u.counit() * v.counit():
-            witness = f"at u={u}, v={v}"
-            break
-    report.add("counit-multiplicative", witness is None, witness)
+            return f"at u={u}, v={v}"
+
+    report.law("counit-multiplicative",
+               _random_pairs(S, rng, samples, max_word, max_degree), counit_multiplicative)
 
     # leading terms of the coproduct of a pure word: all multiset splits
     # with multiplicity a product of binomial coefficients.  The top layer
     # is read from the rewriting path, not from the closed form in dmap().
-    from collections import Counter
-
-    witness = None
-    for u in words:
+    def leading_split(u):
         (w, _), = u.terms.items() if u.terms else (((), None),)
         p = len(w)
         counts = Counter(w)
@@ -675,9 +664,9 @@ def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
             for key, mult in expected.items()
         }
         if top != want:
-            witness = f"leading split of word {w} is off"
-            break
-    report.add("coproduct-leading-split", witness is None, witness)
+            return f"leading split of word {w} is off"
+
+    report.law("coproduct-leading-split", words, leading_split)
     return report
 
 
@@ -685,43 +674,33 @@ def check_antipode(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 100,
                    max_word: int = 3, max_degree: int = 2) -> Report:
     """Both antipode convolution identities against the counit, and the
     anti-homomorphism property."""
-    from . import sampling
-
     report = Report()
     dmap = standard_coproduct(S)
     rng = sampling.make_rng(seed)
     words = _unit_words(S, max_word)
     randoms = _sample_elements(S, rng, max(1, samples // 8), max_word, max_degree)
 
-    witness = None
-    for u in words + randoms:
+    def convolution(u):
         t = dmap(u)
         target = EnvElement.from_poly(S, S.algebra.const(u.counit()))
         left = antipode_convolution(t, 0)
         if left != target:
-            witness = f"left antipode law at u={u}: got {left}, want {target}"
-            break
+            return f"left antipode law at u={u}: got {left}, want {target}"
         right = antipode_convolution(t, 1)
         if right != target:
-            witness = f"right antipode law at u={u}: got {right}, want {target}"
-            break
-    report.add("antipode-convolution", witness is None, witness)
+            return f"right antipode law at u={u}: got {right}, want {target}"
 
-    witness = None
-    for _ in range(samples):
-        u = sampling.random_env_element(rng, S, max_word, max_degree)
-        v = sampling.random_env_element(rng, S, max_word, max_degree)
+    report.law("antipode-convolution", words + randoms, convolution)
+
+    def antihomomorphism(pair):
+        u, v = pair
         if antipode(u * v) != antipode(v) * antipode(u):
-            witness = f"at u={u}, v={v}"
-            break
-    report.add("antipode-antihomomorphism", witness is None, witness)
+            return f"at u={u}, v={v}"
 
-    witness = None
-    for u in words + randoms:
-        if antipode(u).counit() != u.counit():
-            witness = f"at u={u}"
-            break
-    report.add("antipode-preserves-counit", witness is None, witness)
+    report.law("antipode-antihomomorphism",
+               _random_pairs(S, rng, samples, max_word, max_degree), antihomomorphism)
+    report.law("antipode-preserves-counit", words + randoms,
+               lambda u: None if antipode(u).counit() == u.counit() else f"at u={u}")
     return report
 
 
@@ -754,21 +733,20 @@ def check_hopf_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
     anti_A = coefficient_antipode
     if anti_A is None:
         anti_A = antipode_morphism(S.algebra)
-    witness = None
-    for i in range(S.rank):
-        for g in range(S.algebra.ngens):
-            a = S.algebra.gen(g)
-            lhs = anti_A(S.anchor[i](a))
-            rhs = S.anchor[i](anti_A(a))
-            if lhs != rhs:
-                witness = (
-                    f"{S.basis_names[i]} on {S.algebra.gens[g].name}: "
-                    f"antipode of the value is {lhs}, action on the antipode is {rhs}"
-                )
-                break
-        if witness:
-            break
-    report.add("antipode-equivariance", witness is None, witness)
+
+    def equivariant(case):
+        i, g = case
+        a = S.algebra.gen(g)
+        lhs = anti_A(S.anchor[i](a))
+        rhs = S.anchor[i](anti_A(a))
+        if lhs != rhs:
+            return (
+                f"{S.basis_names[i]} on {S.algebra.gens[g].name}: "
+                f"antipode of the value is {lhs}, action on the antipode is {rhs}"
+            )
+
+    report.law("antipode-equivariance",
+               itertools.product(range(S.rank), range(S.algebra.ngens)), equivariant)
 
     report.extend(
         check_bialgebra(

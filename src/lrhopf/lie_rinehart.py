@@ -11,87 +11,20 @@ Leibniz rule in its second slot.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+from . import sampling
 from .algebra import (
     AlgebraMorphism,
     CommutativeAlgebra,
     Derivation,
     LaurentPoly,
-    check_hopf_axioms,
     coeff_str,
     comultiplication,
     counit_morphism,
 )
 from .report import Report
-
-
-class LieAlgebra:
-    """A finite dimensional Lie algebra over Q given by structure constants.
-
-    The table maps index pairs (i, j) with i < j to coefficient tuples;
-    missing pairs bracket to zero.
-    """
-
-    def __init__(self, names, table, validate: bool = True):
-        self.names = tuple(names)
-        dim = len(self.names)
-        self.table = {}
-        for (i, j), coeffs in table.items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"bad index pair {(i, j)}")
-            coeffs = tuple(Fraction(c) for c in coeffs)
-            if len(coeffs) != dim:
-                raise ValueError("bracket coefficients have wrong length")
-            if any(coeffs):
-                self.table[(i, j)] = coeffs
-        if validate:
-            ok, witness = self.check_jacobi()
-            if not ok:
-                raise ValueError(f"Jacobi identity fails: {witness}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    def bracket_coeffs(self, i: int, j: int):
-        """Coefficients of [x_i, x_j], any index order."""
-        zero = (Fraction(0),) * self.dim
-        if i == j:
-            return zero
-        if i < j:
-            return self.table.get((i, j), zero)
-        return tuple(-c for c in self.table.get((j, i), zero))
-
-    def bracket_vec(self, v, w):
-        """Bracket of two coefficient vectors."""
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(v):
-            if not a:
-                continue
-            for j, b in enumerate(w):
-                if not b:
-                    continue
-                for k, c in enumerate(self.bracket_coeffs(i, j)):
-                    out[k] += a * b * c
-        return tuple(out)
-
-    def check_jacobi(self):
-        dim = self.dim
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    total = [Fraction(0)] * dim
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_coeffs(b, c)
-                        unit = [Fraction(0)] * dim
-                        unit[a] = Fraction(1)
-                        for t, val in enumerate(self.bracket_vec(unit, inner)):
-                            total[t] += val
-                    if any(total):
-                        names = (self.names[i], self.names[j], self.names[k])
-                        return False, f"triple {names} sums to {tuple(total)}"
-        return True, None
 
 
 class LRElement:
@@ -316,11 +249,8 @@ def check_lr_axioms(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
     Basis cases are checked exhaustively, then `samples` random element
     triples are drawn from the given seed.
     """
-    from . import sampling
-
     report = Report()
     rank = S.rank
-    gens = [S.algebra.gen(i) for i in range(S.algebra.ngens)]
 
     def jacobi(x, y, z):
         return (
@@ -329,113 +259,82 @@ def check_lr_axioms(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
             + z.bracket(x.bracket(y))
         )
 
-    witness = None
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            for k in range(j + 1, rank):
-                val = jacobi(S.basis_element(i), S.basis_element(j), S.basis_element(k))
-                if not val.is_zero():
-                    names = (S.basis_names[i], S.basis_names[j], S.basis_names[k])
-                    witness = f"basis triple {names} gives {val}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("jacobi-basis", witness is None, witness)
+    def jacobi_basis(ijk):
+        val = jacobi(*(S.basis_element(t) for t in ijk))
+        if not val.is_zero():
+            names = tuple(S.basis_names[t] for t in ijk)
+            return f"basis triple {names} gives {val}"
 
-    witness = None
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            lhs = S.anchor_of(S.bracket_of_basis(i, j))
-            rhs = S.anchor_of(S.basis_element(i)).commutator(
-                S.anchor_of(S.basis_element(j))
-            )
-            if lhs != rhs:
-                names = (S.basis_names[i], S.basis_names[j])
-                witness = f"anchor of bracket {names} is not the commutator"
-                break
-        if witness:
-            break
-    report.add("anchor-homomorphism-basis", witness is None, witness)
+    report.law("jacobi-basis", itertools.combinations(range(rank), 3), jacobi_basis)
+
+    def anchor_homomorphism_basis(ij):
+        i, j = ij
+        lhs = S.anchor_of(S.bracket_of_basis(i, j))
+        rhs = S.anchor_of(S.basis_element(i)).commutator(
+            S.anchor_of(S.basis_element(j))
+        )
+        if lhs != rhs:
+            names = (S.basis_names[i], S.basis_names[j])
+            return f"anchor of bracket {names} is not the commutator"
+
+    report.law("anchor-homomorphism-basis", itertools.combinations(range(rank), 2),
+               anchor_homomorphism_basis)
 
     if samples <= 0:
         return report
 
+    # all triples are drawn whatever fails, and every random law reads them
     rng = sampling.make_rng(seed)
+    triples = [
+        (
+            sampling.random_lr_element(rng, S, max_degree),
+            sampling.random_lr_element(rng, S, max_degree),
+            sampling.random_lr_element(rng, S, max_degree),
+            sampling.random_poly(rng, S.algebra, max_degree),
+        )
+        for _ in range(samples)
+    ]
 
-    def triples():
-        for _ in range(samples):
-            yield (
-                sampling.random_lr_element(rng, S, max_degree),
-                sampling.random_lr_element(rng, S, max_degree),
-                sampling.random_lr_element(rng, S, max_degree),
-                sampling.random_poly(rng, S.algebra, max_degree),
-            )
+    def antisymmetric(xyza):
+        x, y, _, _ = xyza
+        if not (x.bracket(y) + y.bracket(x)).is_zero():
+            return f"[x,y] + [y,x] != 0 at x={x}, y={y}"
 
-    anti = jac = lin = leib = hom = None
-    for x, y, z, a in triples():
-        if anti is None and not (x.bracket(y) + y.bracket(x)).is_zero():
-            anti = f"[x,y] + [y,x] != 0 at x={x}, y={y}"
-        if jac is None and not jacobi(x, y, z).is_zero():
-            jac = f"at x={x}, y={y}, z={z}"
-        if lin is None:
-            da = S.anchor_of(a * x)
-            scaled = [a * v for v in S.anchor_of(x).values]
-            if list(da.values) != scaled:
-                lin = f"anchor of {a}*x is not {a}*(anchor of x) at x={x}"
-        if leib is None:
-            lhs = x.bracket(a * y)
-            rhs = a * x.bracket(y) + x.act(a) * y
-            if not (lhs - rhs).is_zero():
-                leib = f"[x, a*y] != a*[x,y] + x(a)*y at x={x}, y={y}, a={a}"
-        if hom is None:
-            lhs_d = S.anchor_of(x.bracket(y))
-            rhs_d = S.anchor_of(x).commutator(S.anchor_of(y))
-            if lhs_d != rhs_d:
-                hom = f"anchor([x,y]) != [anchor x, anchor y] at x={x}, y={y}"
-    report.add("bracket-antisymmetry", anti is None, anti)
-    report.add("jacobi-random", jac is None, jac)
-    report.add("anchor-linearity", lin is None, lin)
-    report.add("leibniz-rule", leib is None, leib)
-    report.add("anchor-homomorphism-random", hom is None, hom)
+    def jacobi_random(xyza):
+        x, y, z, _ = xyza
+        if not jacobi(x, y, z).is_zero():
+            return f"at x={x}, y={y}, z={z}"
+
+    def anchor_linear(xyza):
+        x, _, _, a = xyza
+        da = S.anchor_of(a * x)
+        scaled = [a * v for v in S.anchor_of(x).values]
+        if list(da.values) != scaled:
+            return f"anchor of {a}*x is not {a}*(anchor of x) at x={x}"
+
+    def leibniz(xyza):
+        x, y, _, a = xyza
+        lhs = x.bracket(a * y)
+        rhs = a * x.bracket(y) + x.act(a) * y
+        if not (lhs - rhs).is_zero():
+            return f"[x, a*y] != a*[x,y] + x(a)*y at x={x}, y={y}, a={a}"
+
+    def anchor_homomorphism(xyza):
+        x, y, _, _ = xyza
+        lhs_d = S.anchor_of(x.bracket(y))
+        rhs_d = S.anchor_of(x).commutator(S.anchor_of(y))
+        if lhs_d != rhs_d:
+            return f"anchor([x,y]) != [anchor x, anchor y] at x={x}, y={y}"
+
+    report.law("bracket-antisymmetry", triples, antisymmetric)
+    report.law("jacobi-random", triples, jacobi_random)
+    report.law("anchor-linearity", triples, anchor_linear)
+    report.law("leibniz-rule", triples, leibniz)
+    report.law("anchor-homomorphism-random", triples, anchor_homomorphism)
     return report
 
 
 # -- constructions -----------------------------------------------------------
-
-
-def make_crossed_product(algebra: CommutativeAlgebra, lie: LieAlgebra, action,
-                         validate: bool = True) -> LieRinehartAlgebra:
-    """The crossed product of a commutative algebra with a Lie algebra
-    acting on it by derivations.
-
-    `action` lists one derivation of `algebra` per Lie algebra basis
-    element.  The module is free on the Lie basis, the bracket restricts to
-    the structure constants, and the anchor is the action itself.
-    """
-    action = tuple(action)
-    if len(action) != lie.dim:
-        raise ValueError("need one action derivation per Lie basis element")
-    if validate:
-        for i in range(lie.dim):
-            for j in range(i + 1, lie.dim):
-                expected = Derivation.zero(algebra)
-                for k, c in enumerate(lie.bracket_coeffs(i, j)):
-                    if c:
-                        expected = expected + algebra.const(c) * action[k]
-                got = action[i].commutator(action[j])
-                if expected != got:
-                    raise ValueError(
-                        f"action of [{lie.names[i]}, {lie.names[j]}] is not the "
-                        f"commutator of the actions"
-                    )
-    table = {}
-    for (i, j), coeffs in lie.table.items():
-        table[(i, j)] = tuple(algebra.const(c) for c in coeffs)
-    return LieRinehartAlgebra(
-        algebra, lie.names, table, action, validate=validate
-    )
 
 
 def make_opposite(S: LieRinehartAlgebra, validate: bool = True) -> LieRinehartAlgebra:
@@ -550,48 +449,40 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
 
     Needs every coefficient generator to carry a Hopf marker.
     """
-    from . import sampling
-
     report = Report()
     delta = comultiplication(S.algebra)
     eps = counit_morphism(S.algebra)
     doubled = delta.target
     diag = diagonal_action(S, doubled)
 
-    witness = None
-    for i in range(S.rank):
-        for g in range(S.algebra.ngens):
-            a = S.algebra.gen(g)
-            lhs = diag[i](delta(a))
-            rhs = delta(S.anchor[i](a))
-            if lhs != rhs:
-                witness = (
-                    f"{S.basis_names[i]} on {S.algebra.gens[g].name}: "
-                    f"diagonal action gives {lhs}, comultiplied action gives {rhs}"
-                )
-                break
-        if witness:
-            break
-    report.add("comultiplication-equivariance", witness is None, witness)
+    generators = list(itertools.product(range(S.rank), range(S.algebra.ngens)))
 
-    witness = None
-    for i in range(S.rank):
-        for g in range(S.algebra.ngens):
-            a = S.algebra.gen(g)
-            val = eps(S.anchor[i](a))
-            if not val.is_zero():
-                witness = (
-                    f"counit of {S.basis_names[i]}({S.algebra.gens[g].name}) "
-                    f"= {val} != 0"
-                )
-                break
-        if witness:
-            break
-    report.add("counit-annihilates-action", witness is None, witness)
+    def comultiplication_equivariant(ig):
+        i, g = ig
+        a = S.algebra.gen(g)
+        lhs = diag[i](delta(a))
+        rhs = delta(S.anchor[i](a))
+        if lhs != rhs:
+            return (
+                f"{S.basis_names[i]} on {S.algebra.gens[g].name}: "
+                f"diagonal action gives {lhs}, comultiplied action gives {rhs}"
+            )
+
+    def counit_annihilates(ig):
+        i, g = ig
+        val = eps(S.anchor[i](S.algebra.gen(g)))
+        if not val.is_zero():
+            return (
+                f"counit of {S.basis_names[i]}({S.algebra.gens[g].name}) "
+                f"= {val} != 0"
+            )
+
+    report.law("comultiplication-equivariance", generators, comultiplication_equivariant)
+    report.law("counit-annihilates-action", generators, counit_annihilates)
 
     rng = sampling.make_rng(seed)
-    witness = None
-    for _ in range(samples):
+
+    def equivariant(_):
         x = sampling.random_lr_element(rng, S, max_degree)
         a = sampling.random_poly(rng, S.algebra, max_degree)
         d = S.anchor_of(x)
@@ -600,12 +491,11 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
             if not c.is_zero():
                 lifted = lifted + delta(c) * base
         if lifted(delta(a)) != delta(d(a)):
-            witness = f"at x={x}, a={a}"
-            break
+            return f"at x={x}, a={a}"
         if not eps(d(a)).is_zero():
-            witness = f"counit of x(a) nonzero at x={x}, a={a}"
-            break
-    report.add("equivariance-random", witness is None, witness)
+            return f"counit of x(a) nonzero at x={x}, a={a}"
+
+    report.law("equivariance-random", range(samples), equivariant)
 
     try:
         TS = tensor_square(S)

@@ -30,6 +30,25 @@ class Report:
             CheckResult(name, "pass" if ok else "fail", None if ok else witness)
         )
 
+    def law(self, name: str, cases, check) -> str | None:
+        """Record one battery law: `check(case)` returns None when the law
+        holds at `case`, else a witness string.
+
+        Cases are drawn one at a time, and none is drawn after the first
+        failure: a generator that samples from a shared random source
+        therefore leaves it exactly where the failing case left it, and the
+        next law draws from that point.  The first witness is recorded as
+        a fail and returned; with no failing case (or no case at all) the
+        law passes and None is returned.
+        """
+        for case in cases:
+            witness = check(case)
+            if witness is not None:
+                self.checks.append(CheckResult(name, "fail", witness))
+                return witness
+        self.checks.append(CheckResult(name, "pass"))
+        return None
+
     def add_na(self, name: str, witness: str | None = None) -> None:
         self.checks.append(CheckResult(name, "not-applicable", witness))
 
