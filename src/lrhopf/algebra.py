@@ -144,7 +144,8 @@ class LaurentPoly:
     The constructor checks and normalises its input (coefficients are
     converted, zeros dropped).  Arithmetic builds its results with
     `_trusted`, which stores a dict that already satisfies the invariant
-    without looking at it again.  A LaurentPoly is never mutated in place.
+    without looking at it again.  A LaurentPoly is never mutated in place,
+    so a product by the constant 1 may return the other factor itself.
     """
 
     __slots__ = ("algebra", "terms")
@@ -261,6 +262,12 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_compatible(other)
+        for const, p in ((other, self), (self, other)):
+            if len(const.terms) == 1:
+                (e, c), = const.terms.items()
+                if not any(e):
+                    # a constant factor scales the other one; 1 returns it
+                    return p if c == 1 else p * c
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -9,7 +9,9 @@ reports can be compared byte for byte.
 Exit status: 0 when all checks pass (or the value was computed), 1 when a
 check fails, 2 on input errors (unreadable file, parse error, a command
 that needs declarations the file does not provide, a sample count below 1
-or a negative bound).
+or a negative bound), 3 on any other exception, which is a fault of
+lrhopf itself: it prints the one line
+`error: internal error: <exception type>: <message>` and no traceback.
 """
 
 from __future__ import annotations
@@ -181,12 +183,13 @@ def main(argv=None) -> int:
         else:
             report = None
             result = _value(args, S)
-    except ParseError as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     elapsed_ms = int((time.monotonic() - started) * 1000)
 
     if report is not None:

@@ -176,28 +176,38 @@ def _word_poly_word(S: LieRinehartAlgebra, w, b: LaurentPoly, v) -> dict:
 
 
 def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
-    """Normal form of (word * e_i).  Cached per structure."""
+    """Normal form of (word * e_i).  Cached per structure under (word, i).
+
+    With j the last letter of the word and head the rest (j > i),
+
+        head e_j e_i = (head e_i) e_j + head [e_j, e_i].
+
+    A miss first finds the shortest prefix of the word whose entry is
+    missing, then fills the entries from that prefix up to the word, so
+    each swap finds (head, i) in the cache: no recursion along the word."""
     if not word or word[-1] <= i:
         return {word + (i,): S.algebra.one()}
-    key = (word, i)
-    hit = S._nf_cache.get(key)
+    cache = S._nf_cache
+    hit = cache.get((word, i))
     if hit is not None:
         return hit
-    head, j = word[:-1], word[-1]  # j > i
-    acc: dict = {}
-    # swap:  head e_j e_i = (head e_i) e_j + head [e_j, e_i]
-    for u, p in _word_times_gen(S, head, i).items():
-        for v, q in _word_times_gen(S, u, j).items():
-            _add_term(acc, v, p * q)
-    correction = S.bracket_of_basis(j, i)
-    for k, c in enumerate(correction.coeffs):
-        if c.is_zero():
-            continue
-        for u, p in _word_times_poly(S, head, c).items():
-            for v, q in _word_times_gen(S, u, k).items():
+    k = len(word) - 1
+    while k and word[k - 1] > i and (word[:k], i) not in cache:
+        k -= 1
+    for n in range(k + 1, len(word) + 1):
+        head, j = word[:n - 1], word[n - 1]
+        acc: dict = {}
+        for u, p in _word_times_gen(S, head, i).items():
+            for v, q in _word_times_gen(S, u, j).items():
                 _add_term(acc, v, p * q)
-    acc = S._nf_cache[key] = _pooled(S, acc)
-    return acc
+        for letter, c in enumerate(S.bracket_of_basis(j, i).coeffs):
+            if c.is_zero():
+                continue
+            for u, p in _word_times_poly(S, head, c).items():
+                for v, q in _word_times_gen(S, u, letter).items():
+                    _add_term(acc, v, p * q)
+        cache[(word[:n], i)] = _pooled(S, acc)
+    return cache[(word, i)]
 
 
 class EnvElement:

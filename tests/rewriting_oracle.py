@@ -3,7 +3,10 @@ replaced, kept in the tests as their oracles.
 
 `word_times_poly` pushes a coefficient left through a word by recursion
 on the last letter, e a -> a e + e(a), without any cache: 2^L calls on a
-word of length L whose anchors never kill the coefficient.  `antipode`
+word of length L whose anchors never kill the coefficient.
+`word_times_gen` swaps a letter left through a word by the same recursion,
+e_j e_i -> e_i e_j + [e_j, e_i], also without a cache, so its depth is the
+length of the word.  `antipode`
 builds each reversed word by multiplying one generator at a time onto the
 left of the coefficient's antipode, then signs it by the word's length.
 """
@@ -33,6 +36,23 @@ def word_times_poly(S, word, b) -> dict:
     if not derived.is_zero():
         for u, p in word_times_poly(S, head, derived).items():
             _add(acc, u, p)
+    return acc
+
+
+def word_times_gen(S, word, i: int) -> dict:
+    """Normal form of (word * e_i) as a dict from words to coefficients."""
+    if not word or word[-1] <= i:
+        return {word + (i,): S.algebra.one()}
+    head, j = word[:-1], word[-1]
+    acc: dict = {}
+    # head e_j e_i = (head e_i) e_j + head [e_j, e_i]
+    for u, p in word_times_gen(S, head, i).items():
+        for v, q in word_times_gen(S, u, j).items():
+            _add(acc, v, p * q)
+    for k, c in enumerate(S.bracket_of_basis(j, i).coeffs):
+        for u, p in word_times_poly(S, head, c).items():
+            for v, q in word_times_gen(S, u, k).items():
+                _add(acc, v, p * q)
     return acc
 
 

@@ -251,3 +251,24 @@ def test_power_of_a_sum_with_a_coefficient_hits_the_term_limit_quickly(capsys):
         rf"limit of {MAX_TERMS}\n", err
     )
     assert match and int(match.group(1)) > MAX_TERMS
+
+
+@pytest.mark.parametrize("target, argv, exc, line", [
+    # a message over two lines is printed on one
+    ("check_lr_axioms", ("check", "euler.lra"), RuntimeError("broken\nbattery"),
+     "error: internal error: RuntimeError: broken battery"),
+    ("coproduct", ("coproduct", "aff2.lra", "x1*x2"), RecursionError("too deep"),
+     "error: internal error: RecursionError: too deep"),
+], ids=["battery", "value"])
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch, target, argv,
+                                                      exc, line):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(f"lrhopf.cli.{target}", fail)
+    command, fixture, *rest = argv
+    code, out, err = run(capsys, command, fixture_path(fixture), *rest)
+    assert code == 3
+    assert out == ""
+    assert err == line + "\n"
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
-"""The per-structure memos of the rewriting and of the antipode against
-their letter-by-letter oracles (tests/rewriting_oracle.py), term for
-term, and on words longer than the default recursion limit."""
+"""The per-structure memos of the rewriting (coefficient push and letter
+swap) and of the antipode against their letter-by-letter oracles
+(tests/rewriting_oracle.py), term for term, and on words longer than the
+default recursion limit."""
 
 import itertools
 import os
@@ -17,7 +18,7 @@ from lrhopf import (
     antipode,
 )
 from lrhopf.dsl import parse_structure_file
-from lrhopf.enveloping import _word_times_poly
+from lrhopf.enveloping import _word_times_gen, _word_times_poly
 from lrhopf.sampling import make_rng, random_env_element, random_poly
 
 from conftest import FIXTURES, fixture_path
@@ -64,6 +65,21 @@ def test_word_times_poly_matches_the_recursive_oracle(name):
 
 
 @pytest.mark.parametrize("name", _NAMES)
+def test_word_times_gen_matches_the_recursive_oracle(name):
+    # longest words first walk down through prefixes the cache does not
+    # hold yet; shortest first find every prefix filled
+    for longest_first in (False, True):
+        S = _fresh(name)
+        words = _words(S)
+        if longest_first:
+            words.reverse()
+        for w in words:
+            for i in range(S.rank):
+                assert _word_times_gen(S, w, i) == oracle.word_times_gen(S, w, i), (
+                    f"{name}: {w} times letter {i}")
+
+
+@pytest.mark.parametrize("name", _NAMES)
 def test_antipode_matches_the_letter_by_letter_oracle(name):
     S = _fresh(name)
     A = S.algebra
@@ -92,3 +108,19 @@ def test_words_longer_than_the_recursion_limit():
     # S(y x^L) = S(x^L) S_A(y) = (-1)^L x^L (-y) = (-1)^(L+1) (y x^L + L x^(L-1))
     sign = -1 if L % 2 == 0 else 1
     assert antipode(EnvElement(S, {w: y})).terms == {v: c * sign for v, c in expected.items()}
+
+
+@pytest.mark.parametrize("name, left, right, expected", [
+    # [x1, x2] = x2, so x2 x1 = x1 x2 - x2 and x2^L x1 = x1 x2^L - L x2^L
+    ("aff2.lra", 1, 0, lambda L, A: {(0,) + (1,) * L: A.one(), (1,) * L: A.const(-L)}),
+    # [E11, E22] = 0, so E22^L E11 = E11 E22^L
+    ("gl2.lra", 3, 0, lambda L, A: {(0,) + (3,) * L: A.one()}),
+], ids=["aff2", "gl2"])
+def test_letter_swap_past_words_longer_than_the_recursion_limit(name, left, right, expected):
+    S = _fresh(name)
+    L = sys.getrecursionlimit() + 100
+    w = (left,) * L
+    with pytest.raises(RecursionError):
+        oracle.word_times_gen(S, w, right)
+    product = EnvElement(S, {w: S.algebra.one()}) * EnvElement.generator(S, right)
+    assert product.terms == expected(L, S.algebra)

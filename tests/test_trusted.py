@@ -117,6 +117,32 @@ def test_poly_arithmetic_matches_the_validating_constructor(alg, data):
         assert_valid_poly(p ** -2)
 
 
+def term_by_term(p, q) -> dict:
+    """The terms of p * q, every pair of terms multiplied and summed."""
+    terms: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_products_by_constants_match_the_term_by_term_product(alg, data):
+    # a constant factor, on either side, scales the other one; a single
+    # non-constant monomial must not be taken for a constant
+    p = data.draw(polys(alg))
+    scalar = data.draw(st.one_of(st.sampled_from((1, -1)), st.integers(-5, 5), fractions))
+    monomial = data.draw(polys(alg, max_terms=1))
+    for m in (alg.const(scalar), monomial):
+        for a, b in ((p, m), (m, p)):
+            r = a * b
+            assert r.terms == term_by_term(a, b), f"{a} times {b}"
+            assert_valid_poly(r)
+
+
 @pytest.mark.parametrize("name", NAMES)
 @SETTINGS
 @given(data=st.data())
