@@ -231,6 +231,8 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.algebra.const(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
@@ -247,6 +249,8 @@ class LaurentPoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.algebra.const(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):

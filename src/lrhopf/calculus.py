@@ -16,11 +16,10 @@ dual structure's table.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import sampling
 from .algebra import LaurentPoly, coeff_str, comultiplication
-from .enveloping import _add_term
+from .enveloping import Combination, _add_term, signed_sum
 from .hopf import (
     CoproductLikeMap,
     TensorEnvElement,
@@ -49,33 +48,30 @@ def _sort_sign(idx):
     return sign, tuple(lst)
 
 
-class MultiVector:
-    """A homogeneous exterior element: map from strictly increasing index
-    tuples of length `grade` to coefficients."""
+class MultiVector(Combination):
+    """A homogeneous exterior element: a Combination whose keys are
+    strictly increasing index tuples of length `grade`.  The grade grades
+    one space: a zero of any grade adds as the identity and equals every
+    other zero, and `wedge` and the bracket combine grades."""
 
-    __slots__ = ("structure", "grade", "terms")
+    __slots__ = ("grade",)
+    _shape = "grade"
+    _graded = True
 
     def __init__(self, structure: LieRinehartAlgebra, grade: int, terms: dict):
         if grade < 0:
             raise ValueError("grade must be nonnegative")
-        clean = {}
-        for idx, c in terms.items():
-            idx = tuple(idx)
-            if len(idx) != grade:
-                raise ValueError(f"index tuple {idx} has wrong length for grade {grade}")
-            if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                raise ValueError(f"index tuple {idx} is not strictly increasing")
-            if any(not (0 <= i < structure.rank) for i in idx):
-                raise ValueError(f"index tuple {idx} is out of range")
-            if not isinstance(c, LaurentPoly):
-                c = structure.algebra.const(c)
-            if c.algebra != structure.algebra:
-                raise ValueError("coefficient lives in the wrong algebra")
-            if not c.is_zero():
-                clean[idx] = clean.get(idx, structure.algebra.zero()) + c
-        self.structure = structure
-        self.grade = grade
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+        super().__init__(structure, terms, grade)
+
+    def _normal_key(self, idx):
+        idx = tuple(idx)
+        if len(idx) != self.grade:
+            raise ValueError(f"index tuple {idx} has wrong length for grade {self.grade}")
+        if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
+            raise ValueError(f"index tuple {idx} is not strictly increasing")
+        if any(not (0 <= i < self.structure.rank) for i in idx):
+            raise ValueError(f"index tuple {idx} is out of range")
+        return idx
 
     @classmethod
     def zero(cls, structure, grade: int) -> "MultiVector":
@@ -107,52 +103,16 @@ class MultiVector:
             coeffs[i] = c
         return LRElement(self.structure, coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other):
+    def wedge(self, other: "MultiVector") -> "MultiVector":
         if self.structure != other.structure:
             raise ValueError("multivectors over different structures")
-
-    def __add__(self, other: "MultiVector") -> "MultiVector":
-        self._check(other)
-        if self.grade != other.grade:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise ValueError("cannot add different grades")
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(acc, k, c)
-        return MultiVector(self.structure, self.grade, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MultiVector(
-            self.structure, self.grade, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __rmul__(self, a):
-        if isinstance(a, (int, Fraction)):
-            a = self.structure.algebra.const(a)
-        if not isinstance(a, LaurentPoly):
-            return NotImplemented
-        return MultiVector(
-            self.structure, self.grade, {k: a * c for k, c in self.terms.items()}
-        )
-
-    def wedge(self, other: "MultiVector") -> "MultiVector":
-        self._check(other)
         acc: dict = {}
         for I, a in self.terms.items():
             for J, b in other.terms.items():
                 sgn, key = _sort_sign(I + J)
                 if sgn is not None:
                     _add_term(acc, key, sgn * (a * b))
-        return MultiVector(self.structure, self.grade + other.grade, acc)
+        return MultiVector._trusted(self.structure, acc, self.grade + other.grade)
 
     def eval_signed(self, idx) -> LaurentPoly:
         """Value on an arbitrary index tuple, alternating in its arguments."""
@@ -164,18 +124,7 @@ class MultiVector:
             return self.structure.algebra.zero()
         return c if sgn > 0 else -c
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiVector):
-            return NotImplemented
-        if self.structure != other.structure:
-            return False
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.grade == other.grade and self.terms == other.terms
-
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = self.structure.basis_names
         pieces = []
         for idx in sorted(self.terms):
@@ -190,16 +139,7 @@ class MultiVector:
                 pieces.append(f"{cs}*{body}")
             else:
                 pieces.append(cs)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
-
-    def __repr__(self):
-        return f"<{self}>"
+        return signed_sum(pieces)
 
 
 # -- differentials -------------------------------------------------------------
@@ -233,7 +173,7 @@ def ce_differential(S: LieRinehartAlgebra, phi: MultiVector) -> MultiVector:
                 val = val + (-inner if (r + s) % 2 else inner)
         if not val.is_zero():
             out[T] = val
-    return MultiVector(S, p + 1, out)
+    return MultiVector._trusted(S, out, p + 1)
 
 
 def dual_differential(P: MultiVector, dual: LieRinehartAlgebra) -> MultiVector:
@@ -243,9 +183,8 @@ def dual_differential(P: MultiVector, dual: LieRinehartAlgebra) -> MultiVector:
     S = P.structure
     if dual.rank != S.rank or dual.algebra != S.algebra:
         raise ValueError("dual structure must share the algebra and the rank")
-    moved = MultiVector(dual, P.grade, P.terms)
-    dP = ce_differential(dual, moved)
-    return MultiVector(S, dP.grade, dP.terms)
+    dP = ce_differential(dual, MultiVector._trusted(dual, P.terms, P.grade))
+    return MultiVector._trusted(S, dP.terms, dP.grade)
 
 
 # -- the odd bracket -----------------------------------------------------------
@@ -254,7 +193,8 @@ def dual_differential(P: MultiVector, dual: LieRinehartAlgebra) -> MultiVector:
 def schouten_bracket(P: MultiVector, Q: MultiVector) -> MultiVector:
     """Extension of the module bracket to multivectors: biderivation with
     respect to the wedge, signed by the shifted grades."""
-    P._check(Q)
+    if P.structure != Q.structure:
+        raise ValueError("multivectors over different structures")
     S = P.structure
     p, q = P.grade, Q.grade
     if p + q == 0:
@@ -295,7 +235,7 @@ def schouten_bracket(P: MultiVector, Q: MultiVector) -> MultiVector:
                 if sgn is not None:
                     sign_s = -1 if (q - (s + 1)) % 2 else 1
                     _add_term(acc, key, (outer * sign_s * sgn) * (-(b * da)))
-    return MultiVector(S, p + q - 1, acc)
+    return MultiVector._trusted(S, acc, p + q - 1)
 
 
 def check_gerstenhaber(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 40,

@@ -57,6 +57,12 @@ word) one product of enveloping algebra elements may multiply.  Powers are
 multiplied out one checked factor at a time, so `(E11+E12+E21+E22+y1)^40`
 on gl2, within the limits above, is refused at the operator (line:col)."""
 
+MAX_NESTING = 100
+"""Deepest nesting of parentheses an expression may use.  The parser and
+the evaluator recurse once per level (long flat sums and products, and
+runs of minus signs, do not recurse), so deeper input is refused as an
+input error at the parenthesis (line:col) before it exhausts the stack."""
+
 
 # -- tokens --------------------------------------------------------------------
 
@@ -121,6 +127,7 @@ class _Stream:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open at the current position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -151,7 +158,7 @@ class _Stream:
 # expr   := term (("+" | "-") term)*
 # term   := factor (("*" factor) | ("/" INT))*
 # factor := "-" factor | atom ["^" ["-"] INT]     (INT <= MAX_EXPONENT)
-# atom   := INT | IDENT | "(" expr ")"
+# atom   := INT | IDENT | "(" expr ")"             (nested <= MAX_NESTING)
 
 
 def _parse_expr(ts: _Stream):
@@ -180,8 +187,9 @@ def _parse_term(ts: _Stream):
 
 
 def _parse_factor(ts: _Stream):
-    if ts.accept("-"):
-        return ("neg", _parse_factor(ts))
+    negated = False
+    while ts.accept("-"):
+        negated = not negated
     node = _parse_atom(ts)
     caret = ts.accept("^")
     if caret:
@@ -194,7 +202,7 @@ def _parse_factor(ts: _Stream):
             )
         e = int(t.text)
         node = ("pow", node, -e if negative else e, (caret.line, caret.col))
-    return node
+    return ("neg", node) if negated else node
 
 
 def _parse_atom(ts: _Stream):
@@ -207,8 +215,13 @@ def _parse_atom(ts: _Stream):
         return ("name", t.text, t.line, t.col)
     if t.kind == "(":
         ts.next()
+        if ts.depth == MAX_NESTING:
+            _refuse((t.line, t.col), f"parentheses nested deeper than the limit of "
+                    f"{MAX_NESTING}")
+        ts.depth += 1
         node = _parse_expr(ts)
         ts.expect(")")
+        ts.depth -= 1
         return node
     raise ParseError(
         f"line {t.line}:{t.col}: expected an expression, found {t.text or 'end of input'!r}"
@@ -282,31 +295,35 @@ def eval_ast(node, env, *, constant):
     """Evaluate a syntax tree over any arena.
 
     `env` maps names to values; `constant` embeds a Fraction.  Values must
-    support +, -, *, and ** with integer exponents.
+    support +, -, *, and ** with integer exponents.  A left-nested chain of
+    binary operators is walked down to its first operand and folded back
+    up, so only nesting that the parser bounds recurses.
     """
+    chain = []
+    while node[0] in ("add", "sub", "mul", "scale"):
+        chain.append(node)
+        node = node[1]
     kind = node[0]
     if kind == "num":
-        return constant(node[1])
-    if kind == "name":
+        value = constant(node[1])
+    elif kind == "name":
         _, name, line, col = node
         try:
-            return env[name]
+            value = env[name]
         except KeyError:
             raise ParseError(f"line {line}:{col}: unknown name {name!r}") from None
-    if kind in ("add", "sub", "mul"):
-        return _combine(
-            kind,
-            eval_ast(node[1], env, constant=constant),
-            eval_ast(node[2], env, constant=constant),
-            node[3] if kind == "mul" else None,
-        )
-    if kind == "neg":
-        return -eval_ast(node[1], env, constant=constant)
-    if kind == "scale":
-        return _combine("mul", eval_ast(node[1], env, constant=constant), node[2])
-    if kind == "pow":
-        return _combine("pow", eval_ast(node[1], env, constant=constant), node[2], node[3])
-    raise AssertionError(f"unhandled node {kind}")
+    elif kind == "neg":
+        value = -eval_ast(node[1], env, constant=constant)
+    elif kind == "pow":
+        value = _combine("pow", eval_ast(node[1], env, constant=constant), node[2], node[3])
+    else:
+        raise AssertionError(f"unhandled node {kind}")
+    for kind, _, right, *where in reversed(chain):
+        if kind == "scale":
+            value = _combine("mul", value, right)
+        else:
+            value = _combine(kind, value, eval_ast(right, env, constant=constant), *where)
+    return value
 
 
 # -- structure files ---------------------------------------------------------------

@@ -40,6 +40,152 @@ def _add_term(acc: dict, word, coeff):
             acc[word] = s
 
 
+def signed_sum(pieces) -> str:
+    """Printed terms joined as `a + b - c`, a leading "-" of a later term
+    becoming the operator; "0" when there are none."""
+    pieces = iter(pieces)
+    out = next(pieces, "0")
+    for piece in pieces:
+        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    return out
+
+
+class Combination:
+    """A sparse sum over a structure: `terms` maps keys to coefficients in
+    `algebra`.  The base of EnvElement, TensorEnvElement and MultiVector.
+
+    Invariant of `terms`, kept by every constructor:
+      * each key is one that the subclass's `_normal_key` returns;
+      * each value is a nonzero LaurentPoly over `algebra`.
+
+    The constructor checks keys through `_normal_key`, converts scalar
+    coefficients, sums repeated keys and drops zeros.  Arithmetic builds
+    its results with `_trusted`, which stores a dict that already
+    satisfies the invariant without looking at it again; `terms` is never
+    mutated once wrapped.
+
+    A subclass may add one slot, named by `_shape` and fixed at
+    construction.  Operands must agree on it (tensors with different
+    `legs` never mix), unless the class is `_graded`: then the slot grades
+    one space (a multivector's `grade`), and a zero of any grade adds as
+    the identity and equals every other zero."""
+
+    __slots__ = ("structure", "terms")
+    _shape = None
+    _graded = False
+
+    @classmethod
+    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict, shape=None):
+        """Wrap `terms`, which must already satisfy the class invariant and
+        must not be shared with code that will mutate it; `shape` is the
+        value of the subclass's slot."""
+        u = object.__new__(cls)
+        u.structure = structure
+        u.terms = terms
+        if cls._shape:
+            setattr(u, cls._shape, shape)
+        return u
+
+    def __init__(self, structure: LieRinehartAlgebra, terms: dict, shape=None):
+        self.structure = structure
+        if self._shape:
+            setattr(self, self._shape, shape)
+        algebra = self.algebra
+        clean: dict = {}
+        for key, c in terms.items():
+            key = self._normal_key(key)
+            if not isinstance(c, LaurentPoly):
+                c = algebra.const(c)
+            if c.algebra != algebra:
+                raise ValueError("coefficient lives in the wrong algebra")
+            _add_term(clean, key, c)
+        self.terms = clean
+
+    def _like(self, terms: dict):
+        """A trusted combination with self's structure and shape."""
+        return self._trusted(self.structure, terms,
+                             getattr(self, self._shape) if self._shape else None)
+
+    def _operand(self, other):
+        """`other` as an operand of +, - and ==, or None."""
+        return other if isinstance(other, type(self)) else None
+
+    @property
+    def algebra(self):
+        """The coefficient algebra."""
+        return self.structure.algebra
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _same_shape(self, other) -> bool:
+        shape = self._shape
+        return (shape is None or getattr(self, shape) == getattr(other, shape)
+                or (self._graded and not (self.terms and other.terms)))
+
+    def _check(self, other):
+        if self.structure is not other.structure and self.structure != other.structure:
+            raise ValueError(f"{type(self).__name__} operands over different structures")
+        if not self._same_shape(other):
+            raise ValueError(f"{type(self).__name__} operands with {self._shape} "
+                             f"{getattr(self, self._shape)} and {getattr(other, self._shape)}")
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        if not self.terms:
+            return other
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(acc, key, c)
+        return self._like(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, a):
+        """a times every coefficient, for a scalar or a coefficient a."""
+        if isinstance(a, (int, Fraction)):
+            return self._like({key: c * a for key, c in self.terms.items()} if a else {})
+        if not isinstance(a, LaurentPoly):
+            return NotImplemented
+        if a.algebra != self.algebra:
+            raise ValueError("coefficient lives in the wrong algebra")
+        return self._like({key: a * c for key, c in self.terms.items()} if a else {})
+
+    def __mul__(self, other):
+        return self._scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+
+    # scalars and coefficients multiply on the left coefficient-wise
+    __rmul__ = _scale
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return (self.structure == other.structure and self._same_shape(other)
+                and self.terms == other.terms)
+
+    def __repr__(self):
+        return f"<{self}>"
+
+
 def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
     """Normal form of (word * y^e) for a nonempty normal word and a
     non-constant exponent tuple e.  The result is shared: never mutate it.
@@ -210,47 +356,31 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
     return cache[(word, i)]
 
 
-class EnvElement:
-    """An element of the enveloping algebra in normal form: a map from
-    nondecreasing index words to left coefficients.
+def _normal_word(structure: LieRinehartAlgebra, word) -> tuple:
+    """`word` as a tuple, checked to be nondecreasing in the letters 0 .. rank-1."""
+    word = tuple(word)
+    if any(word[t] > word[t + 1] for t in range(len(word) - 1)):
+        raise ValueError(f"word {word} is not nondecreasing")
+    if any(not (0 <= i < structure.rank) for i in word):
+        raise ValueError(f"word {word} uses letters outside the basis")
+    return word
 
-    Invariant of `terms`, kept by every constructor:
-      * each key is a normal (nondecreasing) word in the basis letters
-        0 .. rank-1;
-      * each value is a nonzero LaurentPoly over the structure's algebra.
 
-    The constructor checks its input, converts scalar coefficients and
-    sums repeated keys.  Sums, negation and the product build their
-    results with `_trusted`, which stores a dict that already satisfies
-    the invariant without looking at it again."""
+class EnvElement(Combination):
+    """An element of the enveloping algebra in normal form: a Combination
+    whose keys are normal (nondecreasing) words in the basis letters, with
+    coefficients from A on the left.  Scalars and coefficients embed in
+    sums and comparisons; the product rewrites to normal form."""
 
-    __slots__ = ("structure", "terms")
+    __slots__ = ()
 
-    @classmethod
-    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict) -> "EnvElement":
-        """Wrap `terms`, which must already satisfy the class invariant and
-        must not be shared with code that will mutate it."""
-        u = object.__new__(cls)
-        u.structure = structure
-        u.terms = terms
-        return u
+    def _normal_key(self, word):
+        return _normal_word(self.structure, word)
 
-    def __init__(self, structure: LieRinehartAlgebra, terms: dict):
-        clean = {}
-        for word, c in terms.items():
-            word = tuple(word)
-            if any(word[t] > word[t + 1] for t in range(len(word) - 1)):
-                raise ValueError(f"word {word} is not nondecreasing")
-            if any(not (0 <= i < structure.rank) for i in word):
-                raise ValueError(f"word {word} uses letters outside the basis")
-            if not isinstance(c, LaurentPoly):
-                c = structure.algebra.const(c)
-            if c.algebra != structure.algebra:
-                raise ValueError("coefficient lives in the wrong algebra")
-            if not c.is_zero():
-                clean[word] = clean.get(word, structure.algebra.zero()) + c
-        self.structure = structure
-        self.terms = {w: c for w, c in clean.items() if not c.is_zero()}
+    def _operand(self, other):
+        if isinstance(other, (int, Fraction, LaurentPoly)):
+            return EnvElement.from_poly(self.structure, other)
+        return super()._operand(other)
 
     # -- constructors --------------------------------------------------------
 
@@ -264,9 +394,7 @@ class EnvElement:
 
     @classmethod
     def from_poly(cls, structure, p) -> "EnvElement":
-        """The canonical image of a coefficient."""
-        if not isinstance(p, LaurentPoly):
-            p = structure.algebra.const(p)
+        """The canonical image of a coefficient or a scalar."""
         return cls(structure, {(): p})
 
     @classmethod
@@ -281,12 +409,6 @@ class EnvElement:
 
     # -- structure -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def filtration_degree(self) -> int:
         """Length of the longest word; -1 for zero."""
         if not self.terms:
@@ -294,46 +416,15 @@ class EnvElement:
         return max(len(w) for w in self.terms)
 
     def filtration_layer(self, p: int) -> "EnvElement":
-        return EnvElement(
-            self.structure, {w: c for w, c in self.terms.items() if len(w) == p}
-        )
+        return self._like({w: c for w, c in self.terms.items() if len(w) == p})
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "EnvElement"):
-        if self.structure is not other.structure and self.structure != other.structure:
-            raise ValueError("elements of different enveloping algebras")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = EnvElement.from_poly(self.structure, other)
-        self._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(acc, w, c)
-        return EnvElement._trusted(self.structure, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EnvElement._trusted(self.structure, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = EnvElement.from_poly(self.structure, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return EnvElement(
-                self.structure, {w: c * other for w, c in self.terms.items()}
-            )
-        if isinstance(other, LaurentPoly):
-            other = EnvElement.from_poly(self.structure, other)
-        if not isinstance(other, EnvElement):
+            return self._scale(other)
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         self._check(other)
         S = self.structure
@@ -345,19 +436,6 @@ class EnvElement:
                     _add_term(result, u, a * p)
         return EnvElement._trusted(S, result)
 
-    def __rmul__(self, other):
-        # scalars and coefficients commute past nothing: they multiply on
-        # the left, which on normal forms is coefficient-wise
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, LaurentPoly):
-            if other.algebra != self.structure.algebra:
-                raise ValueError("coefficient lives in the wrong algebra")
-            return EnvElement(
-                self.structure, {w: other * c for w, c in self.terms.items()}
-            )
-        return NotImplemented
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -365,13 +443,6 @@ class EnvElement:
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = EnvElement.from_poly(self.structure, other)
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        return self.structure == other.structure and self.terms == other.terms
 
     # -- the action on coefficients -------------------------------------------
 
@@ -413,8 +484,6 @@ class EnvElement:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         ordered = sorted(
             self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]), reverse=True
         )
@@ -431,16 +500,7 @@ class EnvElement:
             else:
                 piece = f"{cs}*{ws}"
             pieces.append(piece)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
-
-    def __repr__(self):
-        return f"<{self}>"
+        return signed_sum(pieces)
 
 
 # -- verification batteries ----------------------------------------------------

@@ -75,7 +75,8 @@ from .algebra import (
     tensor_embed,
     check_hopf_axioms,
 )
-from .enveloping import EnvElement, _add_term, _pooled, _word_poly_word
+from .enveloping import (Combination, EnvElement, _add_term, _normal_word, _pooled,
+                         _word_poly_word, signed_sum)
 from .lie_rinehart import LieRinehartAlgebra, check_bi_lr
 from .report import Report
 
@@ -185,58 +186,26 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     return result
 
 
-class TensorEnvElement:
+class TensorEnvElement(Combination):
     """An element of the tensor power of the enveloping algebra with `legs`
-    legs: a map from word tuples to coefficients in `algebra`.
+    legs: a Combination whose keys are tuples of `legs` normal words, with
+    coefficients in `algebra`, the tensor power of A with `legs` legs.
+    Elements with different numbers of legs neither add nor multiply, and
+    never compare equal."""
 
-    Invariant of `terms`, kept by every constructor:
-      * each key is a tuple of `legs` normal (nondecreasing) words in the
-        basis letters 0 .. rank-1;
-      * each value is a nonzero LaurentPoly over `algebra`.
-
-    The constructor checks its input, converts scalar coefficients and
-    sums repeated keys.  Arithmetic and the closed-form coproduct build
-    their results with `_trusted`, which stores a dict that already
-    satisfies the invariant without looking at it again.  Elements with
-    different numbers of legs neither add nor multiply, and never compare
-    equal."""
-
-    __slots__ = ("structure", "legs", "terms")
-
-    @classmethod
-    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict,
-                 legs: int = 2) -> "TensorEnvElement":
-        """Wrap `terms`, which must already satisfy the class invariant and
-        must not be shared with code that will mutate it."""
-        t = object.__new__(cls)
-        t.structure = structure
-        t.legs = legs
-        t.terms = terms
-        return t
+    __slots__ = ("legs",)
+    _shape = "legs"
 
     def __init__(self, structure: LieRinehartAlgebra, terms: dict, legs: int = 2):
         if legs < 2:
             raise ValueError("a tensor power has at least two legs")
-        algebra = tensor_power_structure(structure, legs).algebra
-        clean = {}
-        for words, c in terms.items():
-            key = tuple(tuple(w) for w in words)
-            if len(key) != legs:
-                raise ValueError(f"key {key} does not have {legs} legs")
-            for w in key:
-                if any(w[t] > w[t + 1] for t in range(len(w) - 1)):
-                    raise ValueError(f"word {w} is not nondecreasing")
-                if any(not (0 <= i < structure.rank) for i in w):
-                    raise ValueError(f"word {w} uses letters outside the basis")
-            if not isinstance(c, LaurentPoly):
-                c = algebra.const(c)
-            if c.algebra != algebra:
-                raise ValueError(f"coefficient outside the {legs}-fold tensor power of A")
-            if not c.is_zero():
-                clean[key] = clean.get(key, algebra.zero()) + c
-        self.structure = structure
-        self.legs = legs
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+        super().__init__(structure, terms, legs)
+
+    def _normal_key(self, words):
+        key = tuple(_normal_word(self.structure, w) for w in words)
+        if len(key) != self.legs:
+            raise ValueError(f"key {key} does not have {self.legs} legs")
+        return key
 
     @property
     def algebra(self):
@@ -247,37 +216,9 @@ class TensorEnvElement:
     def zero(cls, structure, legs: int = 2) -> "TensorEnvElement":
         return cls._trusted(structure, {}, legs)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other):
-        if self.structure is not other.structure and self.structure != other.structure:
-            raise ValueError("tensor elements over different structures")
-        if self.legs != other.legs:
-            raise ValueError(f"tensor elements with {self.legs} and {other.legs} legs")
-
-    def __add__(self, other: "TensorEnvElement") -> "TensorEnvElement":
-        self._check(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(acc, key, c)
-        return TensorEnvElement._trusted(self.structure, acc, self.legs)
-
-    def __neg__(self):
-        return TensorEnvElement._trusted(
-            self.structure, {k: -c for k, c in self.terms.items()}, self.legs
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return TensorEnvElement.zero(self.structure, self.legs)
-            return TensorEnvElement._trusted(
-                self.structure, {k: c * other for k, c in self.terms.items()}, self.legs
-            )
+            return self._scale(other)
         if isinstance(other, LaurentPoly):
             other = TensorEnvElement(self.structure, {((),) * self.legs: other}, self.legs)
         if not isinstance(other, TensorEnvElement):
@@ -287,23 +228,7 @@ class TensorEnvElement:
             self.structure, _legwise_product(self, other), self.legs
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorEnvElement):
-            return NotImplemented
-        return (
-            self.legs == other.legs
-            and self.structure == other.structure
-            and self.terms == other.terms
-        )
-
     def __str__(self):
-        if not self.terms:
-            return "0"
         S = self.structure
         pieces = []
         ordered = sorted(
@@ -316,14 +241,8 @@ class TensorEnvElement:
                 c.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
             ):
                 factors = _split_term(S, words, exps, abs(q))
-                pieces.append((q < 0, " (x) ".join(map(str, factors))))
-        out = ("-" if pieces[0][0] else "") + pieces[0][1]
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
-
-    def __repr__(self):
-        return f"<{self}>"
+                pieces.append(("-" if q < 0 else "") + " (x) ".join(map(str, factors)))
+        return signed_sum(pieces)
 
 
 def _split_term(S: LieRinehartAlgebra, words, exps, q) -> list:
@@ -391,7 +310,7 @@ class CoproductLikeMap:
             image = self.delta_A(a)
             for key, mult in self._word_splits(w):
                 _add_term(terms, key, image if mult == 1 else image * mult)
-        return TensorEnvElement._trusted(self.S, terms)
+        return TensorEnvElement._trusted(self.S, terms, 2)
 
     def _word_splits(self, w):
         """The closed-form coproduct of a normal word: every split into a

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from lrhopf.cli import main
-from lrhopf.dsl import MAX_EXPONENT, MAX_TERMS, MAX_WORD_LENGTH
+from lrhopf.dsl import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
 from conftest import fixture_path
 
@@ -251,6 +251,28 @@ def test_power_of_a_sum_with_a_coefficient_hits_the_term_limit_quickly(capsys):
         rf"limit of {MAX_TERMS}\n", err
     )
     assert match and int(match.group(1)) > MAX_TERMS
+
+
+@pytest.mark.parametrize("expr, code, out, err", [
+    ("(" * 1200 + "x1" + ")" * 1200, 2, "",
+     f"error: line 1:{MAX_NESTING + 1}: parentheses nested deeper than the limit of "
+     f"{MAX_NESTING}\n"),
+    ("x1" + "+x1" * 3000, 0, "3001*x1\n", ""),
+    ("x1+" + "-" * 3000 + "x1", 0, "2*x1\n", ""),
+    ("x1" + "*y" * 1500, 0, "y^1500*x1 + 1500*y^1500\n", ""),
+], ids=["nested-parentheses", "long-sum", "run-of-minus-signs", "long-product"])
+def test_deep_or_long_expressions_end_with_a_value_or_an_input_error(capsys, expr, code,
+                                                                     out, err):
+    # each used to exhaust the stack and exit 3 (an internal error)
+    start = time.perf_counter()
+    got = run(capsys, "nf", fixture_path("aff2.lra"), expr)
+    assert time.perf_counter() - start < 5.0
+    assert got == (code, out, err)
+
+
+def test_nesting_at_the_limit_normalizes(capsys):
+    expr = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert run(capsys, "nf", fixture_path("aff2.lra"), expr) == (0, "x1\n", "")
 
 
 @pytest.mark.parametrize("target, argv, exc, line", [

@@ -161,3 +161,16 @@ def test_env_expression_rejects_negative_word_power():
     S = build_euler()
     with pytest.raises(ParseError):
         parse_env_element("x^-1", S)
+
+
+def test_long_sum_in_a_structure_file_evaluates(tmp_path, capsys):
+    # structure files share eval_ast: 3000 summands do not recurse
+    from lrhopf.cli import main
+    text = read_fixture("euler.lra").replace("x(y) = y;", "x(y) = y" + " + y" * 2999 + ";")
+    S, _ = parse_structure_file(text).build()
+    y = S.algebra.gen(0)
+    assert S.anchor[0](y) == y * 3000
+    path = tmp_path / "long_sum.lra"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
+    assert "check: PASS" in capsys.readouterr().out

@@ -2,8 +2,11 @@
 the confluence battery, filtration layers, and the module action."""
 
 import math
+import operator
 
-from lrhopf import EnvElement, check_action, check_pbw
+import pytest
+
+from lrhopf import EnvElement, MultiVector, check_action, check_pbw, coproduct
 from lrhopf.sampling import make_rng, random_env_element
 
 
@@ -120,3 +123,21 @@ def test_scalar_and_coefficient_multiplication(aff2):
     assert 2 * x1 == x1 + x1
     assert str(y * x1) == "y*x1"
     assert (y * x1) - (x1 * y) == EnvElement.from_poly(aff2, -y)
+
+
+def test_mixed_operands_defer_or_refuse_with_a_type_error(aff2):
+    # a coefficient on the left of + or - defers to the element's reflected
+    # operator; tensors and multivectors embed no scalars
+    y = aff2.algebra.gen(0)
+    x1 = EnvElement.generator(aff2, 0)
+    assert y + x1 == x1 + y == EnvElement(aff2, {(0,): 1, (): y})
+    assert y - x1 == -(x1 - y) == EnvElement(aff2, {(0,): -1, (): y})
+    mv = MultiVector.single(aff2, (0,), y)
+    for element in (coproduct(x1), mv):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(element, 0)
+            with pytest.raises(TypeError):
+                op(0, element)
+    assert mv * 2 == 2 * mv == mv + mv
+    assert (mv * 2).terms == {(0,): y * 2}

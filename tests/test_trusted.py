@@ -1,8 +1,11 @@
-"""Arithmetic builds LaurentPoly, EnvElement and TensorEnvElement results
-without re-validating them.  Every such result must be exactly what the
-validating public constructors make of the same terms: no zero or
-non-Fraction coefficient, no malformed exponent tuple or word."""
+"""Arithmetic builds LaurentPoly, EnvElement, TensorEnvElement and
+MultiVector results without re-validating them.  Every such result must be
+exactly what the validating public constructors make of the same terms: no
+zero or non-Fraction coefficient, no malformed exponent tuple, word or
+index tuple."""
 
+import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lrhopf import EnvElement, TensorEnvElement, coproduct, tensor_pair  # noqa: E402
+from lrhopf import (  # noqa: E402
+    EnvElement,
+    MultiVector,
+    TensorEnvElement,
+    ce_differential,
+    coproduct,
+    dual_differential,
+    schouten_bracket,
+    tensor_pair,
+)
 from lrhopf.algebra import (  # noqa: E402
     LaurentPoly,
     antipode_morphism,
@@ -22,13 +34,18 @@ from lrhopf.algebra import (  # noqa: E402
 )
 from lrhopf.dsl import parse_structure_file  # noqa: E402
 
-from conftest import fixture_path  # noqa: E402
+from conftest import FIXTURES, fixture_path  # noqa: E402
 from flat_oracle import from_flat, to_flat  # noqa: E402
 
 NAMES = ("euler", "aff2", "torus")
 STRUCTURES = {
     name: parse_structure_file(open(fixture_path(f"{name}.lra")).read()).build()[0]
     for name in NAMES
+}
+# every fixture, with its dual block (None when it declares none)
+FIXTURE_PAIRS = {
+    name[:-4]: parse_structure_file(open(fixture_path(name)).read()).build()
+    for name in sorted(os.listdir(FIXTURES)) if name.endswith(".lra")
 }
 # each structure's coefficients and their tensor square (the algebra the
 # coproduct lands in)
@@ -98,6 +115,28 @@ def assert_valid_tensor(t):
     assert rebuilt.terms == t.terms
     for c in t.terms.values():
         assert c.algebra == t.algebra
+        assert not c.is_zero()
+        assert_valid_poly(c)
+
+
+def multivectors(S, grade, max_terms=3):
+    indices = st.sampled_from(list(itertools.combinations(range(S.rank), grade)))
+    return st.lists(st.tuples(indices, polys(S.algebra, 2)), max_size=max_terms).map(
+        lambda terms: sum(
+            (MultiVector(S, grade, {i: c}) for i, c in terms), MultiVector.zero(S, grade)
+        )
+    )
+
+
+def assert_valid_multivector(m):
+    assert isinstance(m, MultiVector)
+    rebuilt = MultiVector(m.structure, m.grade, m.terms)
+    assert rebuilt == m
+    assert rebuilt.terms == m.terms
+    for idx, c in m.terms.items():
+        assert len(idx) == m.grade
+        assert all(i < j for i, j in zip(idx, idx[1:]))
+        assert c.algebra == m.structure.algebra
         assert not c.is_zero()
         assert_valid_poly(c)
 
@@ -211,6 +250,25 @@ def test_legwise_tensor_products_match_the_validating_constructor(name, data):
               s * c, d * c, (s + d) * (s - d)):
         assert_valid_tensor(r)
     assert (s * c * 0).terms == {}
+
+
+@pytest.mark.parametrize("name", FIXTURE_PAIRS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_multivector_results_match_the_validating_constructor(name, data):
+    S, dual = FIXTURE_PAIRS[name]
+    top = min(2, S.rank)
+    p, q = data.draw(st.integers(0, top)), data.draw(st.integers(0, top))
+    P, Q, R = (data.draw(multivectors(S, g)) for g in (p, q, p))
+    c = data.draw(polys(S.algebra))
+    results = [P + R, P - R, -P, P - P, P * 2, Fraction(-1, 3) * P, c * P, P * 0,
+               P + MultiVector.zero(S, q), MultiVector.zero(S, q) + P, P.wedge(Q),
+               schouten_bracket(P, Q), ce_differential(S, P), dual_differential(P, S)]
+    if dual is not None:
+        results.append(dual_differential(P, dual))
+    for m in results:
+        assert_valid_multivector(m)
+    assert (P - P).terms == {}
 
 
 def test_public_constructors_still_reject_bad_terms():
