@@ -42,13 +42,10 @@ from .hopf import (
     tensor_power_structure,
 )
 from .lie_rinehart import (
-    InducedStructureError,
     LieRinehartAlgebra,
     LRElement,
     check_bi_lr,
     check_lr_axioms,
-    diagonal_action,
-    induce,
     make_opposite,
     tensor_square,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "Derivation",
     "EnvElement",
     "GeneratorDecl",
-    "InducedStructureError",
     "LaurentPoly",
     "LieRinehartAlgebra",
     "LRElement",
@@ -91,10 +87,8 @@ __all__ = [
     "coproduct",
     "counit",
     "counit_morphism",
-    "diagonal_action",
     "dual_differential",
     "identity_morphism",
-    "induce",
     "make_opposite",
     "parse_env_element",
     "parse_expression",

@@ -7,11 +7,15 @@ arithmetic; there is no floating point anywhere in this package.
 
 Generators can additionally carry a Hopf marker ("primitive" or
 "group_like") from which comultiplication, counit and antipode morphisms
-are built.
+are built.  An algebra owns its tensor powers and these maps: each is
+built once per algebra object and kept on it, so the coproduct of A lands
+in `A.tensor_power(2)` itself.  `on_leg` extends one of the maps to one
+leg of the tensor square.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +54,8 @@ class CommutativeAlgebra:
             raise ValueError("generator names must be distinct")
         self.gens = gens
         self.index = {g.name: i for i, g in enumerate(gens)}
+        # k -> k-th tensor power, map name -> Hopf map; built on first use
+        self._memo: dict = {}
 
     @property
     def ngens(self) -> int:
@@ -94,17 +100,16 @@ class CommutativeAlgebra:
         Copy c of generator y is called y followed by c+1 primes.  Slots are
         copy-major: all of copy 0 first, then copy 1, and so on.  Hopf
         markers are not carried over (the product Hopf structure would not
-        be generator-wise), invertibility is.
+        be generator-wise), invertibility is.  Built once per k.
         """
         if k < 1:
             raise ValueError("tensor power needs k >= 1")
-        gens = []
-        for c in range(k):
-            for g in self.gens:
-                gens.append(
-                    GeneratorDecl(g.name + "'" * (c + 1), invertible=g.invertible)
-                )
-        return CommutativeAlgebra(gens)
+        if k not in self._memo:
+            self._memo[k] = CommutativeAlgebra(
+                GeneratorDecl(g.name + "'" * (c + 1), invertible=g.invertible)
+                for c in range(k) for g in self.gens
+            )
+        return self._memo[k]
 
     def monomials_up_to(self, max_degree: int):
         """All monomials of total absolute degree <= max_degree.
@@ -441,6 +446,8 @@ class AlgebraMorphism:
         # exponent tuple -> image of that monomial; sound because a
         # LaurentPoly is never mutated in place
         self._monomial_images: dict = {}
+        # leg -> this map on that leg of the tensor square (see on_leg)
+        self._legs: dict = {}
 
     def _monomial_image(self, exps) -> LaurentPoly:
         image = self._monomial_images.get(exps)
@@ -507,6 +514,17 @@ def _require_hopf_kinds(alg: CommutativeAlgebra):
         )
 
 
+def _per_algebra(build):
+    """Build the map once per algebra object and keep it on the algebra."""
+    @functools.wraps(build)
+    def get(alg: CommutativeAlgebra) -> AlgebraMorphism:
+        if build.__name__ not in alg._memo:
+            alg._memo[build.__name__] = build(alg)
+        return alg._memo[build.__name__]
+    return get
+
+
+@_per_algebra
 def comultiplication(alg: CommutativeAlgebra) -> AlgebraMorphism:
     """Generator-wise coproduct A -> A tensor A from the Hopf markers."""
     _require_hopf_kinds(alg)
@@ -522,6 +540,7 @@ def comultiplication(alg: CommutativeAlgebra) -> AlgebraMorphism:
     return AlgebraMorphism(alg, doubled, images)
 
 
+@_per_algebra
 def counit_morphism(alg: CommutativeAlgebra) -> AlgebraMorphism:
     """Counit A -> Q (the trivial algebra)."""
     _require_hopf_kinds(alg)
@@ -532,6 +551,7 @@ def counit_morphism(alg: CommutativeAlgebra) -> AlgebraMorphism:
     return AlgebraMorphism(alg, triv, images)
 
 
+@_per_algebra
 def antipode_morphism(alg: CommutativeAlgebra) -> AlgebraMorphism:
     """Antipode A -> A: negation on primitives, inversion on group-likes."""
     _require_hopf_kinds(alg)
@@ -542,62 +562,25 @@ def antipode_morphism(alg: CommutativeAlgebra) -> AlgebraMorphism:
     return AlgebraMorphism(alg, alg, images)
 
 
-# The handful of tensor-leg maps needed to state the Hopf axioms.
-
-
-def _tensor_leg_maps(alg, delta, eps, anti):
-    doubled = alg.tensor_power(2)
-    tripled = alg.tensor_power(3)
-    n = alg.ngens
-
-    def images_on_doubled(f0, f1):
-        # f0 consumes copy 0 generators, f1 copy 1; both return target elements
-        return [f0(i) for i in range(n)] + [f1(i) for i in range(n)]
-
-    delta_left = AlgebraMorphism(
-        doubled,
-        tripled,
-        images_on_doubled(
-            lambda i: spread_copies(delta(alg.gen(i)), alg, (0, 1), tripled),
-            lambda i: tensor_embed(alg.gen(i), 2, tripled),
-        ),
-    )
-    delta_right = AlgebraMorphism(
-        doubled,
-        tripled,
-        images_on_doubled(
-            lambda i: tensor_embed(alg.gen(i), 0, tripled),
-            lambda i: spread_copies(delta(alg.gen(i)), alg, (1, 2), tripled),
-        ),
-    )
-    triv_inc = inclusion_of_scalars(alg)
-    eps_left = AlgebraMorphism(
-        doubled,
-        alg,
-        images_on_doubled(lambda i: triv_inc(eps(alg.gen(i))), lambda i: alg.gen(i)),
-    )
-    eps_right = AlgebraMorphism(
-        doubled,
-        alg,
-        images_on_doubled(lambda i: alg.gen(i), lambda i: triv_inc(eps(alg.gen(i)))),
-    )
-    anti_left = AlgebraMorphism(
-        doubled,
-        doubled,
-        images_on_doubled(
-            lambda i: tensor_embed(anti(alg.gen(i)), 0, doubled),
-            lambda i: tensor_embed(alg.gen(i), 1, doubled),
-        ),
-    )
-    anti_right = AlgebraMorphism(
-        doubled,
-        doubled,
-        images_on_doubled(
-            lambda i: tensor_embed(alg.gen(i), 0, doubled),
-            lambda i: tensor_embed(anti(alg.gen(i)), 1, doubled),
-        ),
-    )
-    return delta_left, delta_right, eps_left, eps_right, anti_left, anti_right
+def on_leg(f: AlgebraMorphism, leg: int) -> AlgebraMorphism:
+    """f (x) id (leg 0) or id (x) f (leg 1) on the tensor square of A, for
+    f: A -> A^(x)m with m = 0 (the scalars Q), 1 (A itself) or 2.  The
+    target is A^(x)(m+1), which is A itself when m = 0.  Built once per map
+    and leg."""
+    if leg in f._legs:
+        return f._legs[leg]
+    A = f.source
+    m = next((m for m, B in ((1, A), (2, A.tensor_power(2)), (0, CommutativeAlgebra.trivial()))
+              if f.target == B), None)
+    if m is None:
+        raise ValueError("on_leg needs a map from A to Q, A or A (x) A")
+    target = A if m == 0 else A.tensor_power(m + 1)
+    mapped_to = range(m) if leg == 0 else range(1, m + 1)
+    mapped = [spread_copies(f(A.gen(i)), A, mapped_to, target) for i in range(A.ngens)]
+    kept = [tensor_embed(A.gen(i), m if leg == 0 else 0, target) for i in range(A.ngens)]
+    f._legs[leg] = AlgebraMorphism(A.tensor_power(2), target,
+                                   mapped + kept if leg == 0 else kept + mapped)
+    return f._legs[leg]
 
 
 def check_hopf_axioms(
@@ -622,9 +605,9 @@ def check_hopf_axioms(
     if anti.source != alg or anti.target != alg:
         raise ValueError("antipode must be a self-map of the algebra")
 
-    dl, dr, el, er, sl, sr = _tensor_leg_maps(alg, delta, eps, anti)
+    dl, dr, el, er, sl, sr = (on_leg(f, leg) for f in (delta, eps, anti) for leg in (0, 1))
     mult = multiplication_morphism(alg)
-    eta_eps = counit_morphism(alg).then(inclusion_of_scalars(alg))
+    eta_eps = eps.then(inclusion_of_scalars(alg))
 
     elements = list(alg.monomials_up_to(max_degree))
     rng = sampling.make_rng(seed)

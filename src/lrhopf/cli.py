@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="structure declaration file")
-        p.add_argument("expr", help="expression in the declared names")
+        p.add_argument("expr", help="expression in the declared names; one that "
+                       "starts with '-' goes after '--'")
         p.add_argument("--seed", type=int, default=0, help="recorded in the report")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 

@@ -179,9 +179,10 @@ def _parse_term(ts: _Stream):
         elif ts.peek().kind == "/":
             ts.next()
             t = ts.expect("int", "an integer denominator")
-            if int(t.text) == 0:
+            d = _int_value(t)
+            if d == 0:
                 raise ParseError(f"line {t.line}:{t.col}: division by zero")
-            node = ("scale", node, Fraction(1, int(t.text)))
+            node = ("scale", node, Fraction(1, d))
         else:
             return node
 
@@ -196,11 +197,11 @@ def _parse_factor(ts: _Stream):
         negative = ts.accept("-") is not None
         t = ts.expect("int", "an integer exponent")
         # the length test keeps int() away from huge digit strings
-        if len(t.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(t.text) > MAX_EXPONENT:
+        if len(t.text.lstrip("0")) > len(str(MAX_EXPONENT)) or _int_value(t) > MAX_EXPONENT:
             raise ParseError(
                 f"line {t.line}:{t.col}: exponent above the limit of {MAX_EXPONENT}"
             )
-        e = int(t.text)
+        e = _int_value(t)
         node = ("pow", node, -e if negative else e, (caret.line, caret.col))
     return ("neg", node) if negated else node
 
@@ -209,7 +210,7 @@ def _parse_atom(ts: _Stream):
     t = ts.peek()
     if t.kind == "int":
         ts.next()
-        return ("num", Fraction(int(t.text)))
+        return ("num", Fraction(_int_value(t)))
     if t.kind == "ident":
         ts.next()
         return ("name", t.text, t.line, t.col)
@@ -252,6 +253,15 @@ def _word_length_after(op, left, right) -> int:
 def _refuse(where, message):
     line, col = where
     raise ParseError(f"line {line}:{col}: {message}")
+
+
+def _int_value(t: Token) -> int:
+    """The value of an integer token; a literal too long for int() to
+    convert is an input error at the token."""
+    try:
+        return int(t.text)
+    except ValueError:
+        _refuse((t.line, t.col), f"integer literal of {len(t.text)} digits is too long")
 
 
 def _times(left, right, where):

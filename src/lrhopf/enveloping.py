@@ -465,11 +465,8 @@ class EnvElement(Combination):
 
     def counit(self) -> Fraction:
         """Coefficient counit of the empty-word part; words die."""
-        eps = counit_morphism(self.structure.algebra)
-        c = self.terms.get(())
-        if c is None:
-            return Fraction(0)
-        return eps(c).as_constant()
+        empty = self.terms.get((), self.structure.algebra.zero())
+        return counit_morphism(self.structure.algebra)(empty).as_constant()
 
     # -- printing --------------------------------------------------------------
 

@@ -10,10 +10,11 @@ product is computed one leg at a time with the structure's own rewriting:
 
 for each monomial q y^e_0 .. y^e_{k-1} of the right coefficient, where each
 leg w y^e v is a product in the enveloping algebra itself, cached per
-structure.  The same space is the enveloping algebra of
+structure.  Coefficients live in `A.tensor_power(k)`, which A builds once
+and keeps.  The same space is the enveloping algebra of
 `tensor_power_structure` (k commuting copies of the basis, copy c acting on
-leg c); only its coefficient algebra is used here, and the tests multiply
-in it as the oracle of the legwise product.
+leg c); nothing here uses it: it serves only the tests' flat oracle of the
+legwise product and of the one-leg application.
 
 The structure maps:
   * a coefficient comultiplies through the generator markers of A;
@@ -66,10 +67,10 @@ from . import sampling
 from .algebra import (
     LaurentPoly,
     _nonzero,
-    _tensor_leg_maps,
     antipode_morphism,
     comultiplication,
     counit_morphism,
+    on_leg,
     split_exponents,
     spread_copies,
     tensor_embed,
@@ -84,7 +85,9 @@ from .report import Report
 def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
     """k commuting copies of the structure over the k-fold tensor power of
     its coefficients.  Copy c of a basis element acts on tensor leg c only;
-    brackets across copies vanish.  Cached on the structure."""
+    brackets across copies vanish.  Cached on the structure.  The library
+    multiplies tensors legwise instead; this flat realization serves the
+    tests' oracle."""
     cached = S._tensor_cache.get(k)
     if cached is not None:
         return cached
@@ -177,7 +180,7 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
                         exps = tuple(map(operator.add, f, exps))
                         x = x0 * x
                         out[exps] = out[exps] + x if exps in out else x
-    Ak = tensor_power_structure(S, k).algebra
+    Ak = A.tensor_power(k)
     result = {}
     for key, coeffs in sums.items():
         coeffs = _nonzero(coeffs)
@@ -210,7 +213,7 @@ class TensorEnvElement(Combination):
     @property
     def algebra(self):
         """The coefficient algebra: the tensor power of A with `legs` legs."""
-        return tensor_power_structure(self.structure, self.legs).algebra
+        return self.structure.algebra.tensor_power(self.legs)
 
     @classmethod
     def zero(cls, structure, legs: int = 2) -> "TensorEnvElement":
@@ -261,7 +264,7 @@ def tensor_pair(u1: EnvElement, u2: EnvElement) -> TensorEnvElement:
     if u1.structure != u2.structure:
         raise ValueError("tensor factors over different structures")
     S = u1.structure
-    alg2 = tensor_power_structure(S, 2).algebra
+    alg2 = S.algebra.tensor_power(2)
     return TensorEnvElement(S, {
         (w1, w2): tensor_embed(c1, 0, alg2) * tensor_embed(c2, 1, alg2)
         for w1, c1 in u1.terms.items()
@@ -293,7 +296,7 @@ class CoproductLikeMap:
             raise ValueError("need one image per basis letter")
         self.images = images
         self._lifted = {}
-        one = tensor_power_structure(S, 2).algebra.one()
+        one = S.algebra.tensor_power(2).one()
         self.standard = all(
             img.terms == {((i,), ()): one, ((), (i,)): one}
             for i, img in enumerate(images)
@@ -351,7 +354,7 @@ class CoproductLikeMap:
         if cached is not None:
             return cached
         S, A = self.S, self.S.algebra
-        A3 = tensor_power_structure(S, 3).algebra
+        A3 = A.tensor_power(3)
         copies = (0, 1) if leg == 0 else (1, 2)
         place = (lambda pair, w: pair + (w,)) if leg == 0 else (lambda pair, w: (w,) + pair)
         mapped = [
@@ -361,7 +364,7 @@ class CoproductLikeMap:
         ]
         plain = [TensorEnvElement(S, {place(((), ()), (i,)): 1}, 3) for i in range(S.rank)]
         images = [mapped, plain] if leg == 0 else [plain, mapped]
-        self._lifted[leg] = (_coefficient_leg_maps(S)[leg], images)
+        self._lifted[leg] = (on_leg(self.delta_A, leg), images)
         return self._lifted[leg]
 
     def apply_to_leg(self, t: TensorEnvElement, leg: int) -> TensorEnvElement:
@@ -431,10 +434,7 @@ def antipode(u: EnvElement) -> EnvElement:
     applied to a, with S(w) the memoized signed reversal of the word (see
     the module docstring)."""
     S = u.structure
-    anti_A = S._tensor_cache.get("antiA")
-    if anti_A is None:
-        anti_A = antipode_morphism(S.algebra)
-        S._tensor_cache["antiA"] = anti_A
+    anti_A = antipode_morphism(S.algebra)
     out: dict = {}
     for w, a in u.terms.items():
         image = _word_antipode(S, w) * EnvElement.from_poly(S, anti_A(a))
@@ -446,20 +446,9 @@ def antipode(u: EnvElement) -> EnvElement:
 # -- collapsing maps used to state the axioms ---------------------------------
 
 
-def _coefficient_leg_maps(S: LieRinehartAlgebra):
-    """The one-leg maps of A's own battery (`_tensor_leg_maps`): coproduct,
-    counit and antipode on leg 0 or 1.  Cached per structure."""
-    if "coefficient-legs" not in S._tensor_cache:
-        A = S.algebra
-        S._tensor_cache["coefficient-legs"] = _tensor_leg_maps(
-            A, comultiplication(A), counit_morphism(A), antipode_morphism(A)
-        )
-    return S._tensor_cache["coefficient-legs"]
-
-
 def counit_collapse(t: TensorEnvElement, leg: int) -> EnvElement:
     """Apply the counit to one leg of a tensor element."""
-    counit_on_leg = _coefficient_leg_maps(t.structure)[2 + leg]
+    counit_on_leg = on_leg(counit_morphism(t.structure.algebra), leg)
     out: dict = {}
     for words, c in t.terms.items():
         if not words[leg]:  # the counit kills every nonempty word
@@ -579,7 +568,7 @@ def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
             if len(key[0]) + len(key[1]) == p
         }
         want = {
-            key: tensor_power_structure(S, 2).algebra.const(mult)
+            key: S.algebra.tensor_power(2).const(mult)
             for key, mult in expected.items()
         }
         if top != want:
@@ -649,9 +638,7 @@ def check_hopf_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
         prefix="module.",
     )
 
-    anti_A = coefficient_antipode
-    if anti_A is None:
-        anti_A = antipode_morphism(S.algebra)
+    anti_A = coefficient_antipode or antipode_morphism(S.algebra)
 
     def equivariant(case):
         i, g = case

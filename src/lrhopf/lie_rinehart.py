@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import sampling
 from .algebra import (
-    AlgebraMorphism,
     CommutativeAlgebra,
     Derivation,
     LaurentPoly,
@@ -164,7 +163,7 @@ class LieRinehartAlgebra:
         self._poly_cache = {}
         # one coefficient object per distinct value the caches hold
         self._coefficient_pool = {}
-        # tensor-power realizations, built on demand by the coalgebra layer
+        # the coalgebra layer's per-structure caches, built on demand
         self._tensor_cache = {}
         if validate:
             self._validate()
@@ -351,87 +350,55 @@ def make_opposite(S: LieRinehartAlgebra, validate: bool = True) -> LieRinehartAl
     )
 
 
-class InducedStructureError(ValueError):
-    """Raised when the hypotheses for transporting a structure along a
-    coefficient morphism fail; carries a human-readable witness."""
+class _TensorSquareError(ValueError):
+    """The diagonal action gives no structure on the tensor square; carries
+    a human-readable witness."""
 
 
-def induce(S: LieRinehartAlgebra, coeff_map: AlgebraMorphism, lifted_anchor,
-           basis_names=None, validate: bool = True) -> LieRinehartAlgebra:
-    """Transport a Lie-Rinehart structure along an algebra morphism.
-
-    Given phi: A -> A' and, for each basis element, a derivation of A'
-    extending its anchor through phi, this builds the structure on the
-    extended module: same basis, bracket table pushed through phi, anchor
-    replaced by the lifted derivations.
-
-    Two hypotheses are verified on generators before construction, raising
-    InducedStructureError on failure:
-      * the lifted derivations restrict to the original anchor through phi;
-      * lifting turns the pushed bracket into the commutator.
-    """
-    if coeff_map.source != S.algebra:
-        raise ValueError("coefficient map must start at the structure's algebra")
-    target = coeff_map.target
-    lifted = tuple(lifted_anchor)
-    if len(lifted) != S.rank:
-        raise ValueError("need one lifted derivation per basis element")
-    for d in lifted:
-        if d.algebra != target:
-            raise ValueError("lifted derivation on the wrong algebra")
-
-    if validate:
-        for i in range(S.rank):
-            for g in range(S.algebra.ngens):
-                a = S.algebra.gen(g)
-                lhs = lifted[i](coeff_map(a))
-                rhs = coeff_map(S.anchor[i](a))
-                if lhs != rhs:
-                    raise InducedStructureError(
-                        f"lift of {S.basis_names[i]} does not extend its anchor: "
-                        f"on {S.algebra.gens[g].name}: {lhs} != {rhs}"
-                    )
-        for i in range(S.rank):
-            for j in range(i + 1, S.rank):
-                expected = Derivation.zero(target)
-                bracket = S.bracket_of_basis(i, j)
-                for k, c in enumerate(bracket.coeffs):
-                    if not c.is_zero():
-                        expected = expected + coeff_map(c) * lifted[k]
-                got = lifted[i].commutator(lifted[j])
-                if expected != got:
-                    names = (S.basis_names[i], S.basis_names[j])
-                    raise InducedStructureError(
-                        f"lift of bracket {names} is not the commutator of lifts"
-                    )
-
-    table = {
-        key: tuple(coeff_map(c) for c in coeffs)
-        for key, coeffs in S.bracket_table.items()
-    }
-    return LieRinehartAlgebra(
-        target,
-        basis_names if basis_names is not None else S.basis_names,
-        table,
-        lifted,
-        validate=validate,
-    )
-
-
-def diagonal_action(S: LieRinehartAlgebra, doubled: CommutativeAlgebra):
-    """Each anchor derivation acting on both tensor legs at once."""
-    return [
-        d.tensor_lift(0, doubled) + d.tensor_lift(1, doubled) for d in S.anchor
-    ]
+def _diagonal_action(S: LieRinehartAlgebra):
+    """Each anchor derivation acting on both legs of the tensor square of A."""
+    doubled = S.algebra.tensor_power(2)
+    return [d.tensor_lift(0, doubled) + d.tensor_lift(1, doubled) for d in S.anchor]
 
 
 def tensor_square(S: LieRinehartAlgebra, validate: bool = True) -> LieRinehartAlgebra:
     """Extend coefficients along the comultiplication of A with the diagonal
-    action.  Fails with InducedStructureError when the action does not
-    commute with comultiplication."""
+    action: same basis, bracket table pushed through the comultiplication,
+    each anchor derivation acting on both tensor legs at once.
+
+    Two hypotheses are verified on generators before construction, raising
+    a ValueError with a witness on failure:
+      * the diagonal action restricts to the anchor through the
+        comultiplication;
+      * the diagonal action turns the pushed bracket into the commutator.
+    """
     delta = comultiplication(S.algebra)
     doubled = delta.target
-    return induce(S, delta, diagonal_action(S, doubled), validate=validate)
+    lifted = _diagonal_action(S)
+    table = {
+        key: tuple(delta(c) for c in coeffs)
+        for key, coeffs in S.bracket_table.items()
+    }
+    if validate:
+        for i, g in itertools.product(range(S.rank), range(S.algebra.ngens)):
+            a = S.algebra.gen(g)
+            lhs = lifted[i](delta(a))
+            rhs = delta(S.anchor[i](a))
+            if lhs != rhs:
+                raise _TensorSquareError(
+                    f"lift of {S.basis_names[i]} does not extend its anchor: "
+                    f"on {S.algebra.gens[g].name}: {lhs} != {rhs}"
+                )
+        for i, j in itertools.combinations(range(S.rank), 2):
+            expected = Derivation.zero(doubled)
+            for c, d in zip(table.get((i, j), ()), lifted):
+                expected = expected + c * d
+            if expected != lifted[i].commutator(lifted[j]):
+                names = (S.basis_names[i], S.basis_names[j])
+                raise _TensorSquareError(
+                    f"lift of bracket {names} is not the commutator of lifts"
+                )
+    return LieRinehartAlgebra(doubled, S.basis_names, table, lifted, validate=validate)
 
 
 # -- compatibility of the coalgebra with the module structure ----------------
@@ -453,7 +420,7 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
     delta = comultiplication(S.algebra)
     eps = counit_morphism(S.algebra)
     doubled = delta.target
-    diag = diagonal_action(S, doubled)
+    diag = _diagonal_action(S)
 
     generators = list(itertools.product(range(S.rank), range(S.algebra.ngens)))
 
@@ -499,7 +466,7 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
 
     try:
         TS = tensor_square(S)
-    except InducedStructureError as exc:
+    except _TensorSquareError as exc:
         report.add("tensor-square-structure", False, str(exc))
         return report
     report.add("tensor-square-structure", True)

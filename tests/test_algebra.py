@@ -15,7 +15,7 @@ from lrhopf import (
     counit_morphism,
     antipode_morphism,
 )
-from lrhopf.algebra import multiplication_morphism
+from lrhopf.algebra import multiplication_morphism, on_leg
 from lrhopf.sampling import make_rng, random_poly
 
 
@@ -208,3 +208,52 @@ def test_random_poly_is_reproducible():
     one = [str(random_poly(make_rng(99), A)) for _ in range(3)]
     two = [str(random_poly(make_rng(99), A)) for _ in range(3)]
     assert one == two
+
+
+def test_hopf_maps_and_tensor_powers_are_built_once_per_algebra():
+    A = poly_line()
+    for build in (comultiplication, counit_morphism, antipode_morphism):
+        assert build(A) is build(A)
+    assert A.tensor_power(3) is A.tensor_power(3)
+    assert comultiplication(A).target is A.tensor_power(2)
+    # an equal algebra built apart keeps its own maps
+    assert comultiplication(poly_line()) is not comultiplication(A)
+    assert comultiplication(poly_line()) == comultiplication(A)
+
+
+def _line_and_circle():
+    return CommutativeAlgebra([
+        GeneratorDecl("y", hopf_kind="primitive"),
+        GeneratorDecl("t", invertible=True, hopf_kind="group_like"),
+    ])
+
+
+# (map, leg) -> images of y', t', y'', t'' written out by hand: the oracle
+# of on_leg, and through it of the one-leg maps in check_hopf_axioms
+ON_LEG_IMAGES = {
+    ("coproduct", 0): ["y' + y''", "t'*t''", "y'''", "t'''"],
+    ("coproduct", 1): ["y'", "t'", "y'' + y'''", "t''*t'''"],
+    ("counit", 0): ["0", "1", "y", "t"],
+    ("counit", 1): ["y", "t", "0", "1"],
+    ("antipode", 0): ["-y'", "t'^-1", "y''", "t''"],
+    ("antipode", 1): ["y'", "t'", "-y''", "t''^-1"],
+}
+
+
+@pytest.mark.parametrize("name, leg", sorted(ON_LEG_IMAGES))
+def test_on_leg_matches_images_written_by_hand(name, leg):
+    A = _line_and_circle()
+    build = {"coproduct": comultiplication, "counit": counit_morphism,
+             "antipode": antipode_morphism}[name]
+    g = on_leg(build(A), leg)
+    A2 = A.tensor_power(2)
+    target = {"coproduct": A.tensor_power(3), "counit": A, "antipode": A2}[name]
+    assert g.source is A2 and g.target is target
+    assert [str(g(A2.gen(i))) for i in range(A2.ngens)] == ON_LEG_IMAGES[name, leg]
+    assert on_leg(build(A), leg) is g
+
+
+def test_on_leg_refuses_a_map_outside_its_range():
+    A = poly_line()
+    with pytest.raises(ValueError):
+        on_leg(multiplication_morphism(A), 0)

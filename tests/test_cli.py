@@ -4,6 +4,7 @@ and byte-stable JSON output."""
 import json
 import math
 import re
+import sys
 import time
 
 import pytest
@@ -294,3 +295,18 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch, targe
     assert out == ""
     assert err == line + "\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts decimal literals of any length")
+@pytest.mark.parametrize("prefix", ["", "x1 + 1/"], ids=["literal", "denominator"])
+def test_an_overlong_integer_literal_is_an_input_error_at_its_column(capsys, prefix):
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), prefix + digits)
+    assert (code, out) == (2, "")
+    column = len(prefix) + 1
+    assert err == f"error: line 1:{column}: integer literal of {len(digits)} digits is too long\n"
+
+
+def test_an_expression_starting_with_a_minus_goes_after_a_double_dash(capsys):
+    assert run(capsys, "nf", fixture_path("aff2.lra"), "--", "-x1") == (0, "-x1\n", "")

@@ -367,3 +367,11 @@ def test_a_valued_bracket_coefficient_fails_hopf_battery():
         "antipode-antihomomorphism": "at u=-y*x2 + 2*y, v=x1^2*x2 - 2*x1*x2",
     }
     assert len(report.checks) == 27
+
+
+def test_coproduct_coefficients_live_in_the_memoized_tensor_square(gl2):
+    A2 = gl2.algebra.tensor_power(2)
+    t = coproduct(random_env_element(make_rng(4), gl2, max_word=2, max_degree=2))
+    assert t.terms and all(c.algebra is A2 for c in t.terms.values())
+    assert t.algebra is A2
+    assert all(c.algebra is A2 for c in (t * t).terms.values())

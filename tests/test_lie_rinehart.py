@@ -1,4 +1,6 @@
-"""Structure axioms, constructions (opposite, induced, tensor square), and compatibility with the coefficient coproduct."""
+"""Structure axioms, constructions (opposite, tensor square), and compatibility with the coefficient coproduct."""
+
+import re
 
 import pytest
 
@@ -13,6 +15,7 @@ from lrhopf import (
     make_opposite,
     tensor_square,
 )
+from lrhopf.dsl import parse_structure_file
 from lrhopf.sampling import make_rng, random_lr_element, random_poly
 
 from conftest import build_euler
@@ -140,3 +143,32 @@ def test_bi_compatibility_fails_for_unit_scaling():
 def test_equality_is_structural(euler):
     assert euler == build_euler()
     assert hash(euler) == hash(build_euler())
+
+
+# the diagonal action extends every anchor through the comultiplication,
+# but the pushed bracket [x1, x2] = (z' + z'')*x3 - (y' + y'')*x4 acts on
+# y' as z''*y' - y''*z', while the lifts of x1 and x2 commute
+SECOND_TENSOR_SQUARE_WITNESS = """
+algebra A { gens: y primitive, z primitive }
+lie g {
+    basis: x1, x2, x3, x4;
+    bracket [x1, x2] = z*x3 - y*x4;
+    bracket [x3, x4] = -x4;
+}
+action {
+    x3(y) = y;
+    x4(y) = z;
+}
+"""
+
+
+def test_tensor_square_fails_when_the_lifted_bracket_is_not_the_commutator():
+    S, _ = parse_structure_file(SECOND_TENSOR_SQUARE_WITNESS).build()
+    assert check_lr_axioms(S, seed=0, samples=50).ok
+    witness = "lift of bracket ('x1', 'x2') is not the commutator of lifts"
+    report = check_bi_lr(S, seed=0, samples=50)
+    assert {c.name: c.witness for c in report.failures()} == {
+        "tensor-square-structure": witness
+    }
+    with pytest.raises(ValueError, match=re.escape(witness)):
+        tensor_square(S)
