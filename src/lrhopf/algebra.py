@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .report import Report
@@ -25,23 +25,23 @@ from .report import Report
 HOPF_KINDS = ("none", "primitive", "group_like")
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
-    """A named polynomial generator with optional markers."""
+class GeneratorDecl(namedtuple("GeneratorDecl", "name invertible hopf_kind",
+                                defaults=(False, "none"))):
+    """A named polynomial generator with optional markers; an immutable,
+    hashable value."""
 
-    name: str
-    invertible: bool = False
-    hopf_kind: str = "none"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.hopf_kind not in HOPF_KINDS:
-            raise ValueError(f"unknown hopf_kind {self.hopf_kind!r}")
-        if self.hopf_kind == "group_like" and not self.invertible:
+    def __new__(cls, name: str, invertible: bool = False, hopf_kind: str = "none"):
+        if hopf_kind not in HOPF_KINDS:
+            raise ValueError(f"unknown hopf_kind {hopf_kind!r}")
+        if hopf_kind == "group_like" and not invertible:
             # the antipode must send the generator to its inverse
-            raise ValueError(f"group_like generator {self.name!r} must be invertible")
-        if self.hopf_kind == "primitive" and self.invertible:
+            raise ValueError(f"group_like generator {name!r} must be invertible")
+        if hopf_kind == "primitive" and invertible:
             # counit would send an invertible element to 0
-            raise ValueError(f"primitive generator {self.name!r} cannot be invertible")
+            raise ValueError(f"primitive generator {name!r} cannot be invertible")
+        return super().__new__(cls, name, invertible, hopf_kind)
 
 
 class CommutativeAlgebra:
@@ -241,7 +241,7 @@ class LaurentPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
+            terms[exps] = terms[exps] + c if exps in terms else c
         return LaurentPoly._trusted(self.algebra, _nonzero(terms))
 
     __radd__ = __add__
@@ -281,7 +281,8 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                x = c1 * c2
+                terms[key] = terms[key] + x if key in terms else x
         return LaurentPoly._trusted(self.algebra, _nonzero(terms))
 
     def __rmul__(self, other):
@@ -392,7 +393,7 @@ def spread_copies(p: LaurentPoly, base: CommutativeAlgebra, copies, target: Comm
         for block, dest in zip(blocks, copies):
             out[dest] = tuple(a + b for a, b in zip(out[dest], block))
         key = merge_exponents(out) if n else ()
-        terms[key] = terms.get(key, Fraction(0)) + c
+        terms[key] = terms[key] + c if key in terms else c
     if not _copies_fit(p.algebra, n, copies, target):
         return LaurentPoly(target, terms)  # reports what does not fit
     return LaurentPoly._trusted(target, _nonzero(terms))
@@ -465,7 +466,8 @@ class AlgebraMorphism:
         terms: dict = {}
         for exps, c in p.terms.items():
             for e, q in self._monomial_image(exps).terms.items():
-                terms[e] = terms.get(e, 0) + c * q
+                x = c * q
+                terms[e] = terms[e] + x if e in terms else x
         return LaurentPoly._trusted(self.target, _nonzero(terms))
 
     def then(self, other: "AlgebraMorphism") -> "AlgebraMorphism":

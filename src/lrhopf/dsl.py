@@ -25,7 +25,7 @@ the dual-pair commands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import CommutativeAlgebra, Derivation, GeneratorDecl, LaurentPoly
@@ -53,9 +53,12 @@ as an input error at the operator (line:col)."""
 
 MAX_TERMS = 5000
 """Most pairs of terms (a rational times a monomial of A times a normal
-word) one product of enveloping algebra elements may multiply.  Powers are
-multiplied out one checked factor at a time, so `(E11+E12+E21+E22+y1)^40`
-on gl2, within the limits above, is refused at the operator (line:col)."""
+word) one product of enveloping algebra elements may multiply.  The
+factors of one power share this budget: a power is multiplied out one
+factor at a time, and the pairs of every factor so far count, so
+`(E11+E12+E21+E22+y1)^40` on gl2 and `(x1+x2)^100` on aff2, within the
+limits above, are refused at the operator (line:col) before the power's
+total work grows past the budget."""
 
 MAX_NESTING = 100
 """Deepest nesting of parentheses an expression may use.  The parser and
@@ -69,12 +72,8 @@ input error at the parenthesis (line:col) before it exhausts the stack."""
 _SYMBOLS = "{}()[],;:=+-*^/"
 
 
-@dataclass
-class Token:
-    kind: str  # "ident" | "int" | symbol itself | "end"
-    text: str
-    line: int
-    col: int
+# kind: "ident" | "int" | the symbol itself | "end"
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(text: str):
@@ -264,13 +263,15 @@ def _int_value(t: Token) -> int:
         _refuse((t.line, t.col), f"integer literal of {len(t.text)} digits is too long")
 
 
-def _times(left, right, where):
-    if isinstance(left, EnvElement) and isinstance(right, EnvElement):
-        sizes = [sum(len(c.terms) for c in u.terms.values()) for u in (left, right)]
-        if sizes[0] * sizes[1] > MAX_TERMS:
-            _refuse(where, f"a product of {sizes[0] * sizes[1]} pairs of terms is above "
-                    f"the limit of {MAX_TERMS}")
-    return left * right
+def _count_pairs(left, right, where, used=0) -> int:
+    """`used` plus the pairs of terms of the product `left * right` of
+    enveloping algebra elements; refused at `where` above MAX_TERMS."""
+    sizes = [sum(len(c.terms) for c in u.terms.values()) for u in (left, right)]
+    total = used + sizes[0] * sizes[1]
+    if total > MAX_TERMS:
+        _refuse(where, f"a product of {total} pairs of terms is above "
+                f"the limit of {MAX_TERMS}")
+    return total
 
 
 def _combine(op, left, right, where=None):
@@ -285,11 +286,15 @@ def _combine(op, left, right, where=None):
         elif op == "sub":
             result = left - right
         elif op == "mul":
-            result = _times(left, right, where)
+            if isinstance(left, EnvElement) and isinstance(right, EnvElement):
+                _count_pairs(left, right, where)
+            result = left * right
         elif isinstance(left, EnvElement) and isinstance(right, int) and right >= 0:
             result = EnvElement.one(left.structure)  # as EnvElement.__pow__ does
+            used = 0  # the factors share one budget
             for _ in range(right):
-                result = _times(result, left, where)
+                used = _count_pairs(result, left, where, used)
+                result = result * left
         else:
             result = left ** right
     except ParseError:
@@ -339,18 +344,19 @@ def eval_ast(node, env, *, constant):
 # -- structure files ---------------------------------------------------------------
 
 
-@dataclass
 class LieBlock:
-    basis: list
-    brackets: list = field(default_factory=list)  # (name_a, name_b, ast, line)
-    anchors: list = field(default_factory=list)  # (basis_name, gen_name, ast, line)
+    def __init__(self, basis: list):
+        self.basis = basis
+        self.brackets = []  # (name_a, name_b, ast, line)
+        self.anchors = []  # (basis_name, gen_name, ast, line)
 
 
-@dataclass
 class StructureFile:
-    algebra: CommutativeAlgebra
-    main: LieBlock
-    dual: LieBlock | None = None
+    def __init__(self, algebra: CommutativeAlgebra, main: LieBlock,
+                 dual: LieBlock | None = None):
+        self.algebra = algebra
+        self.main = main
+        self.dual = dual
 
     def build(self, validate: bool = False):
         """Construct the structure (and the dual one when declared).

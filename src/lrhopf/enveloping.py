@@ -12,6 +12,13 @@ Multiplication rewrites using two rules until normal:
 Both rules strictly decrease (word length, inversion count), so rewriting
 terminates; the verification battery checks local confluence on all
 minimal ambiguities, which is what makes the monomial basis free.
+
+Products sum their coefficients raw: a partial result is a dict from
+words to `exponent tuple -> Fraction` dicts, filled by `_add_into` and
+`_mul_into` (a constant factor only scales the other one, exponents
+otherwise add elementwise), and it becomes word -> LaurentPoly once per
+result, through `_wrap`, which drops what cancelled.  No LaurentPoly is
+built for a partial term.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from . import sampling
 from .algebra import LaurentPoly, _nonzero, coeff_str, counit_morphism
@@ -38,6 +46,35 @@ def _add_term(acc: dict, word, coeff):
             del acc[word]
         else:
             acc[word] = s
+
+
+def _add_into(out: dict, terms: dict, c=1) -> None:
+    """out += c * terms, for exponent -> Fraction dicts."""
+    if c == 1:
+        for e, x in terms.items():
+            out[e] = out[e] + x if e in out else x
+    else:
+        for e, x in terms.items():
+            x = x * c
+            out[e] = out[e] + x if e in out else x
+
+
+def _mul_into(out: dict, p: dict, q: dict) -> None:
+    """out += p * q, for exponent -> Fraction dicts: a constant factor only
+    scales the other one (q is tried first: the callers pass rewriting
+    results there, mostly the constant 1); otherwise exponents add
+    elementwise."""
+    for const, other in ((q, p), (p, q)):
+        if len(const) == 1:
+            (e, c), = const.items()
+            if not any(e):
+                _add_into(out, other, c)
+                return
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            x = c1 * c2
+            out[e] = out[e] + x if e in out else x
 
 
 def signed_sum(pieces) -> str:
@@ -62,7 +99,9 @@ class Combination:
     coefficients, sums repeated keys and drops zeros.  Arithmetic builds
     its results with `_trusted`, which stores a dict that already
     satisfies the invariant without looking at it again; `terms` is never
-    mutated once wrapped.
+    mutated once wrapped.  A product that sums many partial terms keeps
+    them raw (see the module docstring) and wraps the sum once, with
+    `_wrap` and then `_trusted`.
 
     A subclass may add one slot, named by `_shape` and fixed at
     construction.  Operands must agree on it (tensors with different
@@ -240,9 +279,7 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
                 acc[u + (last,)] = dict(p.terms)
             for g, c in derived[(k, f)].items():
                 for u, p in lookup(head, g).items():
-                    out = acc.setdefault(u, {})
-                    for h, q in p.terms.items():
-                        out[h] = out[h] + c * q if h in out else c * q
+                    _add_into(acc.setdefault(u, {}), p.terms, c)
             memo[(word[:k], f)] = _pooled(S, _wrap(A, acc))
     return memo[(word, e)]
 
@@ -289,36 +326,65 @@ def _word_times_poly(S: LieRinehartAlgebra, word, b: LaurentPoly) -> dict:
     acc: dict = {}
     for e, c in b.terms.items():
         if not any(e):
-            out = acc.setdefault(word, {})
-            out[e] = out[e] + c if e in out else c
+            _add_into(acc.setdefault(word, {}), {e: c})
             continue
         for u, p in _word_times_monomial(S, word, e).items():
-            out = acc.setdefault(u, {})
-            for h, q in p.terms.items():
-                out[h] = out[h] + c * q if h in out else c * q
+            _add_into(acc.setdefault(u, {}), p.terms, c)
     return _wrap(S.algebra, acc)
 
 
-def _word_poly_word(S: LieRinehartAlgebra, w, b: LaurentPoly, v) -> dict:
-    """Normal form of (w * b * v) for normal words w, v.  Once a word's
-    last letter is not above the next letter of v, the rest of v is
-    appended without rewriting."""
-    cur = _word_times_poly(S, w, b)
+def _word_poly_word(S: LieRinehartAlgebra, w, e, v) -> dict:
+    """Normal form of (w * y^e * v) for normal words w, v and an exponent
+    tuple e, as raw sums: word -> {exponents: Fraction}, some of which may
+    have cancelled to zero.  The sums may be shared with the memos: never
+    mutate them.  Once a word's last letter is not above the next letter
+    of v, the rest of v is appended without rewriting."""
+    if w and any(e):
+        cur = {u: p.terms for u, p in _word_times_monomial(S, w, e).items()}
+    else:
+        cur = {w: {e: Fraction(1)}}
     if not v:
         return cur
     done: dict = {}
+
+    def put(u, p):
+        # p may be shared: a word reached twice gets a fresh sum
+        if u in done:
+            p = dict(p)
+            _add_into(p, done[u])
+        done[u] = p
+
     for t, letter in enumerate(v):
         nxt: dict = {}
         for u, p in cur.items():
             if not u or u[-1] <= letter:
-                _add_term(done, u + v[t:], p)
+                put(u + v[t:], p)
                 continue
             for u2, q in _word_times_gen(S, u, letter).items():
-                _add_term(nxt, u2, p * q)
+                _mul_into(nxt.setdefault(u2, {}), p, q.terms)
         cur = nxt
     for u, p in cur.items():
-        _add_term(done, u, p)
+        put(u, p)
     return done
+
+
+def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict) -> None:
+    """out += the product of two sums of terms (word -> LaurentPoly), as
+    raw sums: (a w)(c y^e v) = c a (w y^e v) for each monomial c y^e of
+    the right coefficient; coefficients stay on the left."""
+    for w, a in left.items():
+        a = a.terms
+        for v, b in right.items():
+            for e, c in b.terms.items():
+                ca = a if c == 1 else {f: c * x for f, x in a.items()}
+                for u, p in _word_poly_word(S, w, e, v).items():
+                    _mul_into(out.setdefault(u, {}), ca, p)
+
+
+def _is_one(u: "EnvElement") -> bool:
+    """True when u is the constant 1."""
+    c = u.terms.get(()) if len(u.terms) == 1 else None
+    return c is not None and len(c.terms) == 1 and c.terms.get((0,) * c.algebra.ngens) == 1
 
 
 def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
@@ -342,17 +408,17 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
         k -= 1
     for n in range(k + 1, len(word) + 1):
         head, j = word[:n - 1], word[n - 1]
-        acc: dict = {}
+        acc: dict = {}  # word -> {exponents: Fraction}
         for u, p in _word_times_gen(S, head, i).items():
             for v, q in _word_times_gen(S, u, j).items():
-                _add_term(acc, v, p * q)
+                _mul_into(acc.setdefault(v, {}), p.terms, q.terms)
         for letter, c in enumerate(S.bracket_of_basis(j, i).coeffs):
             if c.is_zero():
                 continue
             for u, p in _word_times_poly(S, head, c).items():
                 for v, q in _word_times_gen(S, u, letter).items():
-                    _add_term(acc, v, p * q)
-        cache[(word[:n], i)] = _pooled(S, acc)
+                    _mul_into(acc.setdefault(v, {}), p.terms, q.terms)
+        cache[(word[:n], i)] = _pooled(S, _wrap(S.algebra, acc))
     return cache[(word, i)]
 
 
@@ -427,14 +493,15 @@ class EnvElement(Combination):
         if other is None:
             return NotImplemented
         self._check(other)
+        # a product by the constant 1 is the other factor itself
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         S = self.structure
         result: dict = {}
-        for w, a in self.terms.items():
-            for v, b in other.terms.items():
-                # (a w)(b v) = a (w b v), coefficients stay on the left
-                for u, p in _word_poly_word(S, w, b, v).items():
-                    _add_term(result, u, a * p)
-        return EnvElement._trusted(S, result)
+        _product_into(result, S, self.terms, other.terms)
+        return EnvElement._trusted(S, _wrap(S.algebra, result))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

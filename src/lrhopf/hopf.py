@@ -66,7 +66,6 @@ from fractions import Fraction
 from . import sampling
 from .algebra import (
     LaurentPoly,
-    _nonzero,
     antipode_morphism,
     comultiplication,
     counit_morphism,
@@ -76,8 +75,8 @@ from .algebra import (
     tensor_embed,
     check_hopf_axioms,
 )
-from .enveloping import (Combination, EnvElement, _add_term, _normal_word, _pooled,
-                         _word_poly_word, signed_sum)
+from .enveloping import (Combination, EnvElement, _add_term, _normal_word,
+                         _pooled, _product_into, _word_poly_word, _wrap, signed_sum)
 from .lie_rinehart import LieRinehartAlgebra, check_bi_lr
 from .report import Report
 
@@ -128,13 +127,11 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     first, middle, final = slices[0], list(enumerate(slices))[1:-1], slices[-1]
     # (w, e, v) -> normal form of w y^e v in S, per structure; shared dicts
     cache = S._tensor_cache.setdefault("legs", {})
-    one = Fraction(1)
 
     def leg(w, e, v):
         hit = cache.get((w, e, v))
         if hit is None:
-            y = LaurentPoly._trusted(A, {e: one})
-            hit = cache[(w, e, v)] = _word_poly_word(S, w, y, v)
+            hit = cache[(w, e, v)] = _wrap(A, _word_poly_word(S, w, e, v))
         return hit
 
     sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: Fraction}
@@ -180,13 +177,7 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
                         exps = tuple(map(operator.add, f, exps))
                         x = x0 * x
                         out[exps] = out[exps] + x if exps in out else x
-    Ak = A.tensor_power(k)
-    result = {}
-    for key, coeffs in sums.items():
-        coeffs = _nonzero(coeffs)
-        if coeffs:
-            result[key] = LaurentPoly._trusted(Ak, coeffs)
-    return result
+    return _wrap(A.tensor_power(k), sums)
 
 
 class TensorEnvElement(Combination):
@@ -308,11 +299,13 @@ class CoproductLikeMap:
             raise ValueError("argument in the wrong enveloping algebra")
         if not self.standard:
             return self.by_rewriting(u)
+        # a split's words concatenate to its word, so the splits of distinct
+        # words are distinct keys: nothing sums
         terms: dict = {}
         for w, a in u.terms.items():
             image = self.delta_A(a)
             for key, mult in self._word_splits(w):
-                _add_term(terms, key, image if mult == 1 else image * mult)
+                terms[key] = image if mult == 1 else image * mult
         return TensorEnvElement._trusted(self.S, terms, 2)
 
     def _word_splits(self, w):
@@ -435,12 +428,14 @@ def antipode(u: EnvElement) -> EnvElement:
     the module docstring)."""
     S = u.structure
     anti_A = antipode_morphism(S.algebra)
-    out: dict = {}
+    if len(u.terms) == 1:
+        # one product, which returns the memo entry itself when S_A(a) = 1
+        (w, a), = u.terms.items()
+        return _word_antipode(S, w) * EnvElement._trusted(S, {(): anti_A(a)})
+    sums: dict = {}  # word -> {exponents: Fraction}
     for w, a in u.terms.items():
-        image = _word_antipode(S, w) * EnvElement.from_poly(S, anti_A(a))
-        for v, c in image.terms.items():
-            _add_term(out, v, c)
-    return EnvElement._trusted(S, out)
+        _product_into(sums, S, _word_antipode(S, w).terms, {(): anti_A(a)})
+    return EnvElement._trusted(S, _wrap(S.algebra, sums))
 
 
 # -- collapsing maps used to state the axioms ---------------------------------

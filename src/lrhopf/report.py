@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass
-class CheckResult:
-    name: str
-    verdict: str  # "pass" | "fail" | "not-applicable"
-    witness: str | None = None
+class CheckResult(namedtuple("CheckResult", "name verdict witness", defaults=(None,))):
+    """One named check: its verdict, "pass", "fail" or "not-applicable",
+    and the witness of a failure."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "verdict": self.verdict}
@@ -18,12 +18,20 @@ class CheckResult:
         return d
 
 
-@dataclass
 class Report:
     """An ordered list of named checks with an overall verdict."""
 
-    command: str = ""
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, command: str = "", checks: list[CheckResult] | None = None):
+        self.command = command
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.command, self.checks) == (other.command, other.checks)
+
+    def __repr__(self):
+        return f"Report(command={self.command!r}, checks={self.checks!r})"
 
     def add(self, name: str, ok: bool, witness: str | None = None) -> None:
         self.checks.append(

@@ -9,6 +9,9 @@ e_j e_i -> e_i e_j + [e_j, e_i], also without a cache, so its depth is the
 length of the word.  `antipode`
 builds each reversed word by multiplying one generator at a time onto the
 left of the coefficient's antipode, then signs it by the word's length.
+`product` multiplies two elements with every partial coefficient a
+LaurentPoly, summed as it comes, the way the enveloping product did before
+it summed raw exponent -> Fraction dicts.
 """
 
 from lrhopf import EnvElement, antipode_morphism
@@ -54,6 +57,25 @@ def word_times_gen(S, word, i: int) -> dict:
             for v, q in word_times_gen(S, u, k).items():
                 _add(acc, v, p * q)
     return acc
+
+
+def product(x: EnvElement, y: EnvElement) -> EnvElement:
+    """x * y: (a w)(b v) = a (w b v), the coefficient b pushed left through
+    w, then the letters of v swapped in one at a time."""
+    S = x.structure
+    acc: dict = {}
+    for w, a in x.terms.items():
+        for v, b in y.terms.items():
+            cur = word_times_poly(S, w, b)
+            for letter in v:
+                nxt: dict = {}
+                for u, p in cur.items():
+                    for u2, q in word_times_gen(S, u, letter).items():
+                        _add(nxt, u2, p * q)
+                cur = nxt
+            for u, p in cur.items():
+                _add(acc, u, a * p)
+    return EnvElement(S, acc)
 
 
 def antipode(u: EnvElement) -> EnvElement:

@@ -145,6 +145,23 @@ def test_group_like_must_be_invertible():
         GeneratorDecl("t", hopf_kind="group_like")
 
 
+def test_generator_declarations_are_frozen_hashable_values():
+    g = GeneratorDecl("t", invertible=True, hopf_kind="group_like")
+    assert g == GeneratorDecl("t", True, "group_like")
+    assert hash(g) == hash(GeneratorDecl("t", True, "group_like"))
+    assert g != GeneratorDecl("t", invertible=True)
+    assert len({g, GeneratorDecl("t", True, "group_like"), GeneratorDecl("y")}) == 2
+    with pytest.raises(AttributeError):
+        g.name = "s"
+    with pytest.raises(AttributeError):
+        del g.invertible
+    assert (g.name, g.invertible, g.hopf_kind) == ("t", True, "group_like")
+    with pytest.raises(ValueError):
+        GeneratorDecl("y", hopf_kind="sideways")
+    with pytest.raises(ValueError):
+        GeneratorDecl("y", invertible=True, hopf_kind="primitive")
+
+
 def test_multiplication_morphism_collapses_tensor_square():
     A = poly_line()
     T2 = A.tensor_power(2)

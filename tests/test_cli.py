@@ -3,7 +3,9 @@ and byte-stable JSON output."""
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 
@@ -254,6 +256,20 @@ def test_power_of_a_sum_with_a_coefficient_hits_the_term_limit_quickly(capsys):
     assert match and int(match.group(1)) > MAX_TERMS
 
 
+def test_the_factors_of_a_power_share_the_term_limit(capsys):
+    # each factor of (x1+x2)^100 is below the limit on its own until the
+    # 72nd; their sum crosses it long before
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), "(x1+x2)^100")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    match = re.fullmatch(
+        rf"error: line 1:8: a product of (\d+) pairs of terms is above the "
+        rf"limit of {MAX_TERMS}\n", err
+    )
+    assert match and int(match.group(1)) > MAX_TERMS
+
+
 @pytest.mark.parametrize("expr, code, out, err", [
     ("(" * 1200 + "x1" + ")" * 1200, 2, "",
      f"error: line 1:{MAX_NESTING + 1}: parentheses nested deeper than the limit of "
@@ -310,3 +326,19 @@ def test_an_overlong_integer_literal_is_an_input_error_at_its_column(capsys, pre
 
 def test_an_expression_starting_with_a_minus_goes_after_a_double_dash(capsys):
     assert run(capsys, "nf", fixture_path("aff2.lra"), "--", "-x1") == (0, "-x1\n", "")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every command; compare with what a bare
+    # interpreter (site and all) has already loaded
+    import lrhopf
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lrhopf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys; before = set(sys.modules); import lrhopf.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "lrhopf.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)

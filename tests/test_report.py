@@ -1,6 +1,6 @@
 """The law contract of Report: first witness wins, cases are drawn lazily."""
 
-from lrhopf import Report
+from lrhopf import CheckResult, Report
 
 
 def counted(cases, drawn):
@@ -42,3 +42,17 @@ def test_empty_cases_pass():
     (check,) = report.checks
     assert (check.verdict, check.witness) == ("pass", None)
     assert report.ok
+
+
+def test_reports_and_checks_compare_by_value():
+    def report():
+        r = Report("check")
+        r.law("even", [2, 3], odd_witness)
+        r.add_na("vacuous")
+        return r
+
+    assert report() == report()
+    assert report().checks[0] == CheckResult("even", "fail", "3 is odd")
+    assert CheckResult("even", "pass") != CheckResult("even", "pass", "")
+    assert report() != Report("pbw", report().checks)
+    assert Report() == Report("", [])

@@ -92,6 +92,18 @@ def test_antipode_matches_the_letter_by_letter_oracle(name):
         assert antipode(u).terms == oracle.antipode(u).terms, f"{name}: antipode of {u}"
 
 
+def test_a_product_by_one_and_the_antipode_of_a_unit_word_copy_nothing():
+    S = _fresh("gl2.lra")
+    one = EnvElement.one(S)
+    u = random_env_element(make_rng(47), S, max_word=3, max_degree=2, terms=3)
+    assert u * one is u
+    assert one * u is u
+    # S(w) * S_A(1) is the memoized S(w) itself
+    w = EnvElement(S, {(0, 1, 3): S.algebra.one()})
+    assert antipode(w) is antipode(w)
+    assert antipode(w).terms == oracle.antipode(w).terms
+
+
 def test_words_longer_than_the_recursion_limit():
     # x(y) = 1 over Q[y]: the derived coefficient is a constant after one
     # step, so x^L y = y x^L + L x^(L-1)

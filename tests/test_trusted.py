@@ -32,10 +32,11 @@ from lrhopf.algebra import (  # noqa: E402
     spread_copies,
     tensor_embed,
 )
-from lrhopf.dsl import parse_structure_file  # noqa: E402
+from lrhopf.dsl import parse_env_element, parse_structure_file  # noqa: E402
 
 from conftest import FIXTURES, fixture_path  # noqa: E402
 from flat_oracle import from_flat, to_flat  # noqa: E402
+import rewriting_oracle  # noqa: E402
 
 NAMES = ("euler", "aff2", "torus")
 STRUCTURES = {
@@ -232,6 +233,32 @@ def test_env_products_match_the_validating_constructor(name, data):
               u * v * u, (u + v) * (u - v)):
         assert_valid_env(r)
     assert (u * EnvElement.zero(S)).terms == {}
+
+
+@pytest.mark.parametrize("name", FIXTURE_PAIRS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_env_products_match_the_letter_by_letter_oracle(name, data):
+    # raw coefficient sums, wrapped once, against LaurentPoly sums built as
+    # they come; Laurent exponents included (torus)
+    S = FIXTURE_PAIRS[name][0]
+    u, v, w = (data.draw(env_elements(S)) for _ in range(3))
+    for a, b in ((u, v), (v, u), (u, u), (u * v, w), (u + v, u - v)):
+        r = a * b
+        assert r.terms == rewriting_oracle.product(a, b).terms, f"{a} times {b}"
+        assert_valid_env(r)
+
+
+def test_cancelling_words_leave_no_zero_coefficient():
+    S = FIXTURE_PAIRS["abelian2"][0]
+    u, v = parse_env_element("x1+x2", S), parse_env_element("x1-x2", S)
+    # x1 x2 and x2 x1 cancel inside the product
+    r = u * v
+    assert r.terms == rewriting_oracle.product(u, v).terms
+    assert r.terms == parse_env_element("x1^2 - x2^2", S).terms
+    assert_valid_env(r)
+    assert (r - parse_env_element("x1*x1 - x2*x2", S)).terms == {}
+    assert parse_env_element("(x1+x2)*(x1-x2) - (x1*x1 - x2*x2)", S).terms == {}
 
 
 @pytest.mark.parametrize("name", NAMES)
