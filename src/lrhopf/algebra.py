@@ -2,8 +2,15 @@
 
 The base objects are finitely generated (Laurent) polynomial algebras:
 each generator may be marked invertible, in which case negative exponents
-are allowed in that slot.  Everything is computed with exact Fraction
-arithmetic; there is no floating point anywhere in this package.
+are allowed in that slot.  Everything is computed with exact rational
+arithmetic; there is no floating point anywhere in this package.  A stored
+coefficient is in canonical form: a nonzero `int` when it is integral,
+otherwise a `Fraction` with denominator > 1 (never a `bool` or a `float`).
+Most coefficients are integral, and `int` arithmetic is far cheaper than
+`Fraction` arithmetic.  Values are canonicalised where they enter
+(`_canon`) and results of arithmetic once, where they are wrapped
+(`_nonzero`); public scalar returns (`as_constant`,
+`constant_coefficient`) are `Fraction`s.
 
 Generators can additionally carry a Hopf marker ("primitive" or
 "group_like") from which comultiplication, counit and antipode morphisms
@@ -73,7 +80,7 @@ class CommutativeAlgebra:
         return self.const(1)
 
     def const(self, q) -> "LaurentPoly":
-        q = Fraction(q)
+        q = _canon(q)
         if q == 0:
             return self.zero()
         return LaurentPoly(self, {(0,) * self.ngens: q})
@@ -83,10 +90,10 @@ class CommutativeAlgebra:
         i = self.index[which] if isinstance(which, str) else which
         exps = [0] * self.ngens
         exps[i] = 1
-        return LaurentPoly(self, {tuple(exps): Fraction(1)})
+        return LaurentPoly(self, {tuple(exps): 1})
 
     def monomial(self, exps, coeff=1) -> "LaurentPoly":
-        coeff = Fraction(coeff)
+        coeff = _canon(coeff)
         if coeff == 0:
             return self.zero()
         return LaurentPoly(self, {tuple(exps): coeff})
@@ -139,18 +146,20 @@ class CommutativeAlgebra:
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial: map from exponent tuples to Fractions.
+    """A sparse Laurent polynomial: map from exponent tuples to rationals.
 
     Invariant of `terms`, kept by every constructor:
       * every exponent tuple has one entry per generator of the algebra;
       * only invertible generators carry negative exponents;
-      * every coefficient is a nonzero Fraction.
+      * every coefficient is nonzero and canonical: an `int` when it is
+        integral, otherwise a `Fraction` with denominator > 1.
 
     The constructor checks and normalises its input (coefficients are
-    converted, zeros dropped).  Arithmetic builds its results with
-    `_trusted`, which stores a dict that already satisfies the invariant
-    without looking at it again.  A LaurentPoly is never mutated in place,
-    so a product by the constant 1 may return the other factor itself.
+    canonicalised, a `float` is refused, zeros dropped).  Arithmetic
+    builds its results with `_trusted`, which stores a dict that already
+    satisfies the invariant without looking at it again.  A LaurentPoly is
+    never mutated in place, so a product by the constant 1 may return the
+    other factor itself.
     """
 
     __slots__ = ("algebra", "terms")
@@ -168,7 +177,7 @@ class LaurentPoly:
         clean = {}
         n = algebra.ngens
         for exps, c in terms.items():
-            c = Fraction(c)
+            c = _canon(c)
             if c == 0:
                 continue
             exps = tuple(exps)
@@ -200,10 +209,10 @@ class LaurentPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * self.algebra.ngens, Fraction(0))
+        return Fraction(self.terms.get((0,) * self.algebra.ngens, 0))
 
     def is_unit(self) -> bool:
         """True when the element is invertible in the algebra: a single
@@ -219,7 +228,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise ValueError(f"{self} is not a unit")
         exps, c = next(iter(self.terms.items()))
-        return LaurentPoly(self.algebra, {tuple(-e for e in exps): 1 / c})
+        return LaurentPoly(self.algebra, {tuple(-e for e in exps): Fraction(1, c)})
 
     def total_degree(self) -> int:
         """Max over terms of the sum of exponents; 0 for the zero element."""
@@ -266,7 +275,7 @@ class LaurentPoly:
             if other == 0:
                 return self.algebra.zero()
             return LaurentPoly._trusted(
-                self.algebra, {e: c * other for e, c in self.terms.items()}
+                self.algebra, _nonzero({e: c * other for e, c in self.terms.items()})
             )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -297,7 +306,8 @@ class LaurentPoly:
             return self.inverse() ** (-n)
         if len(self.terms) == 1:
             (exps, c), = self.terms.items()
-            return LaurentPoly._trusted(self.algebra, {tuple(e * n for e in exps): c**n})
+            return LaurentPoly._trusted(
+                self.algebra, _nonzero({tuple(e * n for e in exps): c**n}))
         result = self.algebra.one()
         for _ in range(n):
             result = result * self
@@ -349,9 +359,22 @@ class LaurentPoly:
         return f"<{self}>"
 
 
+def _canon(c):
+    """A rational value entering a LaurentPoly, in canonical form: an `int`
+    when integral (a `bool` becomes 0 or 1), otherwise a `Fraction`."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 def _nonzero(terms: dict) -> dict:
-    """Drop the entries of a freshly summed term dict that cancelled."""
-    return {k: c for k, c in terms.items() if c}
+    """Drop the entries of a freshly summed term dict that cancelled and
+    turn each integral Fraction into its int: sums and products of
+    canonical coefficients are ints or Fractions, so this restores the
+    canonical form."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c}
 
 
 def coeff_str(p: LaurentPoly) -> str:

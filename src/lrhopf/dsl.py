@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import CommutativeAlgebra, Derivation, GeneratorDecl, LaurentPoly
+from .algebra import CommutativeAlgebra, Derivation, GeneratorDecl, LaurentPoly, _canon
 from .enveloping import EnvElement
 from .lie_rinehart import LieRinehartAlgebra
 
@@ -181,7 +181,7 @@ def _parse_term(ts: _Stream):
             d = _int_value(t)
             if d == 0:
                 raise ParseError(f"line {t.line}:{t.col}: division by zero")
-            node = ("scale", node, Fraction(1, d))
+            node = ("scale", node, _canon(Fraction(1, d)))
         else:
             return node
 
@@ -209,7 +209,7 @@ def _parse_atom(ts: _Stream):
     t = ts.peek()
     if t.kind == "int":
         ts.next()
-        return ("num", Fraction(_int_value(t)))
+        return ("num", _int_value(t))
     if t.kind == "ident":
         ts.next()
         return ("name", t.text, t.line, t.col)
@@ -309,10 +309,11 @@ def _combine(op, left, right, where=None):
 def eval_ast(node, env, *, constant):
     """Evaluate a syntax tree over any arena.
 
-    `env` maps names to values; `constant` embeds a Fraction.  Values must
-    support +, -, *, and ** with integer exponents.  A left-nested chain of
-    binary operators is walked down to its first operand and folded back
-    up, so only nesting that the parser bounds recurses.
+    `env` maps names to values; `constant` embeds a number literal, an
+    int.  Values must support +, -, *, and ** with integer exponents.  A
+    left-nested chain of binary operators is walked down to its first
+    operand and folded back up, so only nesting that the parser bounds
+    recurses.
     """
     chain = []
     while node[0] in ("add", "sub", "mul", "scale"):

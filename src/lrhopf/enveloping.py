@@ -14,11 +14,13 @@ terminates; the verification battery checks local confluence on all
 minimal ambiguities, which is what makes the monomial basis free.
 
 Products sum their coefficients raw: a partial result is a dict from
-words to `exponent tuple -> Fraction` dicts, filled by `_add_into` and
+words to `exponent tuple -> rational` dicts, filled by `_add_into` and
 `_mul_into` (a constant factor only scales the other one, exponents
 otherwise add elementwise), and it becomes word -> LaurentPoly once per
-result, through `_wrap`, which drops what cancelled.  No LaurentPoly is
-built for a partial term.
+result, through `_wrap`, which drops what cancelled and puts each
+coefficient back in canonical form (an `int` when integral, see
+`algebra`).  No LaurentPoly is built for a partial term, and a raw sum
+may hold an integral `Fraction` until it is wrapped.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _add_term(acc: dict, word, coeff):
 
 
 def _add_into(out: dict, terms: dict, c=1) -> None:
-    """out += c * terms, for exponent -> Fraction dicts."""
+    """out += c * terms, for exponent -> rational dicts."""
     if c == 1:
         for e, x in terms.items():
             out[e] = out[e] + x if e in out else x
@@ -60,7 +62,7 @@ def _add_into(out: dict, terms: dict, c=1) -> None:
 
 
 def _mul_into(out: dict, p: dict, q: dict) -> None:
-    """out += p * q, for exponent -> Fraction dicts: a constant factor only
+    """out += p * q, for exponent -> rational dicts: a constant factor only
     scales the other one (q is tried first: the callers pass rewriting
     results there, mostly the constant 1); otherwise exponents add
     elementwise."""
@@ -93,13 +95,15 @@ class Combination:
 
     Invariant of `terms`, kept by every constructor:
       * each key is one that the subclass's `_normal_key` returns;
-      * each value is a nonzero LaurentPoly over `algebra`.
+      * each value is a nonzero LaurentPoly over `algebra`, whose own
+        coefficients are canonical (an `int` when integral, otherwise a
+        `Fraction`; see LaurentPoly).
 
     The constructor checks keys through `_normal_key`, converts scalar
-    coefficients, sums repeated keys and drops zeros.  Arithmetic builds
-    its results with `_trusted`, which stores a dict that already
-    satisfies the invariant without looking at it again; `terms` is never
-    mutated once wrapped.  A product that sums many partial terms keeps
+    coefficients (an `int` or a `Fraction`), sums repeated keys and drops
+    zeros.  Arithmetic builds its results with `_trusted`, which stores a
+    dict that already satisfies the invariant without looking at it again;
+    `terms` is never mutated once wrapped.  A product that sums many partial terms keeps
     them raw (see the module docstring) and wraps the sum once, with
     `_wrap` and then `_trusted`.
 
@@ -248,7 +252,7 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
     if hit is not None:
         return hit
     A = S.algebra
-    one, unit = Fraction(1), A.one()
+    unit = A.one()
     derived = {}  # (k, f) -> terms of l(y^f), l the k-th letter
     levels = []  # (k, the monomials f whose entry (word[:k], f) is missing)
     k, need = len(word), {e}
@@ -257,7 +261,7 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
         below = set()
         for f in need:
             d = derived[(k, f)] = S.anchor[word[k - 1]](
-                LaurentPoly._trusted(A, {f: one})).terms
+                LaurentPoly._trusted(A, {f: 1})).terms
             below.add(f)
             below.update(d)
         k -= 1
@@ -268,13 +272,13 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
         if not any(f):
             return {head: unit}
         if not head:
-            return {(): LaurentPoly._trusted(A, {f: one})}
+            return {(): LaurentPoly._trusted(A, {f: 1})}
         return memo[(head, f)]
 
     for k, need in reversed(levels):
         head, last = word[:k - 1], word[k - 1]
         for f in need:
-            acc: dict = {}  # word -> {exponents: Fraction}
+            acc: dict = {}  # word -> {exponents: rational}
             for u, p in lookup(head, f).items():
                 acc[u + (last,)] = dict(p.terms)
             for g, c in derived[(k, f)].items():
@@ -285,8 +289,9 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
 
 
 def _wrap(A, acc: dict) -> dict:
-    """Turn word -> {exponents: Fraction} sums into word -> LaurentPoly,
-    dropping cancelled coefficients and words."""
+    """Turn word -> {exponents: rational} sums into word -> LaurentPoly,
+    dropping cancelled coefficients and words and turning integral
+    Fractions into ints."""
     out = {}
     for u, terms in acc.items():
         terms = _nonzero(terms)
@@ -335,14 +340,14 @@ def _word_times_poly(S: LieRinehartAlgebra, word, b: LaurentPoly) -> dict:
 
 def _word_poly_word(S: LieRinehartAlgebra, w, e, v) -> dict:
     """Normal form of (w * y^e * v) for normal words w, v and an exponent
-    tuple e, as raw sums: word -> {exponents: Fraction}, some of which may
+    tuple e, as raw sums: word -> {exponents: rational}, some of which may
     have cancelled to zero.  The sums may be shared with the memos: never
     mutate them.  Once a word's last letter is not above the next letter
     of v, the rest of v is appended without rewriting."""
     if w and any(e):
         cur = {u: p.terms for u, p in _word_times_monomial(S, w, e).items()}
     else:
-        cur = {w: {e: Fraction(1)}}
+        cur = {w: {e: 1}}
     if not v:
         return cur
     done: dict = {}
@@ -408,7 +413,7 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
         k -= 1
     for n in range(k + 1, len(word) + 1):
         head, j = word[:n - 1], word[n - 1]
-        acc: dict = {}  # word -> {exponents: Fraction}
+        acc: dict = {}  # word -> {exponents: rational}
         for u, p in _word_times_gen(S, head, i).items():
             for v, q in _word_times_gen(S, u, j).items():
                 _mul_into(acc.setdefault(v, {}), p.terms, q.terms)

@@ -116,8 +116,8 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     """The terms of t * s, one leg at a time (see the module docstring).
     Per monomial of the right coefficient, the products of all legs but the
     last are collected per word tuple first; the last leg is accumulated in
-    place.  Coefficients are summed as raw exponent -> Fraction dicts and
-    wrapped once at the end."""
+    place.  Coefficients are summed as raw exponent -> rational dicts and
+    wrapped once at the end, which puts them back in canonical form."""
     S = t.structure
     A = S.algebra
     k = t.legs
@@ -134,7 +134,7 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
             hit = cache[(w, e, v)] = _wrap(A, _word_poly_word(S, w, e, v))
         return hit
 
-    sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: Fraction}
+    sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: rational}
     for ws, c in t.terms.items():
         # a constant c folds into the scalars; otherwise the legs of one
         # pair of terms are summed first and multiplied by c after
@@ -432,7 +432,7 @@ def antipode(u: EnvElement) -> EnvElement:
         # one product, which returns the memo entry itself when S_A(a) = 1
         (w, a), = u.terms.items()
         return _word_antipode(S, w) * EnvElement._trusted(S, {(): anti_A(a)})
-    sums: dict = {}  # word -> {exponents: Fraction}
+    sums: dict = {}  # word -> {exponents: rational}
     for w, a in u.terms.items():
         _product_into(sums, S, _word_antipode(S, w).terms, {(): anti_A(a)})
     return EnvElement._trusted(S, _wrap(S.algebra, sums))

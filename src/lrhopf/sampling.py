@@ -9,20 +9,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import LaurentPoly, _nonzero
+from .algebra import LaurentPoly, _canon, _nonzero
 
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_fraction(rng: random.Random, span: int = 3) -> Fraction:
-    """A small nonzero rational; denominators stay in {1, 2, 3}."""
+def random_fraction(rng: random.Random, span: int = 3) -> int | Fraction:
+    """A small nonzero rational; denominators stay in {1, 2, 3}.  It is in
+    the canonical coefficient form: an int when integral, otherwise a
+    Fraction."""
     num = rng.randint(-span, span)
     if num == 0:
         num = 1
     den = rng.choice((1, 1, 1, 2, 3))
-    return Fraction(num, den)
+    return _canon(Fraction(num, den))
 
 
 def random_exponents(rng: random.Random, alg, max_degree: int):

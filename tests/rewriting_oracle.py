@@ -11,7 +11,7 @@ builds each reversed word by multiplying one generator at a time onto the
 left of the coefficient's antipode, then signs it by the word's length.
 `product` multiplies two elements with every partial coefficient a
 LaurentPoly, summed as it comes, the way the enveloping product did before
-it summed raw exponent -> Fraction dicts.
+it summed raw exponent -> rational dicts.
 """
 
 from lrhopf import EnvElement, antipode_morphism

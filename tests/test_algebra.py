@@ -15,7 +15,7 @@ from lrhopf import (
     counit_morphism,
     antipode_morphism,
 )
-from lrhopf.algebra import multiplication_morphism, on_leg
+from lrhopf.algebra import LaurentPoly, multiplication_morphism, on_leg
 from lrhopf.sampling import make_rng, random_poly
 
 
@@ -274,3 +274,44 @@ def test_on_leg_refuses_a_map_outside_its_range():
     A = poly_line()
     with pytest.raises(ValueError):
         on_leg(multiplication_morphism(A), 0)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    A = _line_and_circle()
+    y, t = A.gen(0), A.gen(1)
+    p = y * Fraction(1, 2) + A.const(Fraction(6, 3)) + A.monomial((0, 1), Fraction(4, 2))
+    assert {type(c) for c in p.terms.values()} == {Fraction, int}
+    assert [type(c) for c in (p * 2).terms.values()] == [int, int, int]
+    assert A.const(True).terms == {(0, 0): 1}
+    assert type(A.const(True).terms[(0, 0)]) is int
+
+
+def test_inverse_is_exact():
+    A = laurent_line()
+    t = A.gen(0)
+    assert (t * 2).inverse().terms == {(-1,): Fraction(1, 2)}
+    assert (t * Fraction(1, 2)).inverse().terms == {(-1,): 2}
+    assert type((t * Fraction(1, 2)).inverse().terms[(-1,)]) is int
+    assert type((t * -1).inverse().terms[(-1,)]) is int
+    assert (t * 3) ** -2 == A.monomial((-2,), Fraction(1, 9))
+
+
+def test_public_scalar_returns_stay_fractions():
+    A = _line_and_circle()
+    for p in (A.const(7), A.const(Fraction(1, 2)), A.zero(), A.gen(0) + 3):
+        assert type(p.constant_coefficient()) is Fraction
+    for p in (A.const(7), A.const(Fraction(1, 2)), A.zero()):
+        assert type(p.as_constant()) is Fraction
+    assert A.const(7).as_constant() == 7
+    assert (A.gen(0) + 3).constant_coefficient() == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda A: A.const(0.1),
+    lambda A: A.monomial((1, 0), 0.5),
+    lambda A: LaurentPoly(A, {(1, 0): 0.5}),
+    lambda A: A.const("1/2"),
+], ids=["const", "monomial", "LaurentPoly", "string"])
+def test_validating_constructors_refuse_floats(build):
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        build(_line_and_circle())

@@ -74,6 +74,15 @@ def test_counit_frozen_values(euler):
     assert counit(EnvElement.one(euler) * 7) == Fraction(7)
 
 
+def test_counit_returns_a_fraction_on_integral_values(euler, aff2):
+    for S in (euler, aff2):
+        for u in (EnvElement.one(S) * 7, EnvElement.zero(S), EnvElement.generator(S, 0),
+                  EnvElement.from_poly(S, S.algebra.const(Fraction(1, 2)))):
+            assert type(counit(u)) is Fraction
+            assert type(u.counit()) is Fraction
+    assert counit(EnvElement.one(euler) * 7) == 7
+
+
 def test_antipode_frozen_values(euler, aff2):
     A = euler.algebra
     y = A.gen(0)

@@ -1,8 +1,9 @@
 """Arithmetic builds LaurentPoly, EnvElement, TensorEnvElement and
 MultiVector results without re-validating them.  Every such result must be
 exactly what the validating public constructors make of the same terms: no
-zero or non-Fraction coefficient, no malformed exponent tuple, word or
-index tuple."""
+zero or non-canonical coefficient (an int when integral, otherwise a
+Fraction with denominator > 1), no malformed exponent tuple, word or index
+tuple."""
 
 import itertools
 import os
@@ -18,6 +19,7 @@ from lrhopf import (  # noqa: E402
     EnvElement,
     MultiVector,
     TensorEnvElement,
+    antipode,
     ce_differential,
     coproduct,
     dual_differential,
@@ -28,11 +30,14 @@ from lrhopf.algebra import (  # noqa: E402
     LaurentPoly,
     antipode_morphism,
     comultiplication,
+    counit_morphism,
     multiplication_morphism,
+    on_leg,
     spread_copies,
     tensor_embed,
 )
 from lrhopf.dsl import parse_env_element, parse_structure_file  # noqa: E402
+from lrhopf.hopf import counit_collapse  # noqa: E402
 
 from conftest import FIXTURES, fixture_path  # noqa: E402
 from flat_oracle import from_flat, to_flat  # noqa: E402
@@ -87,15 +92,14 @@ def env_elements(S, max_terms=3):
 
 def assert_valid_poly(p):
     """p is a result of arithmetic: equal, term for term, to what the
-    validating constructor makes of its terms, with only nonzero Fraction
+    validating constructor makes of its terms, with only nonzero canonical
     coefficients."""
     assert isinstance(p, LaurentPoly)
     rebuilt = LaurentPoly(p.algebra, p.terms)
     assert rebuilt == p
     assert rebuilt.terms == p.terms
     for c in p.terms.values():
-        assert type(c) is Fraction
-        assert c != 0
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
 
 
 def assert_valid_env(u):
@@ -313,3 +317,40 @@ def test_public_constructors_still_reject_bad_terms():
         TensorEnvElement(S, {((), ()): A.one()})
     with pytest.raises(ValueError):
         TensorEnvElement(S, {((), (), ()): 1})
+
+
+def units(alg):
+    """A nonzero rational times a monomial on the invertible slots."""
+    exps = st.tuples(*(st.integers(-2, 2) if g.invertible else st.just(0)
+                       for g in alg.gens))
+    nonzero = fractions.filter(bool)
+    return st.builds(alg.monomial, exps, nonzero)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_no_result_stores_a_float_a_bool_or_an_integral_fraction(name, data):
+    # the assert_valid_* checks require every coefficient in canonical form,
+    # which no float, bool or integral Fraction has; integral Fractions go
+    # in through the constructors (fractions with denominator 1) and come
+    # out of sums and products such as 1/2 * 2
+    S = STRUCTURES[name]
+    A, A2 = S.algebra, S.algebra.tensor_power(2)
+    p, q = data.draw(polys(A)), data.draw(polys(A))
+    pp = data.draw(polys(A2))
+    unit = data.draw(units(A))
+    k = data.draw(st.integers(-3, 3))
+    c = data.draw(st.one_of(st.integers(-4, 4), fractions, st.booleans()))
+    results = [p + q, p - q, -p, p * q, p * c, c * p, p + c, c - p, p ** 2, p ** 0,
+               unit ** k, unit.inverse(), unit * unit.inverse()]
+    for f in (comultiplication(A), counit_morphism(A), antipode_morphism(A)):
+        results += [f(p), on_leg(f, 0)(pp), on_leg(f, 1)(pp)]
+    u, v = data.draw(env_elements(S)), data.draw(env_elements(S))
+    du = coproduct(u)
+    results += [u * v, u * c, u - v, du, du * coproduct(v), du * c, antipode(u),
+                antipode(u * v), counit_collapse(du, 0), counit_collapse(du, 1)]
+    valid = {LaurentPoly: assert_valid_poly, EnvElement: assert_valid_env,
+             TensorEnvElement: assert_valid_tensor}
+    for r in results:
+        valid[type(r)](r)
