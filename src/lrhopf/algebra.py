@@ -12,6 +12,15 @@ Most coefficients are integral, and `int` arithmetic is far cheaper than
 (`_nonzero`); public scalar returns (`as_constant`,
 `constant_coefficient`) are `Fraction`s.
 
+This module owns the raw-sum kernel that every layer sums coefficients
+with: `_add_into` and `_mul_into` accumulate `exponent tuple -> rational`
+dicts in place (a constant factor only scales the other one, exponents
+otherwise add elementwise), and `_nonzero` turns a finished sum back into
+a valid term dict, once per result.  Polynomial `+` and `*`, morphism
+and derivation application, the enveloping product and rewriting, and
+the legwise tensor product all sum this way; a raw sum may hold an
+integral `Fraction` until it is wrapped.
+
 Generators can additionally carry a Hopf marker ("primitive" or
 "group_like") from which comultiplication, counit and antipode morphisms
 are built.  An algebra owns its tensor powers and these maps: each is
@@ -26,6 +35,7 @@ import functools
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from operator import add
 
 from .report import Report
 
@@ -230,12 +240,6 @@ class LaurentPoly:
         exps, c = next(iter(self.terms.items()))
         return LaurentPoly(self.algebra, {tuple(-e for e in exps): Fraction(1, c)})
 
-    def total_degree(self) -> int:
-        """Max over terms of the sum of exponents; 0 for the zero element."""
-        if not self.terms:
-            return 0
-        return max(sum(exps) for exps in self.terms)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "LaurentPoly"):
@@ -249,8 +253,7 @@ class LaurentPoly:
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms[exps] + c if exps in terms else c
+        _add_into(terms, other.terms)
         return LaurentPoly._trusted(self.algebra, _nonzero(terms))
 
     __radd__ = __add__
@@ -280,18 +283,14 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_compatible(other)
-        for const, p in ((other, self), (self, other)):
-            if len(const.terms) == 1:
-                (e, c), = const.terms.items()
-                if not any(e):
-                    # a constant factor scales the other one; 1 returns it
-                    return p if c == 1 else p * c
+        for one, p in ((other, self), (self, other)):
+            if len(one.terms) == 1:
+                (e, c), = one.terms.items()
+                if c == 1 and not any(e):
+                    # a product by the constant 1 is the other factor itself
+                    return p
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                x = c1 * c2
-                terms[key] = terms[key] + x if key in terms else x
+        _mul_into(terms, self.terms, other.terms)
         return LaurentPoly._trusted(self.algebra, _nonzero(terms))
 
     def __rmul__(self, other):
@@ -377,6 +376,35 @@ def _nonzero(terms: dict) -> dict:
     return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c}
 
 
+def _add_into(out: dict, terms: dict, c=1) -> None:
+    """out += c * terms, for exponent -> rational dicts."""
+    if c == 1:
+        for e, x in terms.items():
+            out[e] = out[e] + x if e in out else x
+    else:
+        for e, x in terms.items():
+            x = x * c
+            out[e] = out[e] + x if e in out else x
+
+
+def _mul_into(out: dict, p: dict, q: dict) -> None:
+    """out += p * q, for exponent -> rational dicts: a constant factor only
+    scales the other one (q is tried first: the enveloping product passes
+    rewriting results there, mostly the constant 1); otherwise exponents
+    add elementwise."""
+    for const, other in ((q, p), (p, q)):
+        if len(const) == 1:
+            (e, c), = const.items()
+            if not any(e):
+                _add_into(out, other, c)
+                return
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            x = c1 * c2
+            out[e] = out[e] + x if e in out else x
+
+
 def coeff_str(p: LaurentPoly) -> str:
     """Render a coefficient for use in front of a noncommutative word,
     parenthesised when it has more than one term."""
@@ -409,6 +437,8 @@ def spread_copies(p: LaurentPoly, base: CommutativeAlgebra, copies, target: Comm
     if p.algebra.ngens != n * len(copies):
         raise ValueError("copy list does not match the source algebra")
     tn = target.ngens // n if n else 0
+    if n and not all(0 <= dest < tn for dest in copies):
+        raise ValueError(f"copies {copies} do not all lie in the {tn} copies of {target!r}")
     terms: dict = {}
     for exps, c in p.terms.items():
         blocks = split_exponents(exps, n) if n else ()
@@ -425,18 +455,15 @@ def spread_copies(p: LaurentPoly, base: CommutativeAlgebra, copies, target: Comm
 def _copies_fit(source: CommutativeAlgebra, n: int, copies, target: CommutativeAlgebra) -> bool:
     """True when target is made of whole copies of n slots and every
     invertible source slot lands on an invertible target slot, so that
-    spread_copies keeps the LaurentPoly invariant."""
+    spread_copies (which has checked that every copy is in range) keeps the
+    LaurentPoly invariant."""
     if n == 0:
         return target.ngens == 0
     if target.ngens % n:
         return False
     return all(
-        (dest + 1) * n <= target.ngens
-        and all(
-            target.gens[dest * n + i].invertible or not source.gens[c * n + i].invertible
-            for i in range(n)
-        )
-        for c, dest in enumerate(copies)
+        target.gens[dest * n + i].invertible or not source.gens[c * n + i].invertible
+        for c, dest in enumerate(copies) for i in range(n)
     )
 
 
@@ -488,9 +515,7 @@ class AlgebraMorphism:
             raise ValueError("argument lives in the wrong algebra")
         terms: dict = {}
         for exps, c in p.terms.items():
-            for e, q in self._monomial_image(exps).terms.items():
-                x = c * q
-                terms[e] = terms[e] + x if e in terms else x
+            _add_into(terms, self._monomial_image(exps).terms, c)
         return LaurentPoly._trusted(self.target, _nonzero(terms))
 
     def then(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
@@ -679,16 +704,16 @@ class Derivation:
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
         if p.algebra != self.algebra:
             raise ValueError("argument lives in the wrong algebra")
-        result = self.algebra.zero()
+        terms: dict = {}
         for exps, c in p.terms.items():
             for i, e in enumerate(exps):
-                if e == 0 or self.values[i].is_zero():
+                if e == 0 or not self.values[i].terms:
                     continue
                 # d(g^e) = e g^(e-1) dg, valid for negative e on Laurent slots
                 lowered = list(exps)
                 lowered[i] -= 1
-                result = result + self.algebra.monomial(lowered, c * e) * self.values[i]
-        return result
+                _mul_into(terms, {tuple(lowered): c * e}, self.values[i].terms)
+        return LaurentPoly._trusted(self.algebra, _nonzero(terms))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -726,14 +751,10 @@ class Derivation:
         """Extend to a tensor power of the algebra, acting on one copy only."""
         n = self.algebra.ngens
         k = power_alg.ngens // n if n else 1
-        values = []
-        for c in range(k):
-            for i in range(n):
-                if c == copy:
-                    values.append(tensor_embed(self.values[i], copy, power_alg))
-                else:
-                    values.append(power_alg.zero())
-        return Derivation(power_alg, values)
+        # tensor_embed refuses a copy outside the tensor power
+        lifted = [tensor_embed(v, copy, power_alg) for v in self.values]
+        zeros = [power_alg.zero()] * n
+        return Derivation(power_alg, zeros * copy + lifted + zeros * (k - 1 - copy))
 
     def __eq__(self, other):
         return (

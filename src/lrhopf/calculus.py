@@ -95,14 +95,6 @@ class MultiVector(Combination):
             {(i,): c for i, c in enumerate(x.coeffs) if not c.is_zero()},
         )
 
-    def to_lr(self) -> LRElement:
-        if self.grade != 1:
-            raise ValueError("only grade-1 elements are module elements")
-        coeffs = [self.structure.algebra.zero()] * self.structure.rank
-        for (i,), c in self.terms.items():
-            coeffs[i] = c
-        return LRElement(self.structure, coeffs)
-
     def wedge(self, other: "MultiVector") -> "MultiVector":
         if self.structure != other.structure:
             raise ValueError("multivectors over different structures")

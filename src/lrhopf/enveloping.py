@@ -13,14 +13,12 @@ Both rules strictly decrease (word length, inversion count), so rewriting
 terminates; the verification battery checks local confluence on all
 minimal ambiguities, which is what makes the monomial basis free.
 
-Products sum their coefficients raw: a partial result is a dict from
-words to `exponent tuple -> rational` dicts, filled by `_add_into` and
-`_mul_into` (a constant factor only scales the other one, exponents
-otherwise add elementwise), and it becomes word -> LaurentPoly once per
-result, through `_wrap`, which drops what cancelled and puts each
-coefficient back in canonical form (an `int` when integral, see
-`algebra`).  No LaurentPoly is built for a partial term, and a raw sum
-may hold an integral `Fraction` until it is wrapped.
+Products sum their coefficients raw, with the kernel of `algebra`
+(`_add_into`, `_mul_into`): a partial result is a dict from words to
+`exponent tuple -> rational` dicts, and it becomes word -> LaurentPoly
+once per result, through `_wrap`, which drops what cancelled and puts
+each coefficient back in canonical form (an `int` when integral).  No
+LaurentPoly is built for a partial term.
 """
 
 from __future__ import annotations
@@ -28,10 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 
 from . import sampling
-from .algebra import LaurentPoly, _nonzero, coeff_str, counit_morphism
+from .algebra import (LaurentPoly, _add_into, _mul_into, _nonzero, coeff_str,
+                      counit_morphism)
 from .lie_rinehart import LieRinehartAlgebra, LRElement
 from .report import Report
 
@@ -48,35 +46,6 @@ def _add_term(acc: dict, word, coeff):
             del acc[word]
         else:
             acc[word] = s
-
-
-def _add_into(out: dict, terms: dict, c=1) -> None:
-    """out += c * terms, for exponent -> rational dicts."""
-    if c == 1:
-        for e, x in terms.items():
-            out[e] = out[e] + x if e in out else x
-    else:
-        for e, x in terms.items():
-            x = x * c
-            out[e] = out[e] + x if e in out else x
-
-
-def _mul_into(out: dict, p: dict, q: dict) -> None:
-    """out += p * q, for exponent -> rational dicts: a constant factor only
-    scales the other one (q is tried first: the callers pass rewriting
-    results there, mostly the constant 1); otherwise exponents add
-    elementwise."""
-    for const, other in ((q, p), (p, q)):
-        if len(const) == 1:
-            (e, c), = const.items()
-            if not any(e):
-                _add_into(out, other, c)
-                return
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            x = c1 * c2
-            out[e] = out[e] + x if e in out else x
 
 
 def signed_sum(pieces) -> str:
@@ -309,35 +278,6 @@ def _pooled(S: LieRinehartAlgebra, terms: dict) -> dict:
     return {u: pool.setdefault(frozenset(p.terms.items()), p) for u, p in terms.items()}
 
 
-def _word_times_poly(S: LieRinehartAlgebra, word, b: LaurentPoly) -> dict:
-    """Normal form of (word * b): push the coefficient to the left, one
-    monomial of b at a time through `_word_times_monomial`.  The result
-    may be shared with the memo: never mutate it.
-
-    Every output word is a subword of the input, so ordering is preserved.
-    Anchors are derivations and kill constants, so a constant passes
-    through unchanged.
-    """
-    if not b.terms:
-        return {}
-    if not word:
-        return {word: b}
-    if len(b.terms) == 1:
-        (e, c), = b.terms.items()
-        if not any(e):
-            return {word: b}
-        hit = _word_times_monomial(S, word, e)
-        return hit if c == 1 else {u: p * c for u, p in hit.items()}
-    acc: dict = {}
-    for e, c in b.terms.items():
-        if not any(e):
-            _add_into(acc.setdefault(word, {}), {e: c})
-            continue
-        for u, p in _word_times_monomial(S, word, e).items():
-            _add_into(acc.setdefault(u, {}), p.terms, c)
-    return _wrap(S.algebra, acc)
-
-
 def _word_poly_word(S: LieRinehartAlgebra, w, e, v) -> dict:
     """Normal form of (w * y^e * v) for normal words w, v and an exponent
     tuple e, as raw sums: word -> {exponents: rational}, some of which may
@@ -401,7 +341,11 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
 
     A miss first finds the shortest prefix of the word whose entry is
     missing, then fills the entries from that prefix up to the word, so
-    each swap finds (head, i) in the cache: no recursion along the word."""
+    each swap finds (head, i) in the cache: no recursion along the word.
+    The bracket term is summed one monomial c y^e of each bracket
+    coefficient at a time, as c (head y^e e_letter) from `_word_poly_word`,
+    the path the product takes; coefficients are summed with the raw-sum
+    kernel of `algebra`."""
     if not word or word[-1] <= i:
         return {word + (i,): S.algebra.one()}
     cache = S._nf_cache
@@ -417,12 +361,10 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
         for u, p in _word_times_gen(S, head, i).items():
             for v, q in _word_times_gen(S, u, j).items():
                 _mul_into(acc.setdefault(v, {}), p.terms, q.terms)
-        for letter, c in enumerate(S.bracket_of_basis(j, i).coeffs):
-            if c.is_zero():
-                continue
-            for u, p in _word_times_poly(S, head, c).items():
-                for v, q in _word_times_gen(S, u, letter).items():
-                    _mul_into(acc.setdefault(v, {}), p.terms, q.terms)
+        for letter, b in enumerate(S.bracket_of_basis(j, i).coeffs):
+            for e, c in b.terms.items():
+                for v, p in _word_poly_word(S, head, e, (letter,)).items():
+                    _add_into(acc.setdefault(v, {}), p, c)
         cache[(word[:n], i)] = _pooled(S, _wrap(S.algebra, acc))
     return cache[(word, i)]
 

@@ -59,13 +59,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 
 from . import sampling
 from .algebra import (
     LaurentPoly,
+    _mul_into,
     antipode_morphism,
     comultiplication,
     counit_morphism,
@@ -171,12 +171,7 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
             if scalar is not None:
                 continue
             for key, coeffs in acc.items():
-                out = sums.setdefault(key, {})
-                for f, x0 in c.terms.items():
-                    for exps, x in coeffs.items():
-                        exps = tuple(map(operator.add, f, exps))
-                        x = x0 * x
-                        out[exps] = out[exps] + x if exps in out else x
+                _mul_into(sums.setdefault(key, {}), c.terms, coeffs)
     return _wrap(A.tensor_power(k), sums)
 
 

@@ -87,6 +87,33 @@ def test_tensor_power_names_and_embedding():
     assert left * right == right * left
 
 
+@pytest.mark.parametrize("copy", [-1, 2, 3, 5])
+def test_copies_outside_the_tensor_power_are_refused(copy):
+    # before any term is built: -1 used to wrap round to the last copy, 2
+    # and 3 to fail on a list index, and a lift to copy 5 to act as zero
+    from lrhopf.algebra import spread_copies, tensor_embed
+    A = poly_line()
+    T2 = A.tensor_power(2)
+    y = A.gen(0)
+    with pytest.raises(ValueError, match="copies"):
+        tensor_embed(y, copy, T2)
+    with pytest.raises(ValueError, match="copies"):
+        spread_copies(tensor_embed(y, 0, T2), A, (0, copy), T2)
+    with pytest.raises(ValueError, match="copies"):
+        Derivation(A, [A.one()]).tensor_lift(copy, T2)
+
+
+def test_an_invertible_slot_on_a_polynomial_copy_is_still_validated():
+    from lrhopf.algebra import tensor_embed
+    A = laurent_line()
+    t = A.gen(0)
+    # two copies of one slot, neither invertible
+    target = CommutativeAlgebra([GeneratorDecl("s'"), GeneratorDecl("s''")])
+    assert str(tensor_embed(t ** 2, 1, target)) == "s''^2"
+    with pytest.raises(ValueError, match="negative exponent"):
+        tensor_embed(t ** -1, 0, target)
+
+
 def test_morphism_composition_and_units():
     A = laurent_line()
     t = A.gen(0)

@@ -18,7 +18,7 @@ from lrhopf import (
     antipode,
 )
 from lrhopf.dsl import parse_structure_file
-from lrhopf.enveloping import _word_times_gen, _word_times_poly
+from lrhopf.enveloping import _word_times_gen
 from lrhopf.sampling import make_rng, random_env_element, random_poly
 
 from conftest import FIXTURES, fixture_path
@@ -47,8 +47,9 @@ def _words(S, max_len=4):
 
 @pytest.mark.parametrize("name", _NAMES)
 def test_word_times_poly_matches_the_recursive_oracle(name):
-    # shortest words first reuse the memo of their prefixes; longest first
-    # walk down through prefixes the memo does not hold yet
+    # the coefficient push, through the public product word * b; shortest
+    # words first reuse the memo of their prefixes, longest first walk down
+    # through prefixes the memo does not hold yet
     for longest_first in (False, True):
         S = _fresh(name)
         A = S.algebra
@@ -60,7 +61,8 @@ def test_word_times_poly_matches_the_recursive_oracle(name):
             words.reverse()
         for w in words:
             for b in coefficients:
-                assert _word_times_poly(S, w, b) == oracle.word_times_poly(S, w, b), (
+                product = EnvElement(S, {w: 1}) * EnvElement.from_poly(S, b)
+                assert product.terms == oracle.word_times_poly(S, w, b), (
                     f"{name}: {w} times {b}")
 
 
@@ -115,7 +117,6 @@ def test_words_longer_than_the_recursion_limit():
     with pytest.raises(RecursionError):
         oracle.word_times_poly(S, w, y)
     expected = {w: y, w[:-1]: A.const(L)}
-    assert _word_times_poly(S, w, y) == expected
     assert (EnvElement(S, {w: A.one()}) * EnvElement.from_poly(S, y)).terms == expected
     # S(y x^L) = S(x^L) S_A(y) = (-1)^L x^L (-y) = (-1)^(L+1) (y x^L + L x^(L-1))
     sign = -1 if L % 2 == 0 else 1

@@ -346,6 +346,8 @@ def test_no_result_stores_a_float_a_bool_or_an_integral_fraction(name, data):
                unit ** k, unit.inverse(), unit * unit.inverse()]
     for f in (comultiplication(A), counit_morphism(A), antipode_morphism(A)):
         results += [f(p), on_leg(f, 0)(pp), on_leg(f, 1)(pp)]
+    # derivations sum raw too: the anchor on A and one lifted to a copy of A2
+    results += [d(p) for d in S.anchor] + [S.anchor[-1].tensor_lift(1, A2)(pp)]
     u, v = data.draw(env_elements(S)), data.draw(env_elements(S))
     du = coproduct(u)
     results += [u * v, u * c, u - v, du, du * coproduct(v), du * c, antipode(u),
