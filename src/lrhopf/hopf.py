@@ -9,12 +9,18 @@ product is computed one leg at a time with the structure's own rewriting:
         = c q (w_0 y^e_0 v_0) (x) .. (x) (w_{k-1} y^e_{k-1} v_{k-1})
 
 for each monomial q y^e_0 .. y^e_{k-1} of the right coefficient, where each
-leg w y^e v is a product in the enveloping algebra itself, cached per
-structure.  Coefficients live in `A.tensor_power(k)`, which A builds once
-and keeps.  The same space is the enveloping algebra of
-`tensor_power_structure` (k commuting copies of the basis, copy c acting on
-leg c); nothing here uses it: it serves only the tests' flat oracle of the
-legwise product and of the one-leg application.
+leg w y^e v is a product in the enveloping algebra itself.  The leg
+products are memoized per structure, for every number of legs, in raw
+form: (w, e, v) -> ((word, ((exponents, rational), ..)), ..), zeros
+dropped, so the product loops over tuples and builds no LaurentPoly per
+leg.  The left terms are grouped by coefficient value first (a coproduct
+repeats few values over many word pairs), and a non-constant c multiplies
+once per output key of its group instead of once per pair of terms.
+Coefficients live in `A.tensor_power(k)`, which A builds once and keeps.
+The same space is the enveloping algebra of `tensor_power_structure` (k
+commuting copies of the basis, copy c acting on leg c); nothing here uses
+it: it serves only the tests' flat oracle of the legwise product and of
+the one-leg application.
 
 The structure maps:
   * a coefficient comultiplies through the generator markers of A;
@@ -53,6 +59,15 @@ images out with the legwise product (CoproductLikeMap.by_rewriting) gives
 the same element; it stays as the engine for any other letter images and
 as the independent oracle the leading-split check and the tests compare
 against.
+
+Multiplying out (by_rewriting, and apply_to_leg for coassociativity)
+memoizes, per map and per leg, the legwise product of the letter images
+of each word tuple, filled along its prefixes, and sums coefficient(a)
+times that product for each term a (word tuple) of the argument.  This
+regroups the same product by associativity and moves a coefficient on
+the left into the coefficients, nothing else: it never uses the closed
+form, so both stay independent of the coproduct they check, and the
+battery still measures multiplicativity and coassociativity.
 """
 
 from __future__ import annotations
@@ -66,6 +81,7 @@ from . import sampling
 from .algebra import (
     LaurentPoly,
     _mul_into,
+    _nonzero,
     antipode_morphism,
     comultiplication,
     counit_morphism,
@@ -114,64 +130,66 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
 
 def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     """The terms of t * s, one leg at a time (see the module docstring).
-    Per monomial of the right coefficient, the products of all legs but the
-    last are collected per word tuple first; the last leg is accumulated in
-    place.  Coefficients are summed as raw exponent -> rational dicts and
-    wrapped once at the end, which puts them back in canonical form."""
+    Left terms are grouped by coefficient value.  A constant coefficient
+    folds into the scalars; any other multiplies once per output key of
+    its group, after the legs of all its terms are summed.  Per monomial
+    of a right coefficient, the products of all legs but the last are
+    collected per word tuple first; the last leg is accumulated in place.
+    Coefficients are summed as raw exponent -> rational dicts and wrapped
+    once at the end, which puts them back in canonical form."""
     S = t.structure
     A = S.algebra
     k = t.legs
     n = A.ngens
     unit = (0,) * (k * n)
-    slices = [slice(l * n, (l + 1) * n) for l in range(k)]
-    first, middle, final = slices[0], list(enumerate(slices))[1:-1], slices[-1]
-    # (w, e, v) -> normal form of w y^e v in S, per structure; shared dicts
-    cache = S._tensor_cache.setdefault("legs", {})
+    cuts = [slice(l * n, (l + 1) * n) for l in range(k)]
+    # (w, e, v) -> the nonzero terms of w y^e v in S, per structure, as
+    # ((word, ((exponents, rational), ..)), ..)
+    memo = S._tensor_cache.setdefault("legs", {})
 
     def leg(w, e, v):
-        hit = cache.get((w, e, v))
+        hit = memo.get((w, e, v))
         if hit is None:
-            hit = cache[(w, e, v)] = _wrap(A, _word_poly_word(S, w, e, v))
+            terms = ((u, _nonzero(p)) for u, p in _word_poly_word(S, w, e, v).items())
+            hit = memo[(w, e, v)] = tuple((u, tuple(p.items())) for u, p in terms if p)
         return hit
 
-    sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: rational}
+    # right terms with each monomial's exponents cut into legs once
+    right = [(vs, [(tuple(e[cut] for cut in cuts), q) for e, q in b.terms.items()])
+             for vs, b in s.terms.items()]
+    groups: dict = {}  # coefficient value -> (its terms, word tuples carrying it)
     for ws, c in t.terms.items():
-        # a constant c folds into the scalars; otherwise the legs of one
-        # pair of terms are summed first and multiplied by c after
-        scalar = c.terms.get(unit) if len(c.terms) == 1 else None
-        for vs, b in s.terms.items():
-            acc = sums if scalar is not None else {}
-            for e, q in b.terms.items():
-                if scalar is not None:
-                    q = q * scalar
-                head = {}
-                for z, p in leg(ws[0], e[first], vs[0]).items():
-                    head[(z,)] = p.terms
-                for l, cut in middle:
-                    # distinct (zs, z) and (a0, a1) give distinct keys: nothing to sum
-                    factor = leg(ws[l], e[cut], vs[l])
-                    head = {
-                        zs + (z,): {a0 + a1: c0 * c1 for a0, c0 in coeffs.items()
-                                    for a1, c1 in p.terms.items()}
-                        for zs, coeffs in head.items() for z, p in factor.items()
-                    }
-                last = leg(ws[-1], e[final], vs[-1])
-                for zs, coeffs in head.items():
-                    for z, p in last.items():
-                        key = zs + (z,)
-                        out = acc.get(key)
-                        if out is None:
-                            out = acc[key] = {}
-                        for a0, c0 in coeffs.items():
-                            qc0 = q * c0
-                            for a1, c1 in p.terms.items():
-                                exps = a0 + a1
-                                x = qc0 * c1
-                                out[exps] = out[exps] + x if exps in out else x
-            if scalar is not None:
-                continue
+        groups.setdefault(frozenset(c.terms.items()), (c.terms, []))[1].append(ws)
+    sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: rational}
+    for c, group in groups.values():
+        scalar = c.get(unit) if len(c) == 1 else None
+        acc = sums if scalar is not None else {}
+        for ws in group:
+            for vs, monomials in right:
+                for es, q in monomials:
+                    if scalar is not None:
+                        q = q * scalar
+                    head = [((z,), p) for z, p in leg(ws[0], es[0], vs[0])]
+                    for l in range(1, k - 1):
+                        # distinct (zs, z) and (a0, a1) give distinct keys: nothing to sum
+                        head = [(zs + (z,), [(a0 + a1, c0 * c1) for a0, c0 in hp for a1, c1 in p])
+                                for zs, hp in head for z, p in leg(ws[l], es[l], vs[l])]
+                    last = leg(ws[-1], es[-1], vs[-1])
+                    for zs, hp in head:
+                        for z, p in last:
+                            key = zs + (z,)
+                            out = acc.get(key)
+                            if out is None:
+                                out = acc[key] = {}
+                            for a0, c0 in hp:
+                                qc0 = q * c0
+                                for a1, c1 in p:
+                                    exps = a0 + a1
+                                    x = qc0 * c1
+                                    out[exps] = out[exps] + x if exps in out else x
+        if scalar is None:
             for key, coeffs in acc.items():
-                _mul_into(sums.setdefault(key, {}), c.terms, coeffs)
+                _mul_into(sums.setdefault(key, {}), c, coeffs)
     return _wrap(A.tensor_power(k), sums)
 
 
@@ -288,6 +306,8 @@ class CoproductLikeMap:
             for i, img in enumerate(images)
         )
         self._splits = {}
+        # (word,) -> the product of its letter images, for by_rewriting
+        self._products = _image_products(S, 1, 2)
 
     def __call__(self, u: EnvElement) -> TensorEnvElement:
         if u.structure != self.S:
@@ -329,15 +349,16 @@ class CoproductLikeMap:
         if u.structure != self.S:
             raise ValueError("argument in the wrong enveloping algebra")
         terms = (((w,), a) for w, a in u.terms.items())
-        return _multiply_out(self.S, 2, terms, self.delta_A, [self.images])
+        return _multiply_out(self.S, 2, terms, self.delta_A, [self.images], self._products)
 
     # -- one-leg application, for coassociativity ---------------------------
 
     def _leg_data(self, leg: int):
-        """The coefficient map from the tensor square of A to its cube and
-        the three-leg images of the letters of legs 0 and 1 when the map is
-        applied to `leg`: that leg's letters go to their images on two
-        adjacent legs, the other leg's letters stay as they are."""
+        """The coefficient map from the tensor square of A to its cube, the
+        three-leg images of the letters of legs 0 and 1 when the map is
+        applied to `leg` (that leg's letters go to their images on two
+        adjacent legs, the other leg's letters stay as they are) and the
+        memo of their products per word pair."""
         cached = self._lifted.get(leg)
         if cached is not None:
             return cached
@@ -352,28 +373,60 @@ class CoproductLikeMap:
         ]
         plain = [TensorEnvElement(S, {place(((), ()), (i,)): 1}, 3) for i in range(S.rank)]
         images = [mapped, plain] if leg == 0 else [plain, mapped]
-        self._lifted[leg] = (on_leg(self.delta_A, leg), images)
+        self._lifted[leg] = (on_leg(self.delta_A, leg), images, _image_products(S, 2, 3))
         return self._lifted[leg]
 
     def apply_to_leg(self, t: TensorEnvElement, leg: int) -> TensorEnvElement:
         """Apply the map to one leg of a tensor-square element, producing a
         three-leg element."""
-        coeff_map, images = self._leg_data(leg)
-        return _multiply_out(self.S, 3, t.terms.items(), coeff_map, images)
+        _check_leg(t, leg)
+        return _multiply_out(self.S, 3, t.terms.items(), *self._leg_data(leg))
 
 
-def _multiply_out(S, legs: int, terms, coefficient, letter_images) -> TensorEnvElement:
+def _check_leg(t: TensorEnvElement, leg) -> None:
+    """Refuse a leg other than 0 or 1, or a tensor that is not in the
+    tensor square."""
+    if not isinstance(t, TensorEnvElement) or t.legs != 2:
+        raise ValueError("expected an element of the tensor square (2 legs)")
+    if leg not in (0, 1):
+        raise ValueError(f"leg {leg!r} is not 0 or 1")
+
+
+def _image_products(S, words: int, legs: int) -> dict:
+    """A memo for _multiply_out: tuples of `words` words -> the product
+    of their letter images, which have `legs` legs; it starts with the
+    empty words, whose product is 1."""
+    one = S.algebra.tensor_power(legs).one()
+    return {((),) * words: TensorEnvElement._trusted(S, {((),) * legs: one}, legs)}
+
+
+def _multiply_out(S, legs: int, terms, coefficient, letter_images, products) -> TensorEnvElement:
     """The sum over `terms` (word tuple, a) of coefficient(a) times the
-    images of the letters of each word in turn, legwise; letter_images[l][i]
-    is the image of letter i of word l."""
-    out = TensorEnvElement.zero(S, legs)
+    product of the images of the letters of each word in turn, legwise;
+    letter_images[l][i] is the image of letter i of word l.
+
+    The product of a word tuple's images is memoized in `products` (see
+    _image_products), filled along its prefixes: a miss starts from the
+    longest prefix known and multiplies by one letter image at a time.  A
+    coefficient on the left multiplies each coefficient of the product;
+    the terms are summed raw and wrapped once."""
+    sums: dict = {}  # word tuple -> {exponents: rational}
     for words, a in terms:
-        cur = TensorEnvElement(S, {((),) * legs: coefficient(a)}, legs)
-        for images, w in zip(letter_images, words):
-            for i in w:
-                cur = cur * images[i]
-        out = out + cur
-    return out
+        product = products.get(words)
+        if product is None:
+            chain = []  # (prefix, word position, letter), longest prefix first
+            prefix = words
+            while prefix not in products:
+                l = max(l for l, w in enumerate(prefix) if w)
+                chain.append((prefix, l, prefix[l][-1]))
+                prefix = prefix[:l] + (prefix[l][:-1],) + prefix[l + 1:]
+            product = products[prefix]
+            for prefix, l, i in reversed(chain):
+                product = products[prefix] = product * letter_images[l][i]
+        c = coefficient(a).terms
+        for ws, p in product.terms.items():
+            _mul_into(sums.setdefault(ws, {}), c, p.terms)
+    return TensorEnvElement._trusted(S, _wrap(S.algebra.tensor_power(legs), sums), legs)
 
 
 def standard_coproduct(S: LieRinehartAlgebra) -> CoproductLikeMap:
@@ -437,7 +490,8 @@ def antipode(u: EnvElement) -> EnvElement:
 
 
 def counit_collapse(t: TensorEnvElement, leg: int) -> EnvElement:
-    """Apply the counit to one leg of a tensor element."""
+    """Apply the counit to one leg of a tensor-square element."""
+    _check_leg(t, leg)
     counit_on_leg = on_leg(counit_morphism(t.structure.algebra), leg)
     out: dict = {}
     for words, c in t.terms.items():
@@ -448,14 +502,23 @@ def counit_collapse(t: TensorEnvElement, leg: int) -> EnvElement:
 
 def antipode_convolution(t: TensorEnvElement, leg: int) -> EnvElement:
     """Multiply the two legs together after applying the antipode to one:
-    the convolution products appearing in the antipode axioms."""
+    the convolution products appearing in the antipode axioms.  The
+    products of the terms are summed raw and wrapped once."""
+    _check_leg(t, leg)
     S = t.structure
-    out = EnvElement.zero(S)
-    for words, c in t.terms.items():
+    A = S.algebra
+    n = A.ngens
+    sums: dict = {}  # word -> {exponents: rational}
+    for (w1, w2), c in t.terms.items():
         for exps, q in c.terms.items():
-            u1, u2 = _split_term(S, words, exps, q)
-            out = out + (antipode(u1) * u2 if leg == 0 else u1 * antipode(u2))
-    return out
+            left = {w1: LaurentPoly._trusted(A, {exps[:n]: q})}
+            right = {w2: LaurentPoly._trusted(A, {exps[n:]: 1})}
+            if leg == 0:
+                left = antipode(EnvElement._trusted(S, left)).terms
+            else:
+                right = antipode(EnvElement._trusted(S, right)).terms
+            _product_into(sums, S, left, right)
+    return EnvElement._trusted(S, _wrap(A, sums))
 
 
 # -- batteries -----------------------------------------------------------------

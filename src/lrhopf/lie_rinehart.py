@@ -220,7 +220,10 @@ class LieRinehartAlgebra:
         )
 
     def __eq__(self, other):
-        return isinstance(other, LieRinehartAlgebra) and self._key() == other._key()
+        # identity first: operands nearly always share one structure object
+        return self is other or (
+            isinstance(other, LieRinehartAlgebra) and self._key() == other._key()
+        )
 
     def __hash__(self):
         return hash(

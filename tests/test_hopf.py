@@ -13,6 +13,7 @@ from lrhopf import (
     Derivation,
     EnvElement,
     GeneratorDecl,
+    LaurentPoly,
     LieRinehartAlgebra,
     TensorEnvElement,
     antipode,
@@ -311,10 +312,9 @@ def _flat_apply_to_leg(dmap, t, leg):
 _DUAL_FIXTURES = ["euler_dual.lra", "heis_dual.lra", "lie2_trivial_dual.lra"]
 
 
-def _three_leg_map(name):
-    kind, _, base = name.partition(":")
-    if kind != "perturbed":
-        return standard_coproduct(_legwise_structure(name))
+def _perturbed_map(base):
+    """The map conjecture_probe builds on a structure with a dual: the
+    standard letter images plus the dual's cobracket."""
     if base == "a-valued":
         # its own bracket read as a cobracket: images with coefficients in y
         S = dual = _legwise_structure(base)
@@ -323,6 +323,13 @@ def _three_leg_map(name):
             S, dual = parse_structure_file(fh.read()).build()
     images = [e + d for e, d in zip(standard_coproduct(S).images, cobracket_images(S, dual))]
     return CoproductLikeMap(S, images, label="perturbed-coproduct")
+
+
+def _three_leg_map(name):
+    kind, _, base = name.partition(":")
+    if kind != "perturbed":
+        return standard_coproduct(_legwise_structure(name))
+    return _perturbed_map(base)
 
 
 @pytest.mark.parametrize(
@@ -342,6 +349,115 @@ def test_apply_to_leg_matches_the_tripled_structure(name):
             got = dmap.apply_to_leg(t, leg)
             assert got.legs == 3
             assert got.terms == _flat_apply_to_leg(dmap, t, leg).terms, f"{name}: leg {leg} of {t}"
+
+
+@pytest.mark.parametrize("base", ["euler_dual.lra", "heis_dual.lra", "a-valued"])
+def test_image_products_are_memoized_per_map_and_per_leg(base):
+    # two maps on one structure, called in turn on both legs, twice over:
+    # a memo shared between maps or legs would hand one the other's products
+    perturbed = _perturbed_map(base)
+    S = perturbed.S
+    standard = standard_coproduct(S)
+    rng = make_rng(43)
+    rand = lambda: random_env_element(rng, S, max_word=2, max_degree=1)
+    tensors = [standard(u) for u in _unit_words(S, 2)]
+    tensors += [tensor_pair(rand(), rand()) for _ in range(3)]
+    maps = (standard, perturbed)
+    want = {(m, i, leg): _flat_apply_to_leg(dmap, t, leg).terms
+            for m, dmap in enumerate(maps) for i, t in enumerate(tensors) for leg in (0, 1)}
+    for _ in range(2):
+        for i, t in enumerate(tensors):
+            for leg in (0, 1):
+                for m, dmap in enumerate(maps):
+                    got = dmap.apply_to_leg(t, leg).terms
+                    assert got == want[(m, i, leg)], f"{base}: map {m}, leg {leg} of {t}"
+        for u in _unit_words(S, 2):
+            assert standard.by_rewriting(u) == standard(u)
+            assert perturbed.by_rewriting(u) == perturbed(u)
+    # the zero cobracket of euler_dual leaves the images standard
+    differ = any(want[(0, i, leg)] != want[(1, i, leg)]
+                 for i in range(len(tensors)) for leg in (0, 1))
+    assert differ == (base != "euler_dual.lra")
+
+
+def _grouped_left_operands(S):
+    """Two-leg tensors whose terms repeat coefficient values: one value
+    carried by distinct objects, and one coefficient times scalars (as the
+    closed-form coproduct writes image * mult)."""
+    A2 = S.algebra.tensor_power(2)
+    c = A2.const(Fraction(-2, 3))
+    d = A2.const(3)
+    if A2.ngens:
+        c = c + A2.gen(0) * A2.gen(A2.ngens - 1)
+        d = d * A2.gen(A2.ngens - 1) - A2.gen(0)
+    words = [next(iter(u.terms)) for u in _unit_words(S, 2)]
+    keys = [(u, v) for u in words for v in words if len(u) + len(v) <= 3][:9]
+    copies = {key: LaurentPoly(A2, dict((c if i % 3 else d).terms))
+              for i, key in enumerate(keys)}
+    shared = TensorEnvElement(S, copies)
+    assert all(shared.terms[key] is copies[key] for key in keys)
+    assert len({id(x) for x in shared.terms.values()}) == len(keys)
+    mults = [1, 2, -1, Fraction(1, 3), 3, 1, 6, Fraction(-5, 2), 2]
+    scaled = TensorEnvElement(S, {key: c * m for key, m in zip(keys, mults)})
+    return [shared, scaled]
+
+
+@pytest.mark.parametrize("name", _FIXTURE_FILES + ["a-valued"])
+def test_grouped_left_coefficients_match_the_flat_product(name):
+    S = _legwise_structure(name)
+    grouped = _grouped_left_operands(S)
+    others = _legwise_inputs(S, 47)[:3]
+    for a in grouped:
+        for b in grouped + others:
+            assert (a * b).terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
+            assert (b * a).terms == flat_product(b, a).terms, f"{name}: {b} times {a}"
+    u = random_env_element(make_rng(5), S, 1, 1)
+    triples = [_triple(S, a, u) for a in grouped]
+    for a in triples:
+        b = triples[0]
+        assert (a * b).terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
+
+
+def test_separately_parsed_copies_are_one_structure_and_mix():
+    with open(fixture_path("aff2.lra"), encoding="utf-8") as fh:
+        text = fh.read()
+    S1, _ = parse_structure_file(text).build()
+    S2, _ = parse_structure_file(text).build()
+    assert S1 is not S2 and S1 == S2 and not S1 != S2
+    x1, x2 = EnvElement.generator(S1, 0), EnvElement.generator(S2, 1)
+    assert x1 * x2 - x2 * x1 == EnvElement.generator(S1, 1)
+    assert standard_coproduct(S1)(x1 * x2) == coproduct(EnvElement.generator(S2, 0) * x2)
+    assert coproduct(x1) * coproduct(x2) == coproduct(x1 * x2)
+    changed = text.replace("bracket [x1, x2] = x2;", "bracket [x1, x2] = 2*x2;")
+    assert changed != text
+    S3, _ = parse_structure_file(changed).build()
+    assert S3 != S1 and not S3 == S1
+    y2 = EnvElement.generator(S3, 1)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError):
+            op(x1, y2)
+    with pytest.raises(ValueError):
+        standard_coproduct(S1)(y2)
+    with pytest.raises(ValueError):
+        coproduct(x1) * coproduct(y2)
+
+
+@pytest.mark.parametrize("call, leg, legs", [
+    ("apply_to_leg", 2, 2), ("apply_to_leg", -1, 2), ("apply_to_leg", 0, 3),
+    ("counit_collapse", 2, 2), ("counit_collapse", -1, 2), ("counit_collapse", 0, 3),
+    ("antipode_convolution", 2, 2), ("antipode_convolution", 0, 3),
+    ("antipode_convolution", 1, 3),
+])
+def test_a_bad_leg_is_refused_in_one_line(aff2, call, leg, legs):
+    dmap = standard_coproduct(aff2)
+    t = coproduct(EnvElement.generator(aff2, 0) * EnvElement.generator(aff2, 1))
+    if legs == 3:
+        t = dmap.apply_to_leg(t, 0)
+    fn = {"apply_to_leg": dmap.apply_to_leg, "counit_collapse": counit_collapse,
+          "antipode_convolution": antipode_convolution}[call]
+    with pytest.raises(ValueError) as err:
+        fn(t, leg)
+    assert "\n" not in str(err.value)
 
 
 def test_elements_with_different_legs_do_not_mix(aff2):
