@@ -13,14 +13,13 @@ leg w y^e v is a product in the enveloping algebra itself.  The leg
 products are memoized per structure, for every number of legs, in raw
 form: (w, e, v) -> ((word, ((exponents, rational), ..)), ..), zeros
 dropped, so the product loops over tuples and builds no LaurentPoly per
-leg.  The left terms are grouped by coefficient value first (a coproduct
-repeats few values over many word pairs), and a non-constant c multiplies
-once per output key of its group instead of once per pair of terms.
-Coefficients live in `A.tensor_power(k)`, which A builds once and keeps.
-The same space is the enveloping algebra of `tensor_power_structure` (k
-commuting copies of the basis, copy c acting on leg c); nothing here uses
-it: it serves only the tests' flat oracle of the legwise product and of
-the one-leg application.
+leg.  A non-constant c multiplies once per output key of its left term,
+after the legs of all its pairs are summed.  Coefficients live in
+`A.tensor_power(k)`, which A builds once and keeps.  The same space is
+the enveloping algebra of `tensor_power_structure` (k commuting copies
+of the basis, copy c acting on leg c); nothing here uses it: it serves
+only the tests' flat oracle of the legwise product and of the one-leg
+application.
 
 The structure maps:
   * a coefficient comultiplies through the generator markers of A;
@@ -62,12 +61,12 @@ against.
 
 Multiplying out (by_rewriting, and apply_to_leg for coassociativity)
 memoizes, per map and per leg, the legwise product of the letter images
-of each word tuple, filled along its prefixes, and sums coefficient(a)
-times that product for each term a (word tuple) of the argument.  This
-regroups the same product by associativity and moves a coefficient on
-the left into the coefficients, nothing else: it never uses the closed
-form, so both stay independent of the coproduct they check, and the
-battery still measures multiplicativity and coassociativity.
+of each word tuple, and sums coefficient(a) times that product for each
+term a (word tuple) of the argument.  This regroups the same product by
+associativity and moves a coefficient on the left into the coefficients,
+nothing else: it never uses the closed form, so both stay independent of
+the coproduct they check, and the battery still measures
+multiplicativity and coassociativity.
 """
 
 from __future__ import annotations
@@ -130,11 +129,11 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
 
 def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     """The terms of t * s, one leg at a time (see the module docstring).
-    Left terms are grouped by coefficient value.  A constant coefficient
-    folds into the scalars; any other multiplies once per output key of
-    its group, after the legs of all its terms are summed.  Per monomial
-    of a right coefficient, the products of all legs but the last are
-    collected per word tuple first; the last leg is accumulated in place.
+    A constant left coefficient folds into the scalars; any other
+    multiplies once per output key of its term, after the legs of all its
+    pairs are summed.  Per monomial of a right coefficient, the products
+    of all legs but the last are collected per word tuple first; the last
+    leg is accumulated in place.
     Coefficients are summed as raw exponent -> rational dicts and wrapped
     once at the end, which puts them back in canonical form."""
     S = t.structure
@@ -157,36 +156,33 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     # right terms with each monomial's exponents cut into legs once
     right = [(vs, [(tuple(e[cut] for cut in cuts), q) for e, q in b.terms.items()])
              for vs, b in s.terms.items()]
-    groups: dict = {}  # coefficient value -> (its terms, word tuples carrying it)
-    for ws, c in t.terms.items():
-        groups.setdefault(frozenset(c.terms.items()), (c.terms, []))[1].append(ws)
     sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: rational}
-    for c, group in groups.values():
+    for ws, c in t.terms.items():
+        c = c.terms
         scalar = c.get(unit) if len(c) == 1 else None
         acc = sums if scalar is not None else {}
-        for ws in group:
-            for vs, monomials in right:
-                for es, q in monomials:
-                    if scalar is not None:
-                        q = q * scalar
-                    head = [((z,), p) for z, p in leg(ws[0], es[0], vs[0])]
-                    for l in range(1, k - 1):
-                        # distinct (zs, z) and (a0, a1) give distinct keys: nothing to sum
-                        head = [(zs + (z,), [(a0 + a1, c0 * c1) for a0, c0 in hp for a1, c1 in p])
-                                for zs, hp in head for z, p in leg(ws[l], es[l], vs[l])]
-                    last = leg(ws[-1], es[-1], vs[-1])
-                    for zs, hp in head:
-                        for z, p in last:
-                            key = zs + (z,)
-                            out = acc.get(key)
-                            if out is None:
-                                out = acc[key] = {}
-                            for a0, c0 in hp:
-                                qc0 = q * c0
-                                for a1, c1 in p:
-                                    exps = a0 + a1
-                                    x = qc0 * c1
-                                    out[exps] = out[exps] + x if exps in out else x
+        for vs, monomials in right:
+            for es, q in monomials:
+                if scalar is not None:
+                    q = q * scalar
+                head = [((z,), p) for z, p in leg(ws[0], es[0], vs[0])]
+                for l in range(1, k - 1):
+                    # distinct (zs, z) and (a0, a1) give distinct keys: nothing to sum
+                    head = [(zs + (z,), [(a0 + a1, c0 * c1) for a0, c0 in hp for a1, c1 in p])
+                            for zs, hp in head for z, p in leg(ws[l], es[l], vs[l])]
+                last = leg(ws[-1], es[-1], vs[-1])
+                for zs, hp in head:
+                    for z, p in last:
+                        key = zs + (z,)
+                        out = acc.get(key)
+                        if out is None:
+                            out = acc[key] = {}
+                        for a0, c0 in hp:
+                            qc0 = q * c0
+                            for a1, c1 in p:
+                                exps = a0 + a1
+                                x = qc0 * c1
+                                out[exps] = out[exps] + x if exps in out else x
         if scalar is None:
             for key, coeffs in acc.items():
                 _mul_into(sums.setdefault(key, {}), c, coeffs)
@@ -406,23 +402,18 @@ def _multiply_out(S, legs: int, terms, coefficient, letter_images, products) -> 
     letter_images[l][i] is the image of letter i of word l.
 
     The product of a word tuple's images is memoized in `products` (see
-    _image_products), filled along its prefixes: a miss starts from the
-    longest prefix known and multiplies by one letter image at a time.  A
+    _image_products); a miss multiplies the images out from 1.  A
     coefficient on the left multiplies each coefficient of the product;
     the terms are summed raw and wrapped once."""
     sums: dict = {}  # word tuple -> {exponents: rational}
     for words, a in terms:
         product = products.get(words)
         if product is None:
-            chain = []  # (prefix, word position, letter), longest prefix first
-            prefix = words
-            while prefix not in products:
-                l = max(l for l, w in enumerate(prefix) if w)
-                chain.append((prefix, l, prefix[l][-1]))
-                prefix = prefix[:l] + (prefix[l][:-1],) + prefix[l + 1:]
-            product = products[prefix]
-            for prefix, l, i in reversed(chain):
-                product = products[prefix] = product * letter_images[l][i]
+            product = products[((),) * len(words)]
+            for images, w in zip(letter_images, words):
+                for i in w:
+                    product = product * images[i]
+            products[words] = product
         c = coefficient(a).terms
         for ws, p in product.terms.items():
             _mul_into(sums.setdefault(ws, {}), c, p.terms)

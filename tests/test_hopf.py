@@ -380,7 +380,7 @@ def test_image_products_are_memoized_per_map_and_per_leg(base):
     assert differ == (base != "euler_dual.lra")
 
 
-def _grouped_left_operands(S):
+def _repeated_coefficient_operands(S):
     """Two-leg tensors whose terms repeat coefficient values: one value
     carried by distinct objects, and one coefficient times scalars (as the
     closed-form coproduct writes image * mult)."""
@@ -403,16 +403,16 @@ def _grouped_left_operands(S):
 
 
 @pytest.mark.parametrize("name", _FIXTURE_FILES + ["a-valued"])
-def test_grouped_left_coefficients_match_the_flat_product(name):
+def test_repeated_left_coefficients_match_the_flat_product(name):
     S = _legwise_structure(name)
-    grouped = _grouped_left_operands(S)
+    repeated = _repeated_coefficient_operands(S)
     others = _legwise_inputs(S, 47)[:3]
-    for a in grouped:
-        for b in grouped + others:
+    for a in repeated:
+        for b in repeated + others:
             assert (a * b).terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
             assert (b * a).terms == flat_product(b, a).terms, f"{name}: {b} times {a}"
     u = random_env_element(make_rng(5), S, 1, 1)
-    triples = [_triple(S, a, u) for a in grouped]
+    triples = [_triple(S, a, u) for a in repeated]
     for a in triples:
         b = triples[0]
         assert (a * b).terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
