@@ -274,14 +274,17 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.algebra.zero()
-            return LaurentPoly._trusted(
-                self.algebra, _nonzero({e: c * other for e, c in self.terms.items()})
-            )
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        # the class test first: Fraction's metaclass is an ABCMeta, so the
+        # isinstance test below is costly when it fails
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                if other == 0:
+                    return self.algebra.zero()
+                return LaurentPoly._trusted(
+                    self.algebra, _nonzero({e: c * other for e, c in self.terms.items()})
+                )
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         self._check_compatible(other)
         for one, p in ((other, self), (self, other)):
             if len(one.terms) == 1:
@@ -313,6 +316,8 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
+        if other.__class__ is LaurentPoly and other.algebra is self.algebra:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             other = self.algebra.const(other)
         if not isinstance(other, LaurentPoly):

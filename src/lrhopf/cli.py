@@ -9,7 +9,8 @@ reports can be compared byte for byte.
 Exit status: 0 when all checks pass (or the value was computed), 1 when a
 check fails, 2 on input errors (unreadable file, parse error, a command
 that needs declarations the file does not provide, a sample count below 1
-or a negative bound), 3 on any other exception, which is a fault of
+or a negative bound, a battery larger than its ceiling: see MAX_SAMPLES
+and MAX_WORD_PAIRS), 3 on any other exception, which is a fault of
 lrhopf itself: it prints the one line
 `error: internal error: <exception type>: <message>` and no traceback.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -82,6 +84,25 @@ _OPTIONS = {
 }
 
 
+# Ceilings on the size of a battery request, so that a huge one ends at once
+# with exit 2 instead of running for hours: a --samples count, and the
+# number of pairs of normal words up to --max-word, C(rank + max_word,
+# rank)^2, which check-hopf's exhaustive multiplicativity law runs over
+# (gl3, rank 9, at --max-word 3 has 48,400).  The library batteries take
+# any size.
+MAX_SAMPLES = 10_000
+MAX_WORD_PAIRS = 100_000
+
+
+def _refuse_huge(args, S) -> None:
+    if args.samples is not None and args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples {args.samples} is above the ceiling of {MAX_SAMPLES}")
+    max_word = getattr(args, "max_word", None)
+    if max_word is not None and math.comb(S.rank + max_word, S.rank) ** 2 > MAX_WORD_PAIRS:
+        raise ValueError(f"--max-word {max_word} gives more pairs of normal words on this "
+                         f"structure (rank {S.rank}) than the ceiling of {MAX_WORD_PAIRS}")
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than `low`."""
     def parse(text: str) -> int:
@@ -136,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _battery(args, S, dual) -> Report:
     _, options, batteries = _COMMANDS[args.command]
+    _refuse_huge(args, S)
     kwargs = {name: getattr(args, name) for name in options}
     report = Report()
     for default, run in batteries:

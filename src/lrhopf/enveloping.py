@@ -263,6 +263,12 @@ def _wrap(A, acc: dict) -> dict:
     Fractions into ints."""
     out = {}
     for u, terms in acc.items():
+        if len(terms) == 1:
+            # _nonzero inline: most sums have one monomial
+            (e, c), = terms.items()
+            if c:
+                out[u] = LaurentPoly._trusted(A, {e: c.numerator if c.denominator == 1 else c})
+            continue
         terms = _nonzero(terms)
         if terms:
             out[u] = LaurentPoly._trusted(A, terms)

@@ -14,7 +14,13 @@ products are memoized per structure, for every number of legs, in raw
 form: (w, e, v) -> ((word, ((exponents, rational), ..)), ..), zeros
 dropped, so the product loops over tuples and builds no LaurentPoly per
 leg.  A non-constant c multiplies once per output key of its left term,
-after the legs of all its pairs are summed.  Coefficients live in
+after the legs of all its pairs are summed.  The sums run on integers:
+each operand's coefficients are first multiplied by the lcm of their
+denominators (one denominator per operand, as FLINT's fmpq_poly keeps
+an integer polynomial over one denominator), and each summed coefficient
+is divided once by both lcms before it is wrapped.  The leg memo keeps
+its own rationals, so fractional structure constants still work; a
+Fraction then only reaches the sums through a leg.  Coefficients live in
 `A.tensor_power(k)`, which A builds once and keeps.  The same space is
 the enveloping algebra of `tensor_power_structure` (k commuting copies
 of the basis, copy c acting on leg c); nothing here uses it: it serves
@@ -66,7 +72,10 @@ term a (word tuple) of the argument.  This regroups the same product by
 associativity and moves a coefficient on the left into the coefficients,
 nothing else: it never uses the closed form, so both stay independent of
 the coproduct they check, and the battery still measures
-multiplicativity and coassociativity.
+multiplicativity and coassociativity.  Nor does the legwise product
+itself: it rewrites each leg with the structure's own rules, so a wrong
+split multiplicity in the closed form still fails
+coproduct-multiplicative-words and coproduct-coassociative.
 """
 
 from __future__ import annotations
@@ -127,6 +136,21 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
     return T
 
 
+def _common_denominator(coefficients) -> int:
+    """The lcm of the denominators of every rational in the given
+    `exponents -> rational` dicts (1 when all are ints)."""
+    return math.lcm(*{x.denominator for terms in coefficients
+                      for x in terms.values() if x.__class__ is Fraction})
+
+
+def _cleared(terms: dict, d: int) -> dict:
+    """d times `terms`, as ints, for d a common denominator of its values."""
+    if d == 1:
+        return terms
+    return {e: x * d if x.__class__ is int else x.numerator * (d // x.denominator)
+            for e, x in terms.items()}
+
+
 def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     """The terms of t * s, one leg at a time (see the module docstring).
     A constant left coefficient folds into the scalars; any other
@@ -134,8 +158,9 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     pairs are summed.  Per monomial of a right coefficient, the products
     of all legs but the last are collected per word tuple first; the last
     leg is accumulated in place.
-    Coefficients are summed as raw exponent -> rational dicts and wrapped
-    once at the end, which puts them back in canonical form."""
+    Coefficients are summed on cleared denominators, as raw exponent ->
+    rational dicts, divided once and wrapped once at the end, which puts
+    them back in canonical form."""
     S = t.structure
     A = S.algebra
     k = t.legs
@@ -153,12 +178,14 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
             hit = memo[(w, e, v)] = tuple((u, tuple(p.items())) for u, p in terms if p)
         return hit
 
+    d_t = _common_denominator(c.terms for c in t.terms.values())
+    d_s = _common_denominator(b.terms for b in s.terms.values())
     # right terms with each monomial's exponents cut into legs once
-    right = [(vs, [(tuple(e[cut] for cut in cuts), q) for e, q in b.terms.items()])
+    right = [(vs, [(tuple(e[cut] for cut in cuts), q) for e, q in _cleared(b.terms, d_s).items()])
              for vs, b in s.terms.items()]
     sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: rational}
     for ws, c in t.terms.items():
-        c = c.terms
+        c = _cleared(c.terms, d_t)
         scalar = c.get(unit) if len(c) == 1 else None
         acc = sums if scalar is not None else {}
         for vs, monomials in right:
@@ -186,6 +213,11 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
         if scalar is None:
             for key, coeffs in acc.items():
                 _mul_into(sums.setdefault(key, {}), c, coeffs)
+    den = d_t * d_s
+    if den != 1:
+        for coeffs in sums.values():
+            for exps, x in coeffs.items():
+                coeffs[exps] = Fraction(x, den)
     return _wrap(A.tensor_power(k), sums)
 
 

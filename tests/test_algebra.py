@@ -313,6 +313,21 @@ def test_integral_coefficients_are_stored_as_ints():
     assert type(A.const(True).terms[(0, 0)]) is int
 
 
+def test_bool_scalars_and_equal_algebra_objects_take_the_general_path():
+    # products and == test the operand's class before the costlier
+    # isinstance tests: a bool is still a scalar, and an equal algebra
+    # that is another object still compares by value
+    A, B = _line_and_circle(), _line_and_circle()
+    p = A.gen(0) * Fraction(1, 2) + 3
+    assert A is not B and A == B
+    assert p * True == p and True * p == p and (p * False).terms == {}
+    assert [type(c) for c in (A.gen(0) * True).terms.values()] == [int]
+    q = LaurentPoly(B, dict(p.terms))
+    assert p == q and q == p and not p != q and (p * q).terms == (p * p).terms
+    assert p != LaurentPoly(B, {(1, 0): Fraction(1, 2)})
+    assert A.const(3) == 3 and 3 == A.const(3) and A.const(Fraction(1, 2)) == Fraction(1, 2)
+
+
 def test_inverse_is_exact():
     A = laurent_line()
     t = A.gen(0)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from lrhopf.cli import main
+from lrhopf.cli import MAX_SAMPLES, MAX_WORD_PAIRS, _refuse_huge, build_parser, main
 from lrhopf.dsl import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
 from conftest import fixture_path
@@ -328,17 +328,57 @@ def test_an_expression_starting_with_a_minus_goes_after_a_double_dash(capsys):
     assert run(capsys, "nf", fixture_path("aff2.lra"), "--", "-x1") == (0, "-x1\n", "")
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up time on every command; compare with what a bare
-    # interpreter (site and all) has already loaded
+def _python(*args, **kwargs):
+    """Run a Python subprocess that imports this checkout's lrhopf."""
     import lrhopf
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(lrhopf.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every command; compare with what a bare
+    # interpreter (site and all) has already loaded
     code = ("import sys; before = set(sys.modules); import lrhopf.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, check=True).stdout.split()
+    added = _python("-c", code, check=True).stdout.split()
     assert "lrhopf.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("check-hopf", "aff2.lra", "--max-word", "40"), "--max-word 40"),
+    (("pbw", "aff2.lra", "--max-word", "60"), "--max-word 60"),
+    (("probe-conjecture", "heis_dual.lra", "--max-word", "400"), "--max-word 400"),
+    (("check", "aff2.lra", "--samples", "100000000"), "--samples 100000000"),
+    (("gerstenhaber", "gl2.lra", "--samples", str(MAX_SAMPLES + 1)), "--samples 10001"),
+])
+def test_a_battery_above_its_ceiling_is_refused_at_once(argv, flag):
+    cmd, name, *flags = argv
+    # without the ceilings, the first, second and fourth were still running after 20 s
+    done = _python("-m", "lrhopf.cli", cmd, fixture_path(name), *flags, "--json", timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith(f"error: {flag}")
+    assert "ceiling" in done.stderr
+
+
+def _gl3():
+    from lrhopf.dsl import parse_structure_file
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "fixtures_large", "gl3.lra"), encoding="utf-8") as fh:
+        return parse_structure_file(fh.read()).build()[0]
+
+
+def test_the_ceilings_admit_the_largest_requests_in_use():
+    assert math.comb(9 + 3, 3) ** 2 <= MAX_WORD_PAIRS < math.comb(9 + 4, 4) ** 2
+    gl3 = _gl3()
+    _refuse_huge(build_parser().parse_args(["check-hopf", "gl3.lra", "--max-word", "3"]), gl3)
+    _refuse_huge(build_parser().parse_args(["pbw", "gl3.lra", "--samples", str(MAX_SAMPLES)]), gl3)
+    with pytest.raises(ValueError):
+        _refuse_huge(build_parser().parse_args(["check-hopf", "gl3.lra", "--max-word", "4"]), gl3)

@@ -25,14 +25,14 @@ from lrhopf import (
     tensor_pair,
     tensor_power_structure,
 )
-from lrhopf.algebra import comultiplication, spread_copies, tensor_embed
+from lrhopf.algebra import spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_structure_file
 from lrhopf.hopf import _unit_words, antipode_convolution, counit_collapse, standard_coproduct
 from lrhopf.sampling import make_rng, random_env_element
 
 from conftest import FIXTURES, fixture_path
-from flat_oracle import flat_product, from_flat, to_flat
+from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat
 
 
 def test_tensor_power_structure_shape(aff2):
@@ -271,44 +271,6 @@ def test_perturbed_images_take_the_rewriting_path(euler):
     assert dmap(u) != coproduct(u)
 
 
-def _flat_apply_to_leg(dmap, t, leg):
-    """dmap applied to one leg of t, multiplied out in the tripled structure
-    from the letter images: the oracle of CoproductLikeMap.apply_to_leg."""
-    S, A, m, n = dmap.S, dmap.S.algebra, dmap.S.rank, dmap.S.algebra.ngens
-    T3 = tensor_power_structure(S, 3)
-    A3 = T3.algebra
-    delta = comultiplication(A)
-    copies = (0, 1) if leg == 0 else (1, 2)
-
-    def coefficient(c):
-        # the coproduct of A on the mapped leg, monomial by monomial
-        total = A3.zero()
-        for exps, q in c.terms.items():
-            y0, y1 = A.monomial(exps[:n], q), A.monomial(exps[n:])
-            if leg == 0:
-                total += spread_copies(delta(y0), A, copies, A3) * tensor_embed(y1, 2, A3)
-            else:
-                total += tensor_embed(y0, 0, A3) * spread_copies(delta(y1), A, copies, A3)
-        return total
-
-    def mapped(letter):
-        terms = {}
-        for (w0, w1), c in dmap.images[letter].terms.items():
-            word = tuple(l + copies[0] * m for l in w0) + tuple(l + copies[1] * m for l in w1)
-            terms[word] = spread_copies(c, A, copies, A3)
-        return EnvElement(T3, terms)
-
-    out = EnvElement.zero(T3)
-    for (w0, w1), c in t.terms.items():
-        cur = EnvElement.from_poly(T3, coefficient(c))
-        for l in w0:
-            cur = cur * (mapped(l) if leg == 0 else EnvElement.generator(T3, l))
-        for l in w1:
-            cur = cur * (EnvElement.generator(T3, 2 * m + l) if leg == 0 else mapped(l))
-        out = out + cur
-    return from_flat(S, out, 3)
-
-
 _DUAL_FIXTURES = ["euler_dual.lra", "heis_dual.lra", "lie2_trivial_dual.lra"]
 
 
@@ -348,7 +310,7 @@ def test_apply_to_leg_matches_the_tripled_structure(name):
         for leg in (0, 1):
             got = dmap.apply_to_leg(t, leg)
             assert got.legs == 3
-            assert got.terms == _flat_apply_to_leg(dmap, t, leg).terms, f"{name}: leg {leg} of {t}"
+            assert got.terms == flat_apply_to_leg(dmap, t, leg).terms, f"{name}: leg {leg} of {t}"
 
 
 @pytest.mark.parametrize("base", ["euler_dual.lra", "heis_dual.lra", "a-valued"])
@@ -363,7 +325,7 @@ def test_image_products_are_memoized_per_map_and_per_leg(base):
     tensors = [standard(u) for u in _unit_words(S, 2)]
     tensors += [tensor_pair(rand(), rand()) for _ in range(3)]
     maps = (standard, perturbed)
-    want = {(m, i, leg): _flat_apply_to_leg(dmap, t, leg).terms
+    want = {(m, i, leg): flat_apply_to_leg(dmap, t, leg).terms
             for m, dmap in enumerate(maps) for i, t in enumerate(tensors) for leg in (0, 1)}
     for _ in range(2):
         for i, t in enumerate(tensors):

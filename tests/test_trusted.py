@@ -21,6 +21,7 @@ from lrhopf import (  # noqa: E402
     TensorEnvElement,
     antipode,
     ce_differential,
+    check_hopf_lr,
     coproduct,
     dual_differential,
     schouten_bracket,
@@ -37,10 +38,11 @@ from lrhopf.algebra import (  # noqa: E402
     tensor_embed,
 )
 from lrhopf.dsl import parse_env_element, parse_structure_file  # noqa: E402
-from lrhopf.hopf import counit_collapse  # noqa: E402
+from lrhopf.hopf import counit_collapse, standard_coproduct  # noqa: E402
+from lrhopf.sampling import make_rng, random_env_element  # noqa: E402
 
 from conftest import FIXTURES, fixture_path  # noqa: E402
-from flat_oracle import from_flat, to_flat  # noqa: E402
+from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat  # noqa: E402
 import rewriting_oracle  # noqa: E402
 
 NAMES = ("euler", "aff2", "torus")
@@ -115,7 +117,7 @@ def assert_valid_env(u):
 
 def assert_valid_tensor(t):
     assert isinstance(t, TensorEnvElement)
-    rebuilt = TensorEnvElement(t.structure, t.terms)
+    rebuilt = TensorEnvElement(t.structure, t.terms, t.legs)
     assert rebuilt == t
     assert rebuilt.terms == t.terms
     for c in t.terms.values():
@@ -356,3 +358,80 @@ def test_no_result_stores_a_float_a_bool_or_an_integral_fraction(name, data):
              TensorEnvElement: assert_valid_tensor}
     for r in results:
         valid[type(r)](r)
+
+
+# -- the legwise product on cleared denominators -------------------------------
+
+# fractional structure constants: the leg products hold Fractions
+FRACTIONAL = """\
+algebra A { gens: y primitive }
+lie g {
+    basis: x1, x2;
+    bracket [x1, x2] = 1/2*x2;
+}
+action {
+    x1(y) = 1/3*y;
+}
+"""
+KERNEL_STRUCTURES = dict(
+    {name: S for name, (S, _) in FIXTURE_PAIRS.items()},
+    fractional=parse_structure_file(FRACTIONAL).build()[0],
+)
+
+
+def denominators(tensors) -> set:
+    return {Fraction(x).denominator for t in tensors
+            for c in t.terms.values() for x in c.terms.values()}
+
+
+def denominator_operands(S, seed):
+    """Two-leg tensors whose coefficients have denominators 2, 3 and 6, on
+    both sides of a product, next to one with int coefficients only."""
+    rng = make_rng(seed)
+    rand = lambda: random_env_element(rng, S, max_word=2, max_degree=2)
+    basis = sum((EnvElement.generator(S, i) for i in range(S.rank)), EnvElement.zero(S))
+    out = [coproduct(basis ** 2), coproduct(basis) * Fraction(1, 2),
+           tensor_pair(basis, basis + 1) * Fraction(-2, 3), coproduct(basis ** 2) * Fraction(5, 6)]
+    out += [coproduct(rand()) * Fraction(1, 2), tensor_pair(rand(), rand()) * Fraction(1, 3)]
+    # halves and thirds in one operand: its common denominator is 6
+    out.append(coproduct(rand() + 1) * Fraction(1, 2)
+               + tensor_pair(rand(), rand()) * Fraction(1, 3))
+    return out
+
+
+@pytest.mark.parametrize("name", KERNEL_STRUCTURES)
+def test_legwise_products_with_denominators_match_the_flat_product(name):
+    S = KERNEL_STRUCTURES[name]
+    operands = denominator_operands(S, 53)
+    assert {2, 3, 6} <= denominators(operands)
+    for i, a in enumerate(operands):
+        for b in operands[i % 2 :: 2]:
+            r = a * b
+            assert r.terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
+            assert_valid_tensor(r)
+
+
+@pytest.mark.parametrize("name", KERNEL_STRUCTURES)
+def test_three_leg_products_with_denominators_match_the_flat_oracle(name):
+    S = KERNEL_STRUCTURES[name]
+    dmap = standard_coproduct(S)
+    operands = denominator_operands(S, 59)[1:5]
+    triples = []
+    for t in operands:
+        for leg in (0, 1):
+            got = dmap.apply_to_leg(t, leg)
+            assert got.terms == flat_apply_to_leg(dmap, t, leg).terms, f"{name}: leg {leg} of {t}"
+            assert_valid_tensor(got)
+            triples.append(got)
+    assert {2, 3} <= denominators(triples)
+    for a, b in zip(triples, triples[1:] + [triples[0] * Fraction(1, 3)]):
+        r = a * b
+        assert r.terms == flat_product(a, b).terms, f"{name}: {a} times {b}"
+        assert_valid_tensor(r)
+
+
+def test_fractional_structure_constants_reach_the_leg_memo():
+    S = parse_structure_file(FRACTIONAL).build()[0]
+    assert check_hopf_lr(S, seed=0, max_word=2).ok
+    memo = S._tensor_cache["legs"]
+    assert any(type(x) is Fraction for terms in memo.values() for _, p in terms for _, x in p)
