@@ -16,10 +16,11 @@ This module owns the raw-sum kernel that every layer sums coefficients
 with: `_add_into` and `_mul_into` accumulate `exponent tuple -> rational`
 dicts in place (a constant factor only scales the other one, exponents
 otherwise add elementwise), and `_nonzero` turns a finished sum back into
-a valid term dict, once per result.  Polynomial `+` and `*`, morphism
-and derivation application, the enveloping product and rewriting, and
-the legwise tensor product all sum this way; a raw sum may hold an
-integral `Fraction` until it is wrapped.
+a valid term dict, once per result.  A raw sum may hold an integral
+`Fraction` until it is wrapped.  It also owns the one set of clearing
+helpers, `_common_denominator` and `_cleared`, with which the enveloping
+product and the legwise tensor product sum on integers over one
+denominator per operand and divide once per summed coefficient.
 
 Generators can additionally carry a Hopf marker ("primitive" or
 "group_like") from which comultiplication, counit and antipode morphisms
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 from operator import add
@@ -247,10 +249,12 @@ class LaurentPoly:
             raise ValueError("elements of different algebras")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        # the class test first, as in __mul__
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                other = self.algebra.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
         _add_into(terms, other.terms)
@@ -264,10 +268,11 @@ class LaurentPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                other = self.algebra.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -408,6 +413,25 @@ def _mul_into(out: dict, p: dict, q: dict) -> None:
             e = tuple(map(add, e1, e2))
             x = c1 * c2
             out[e] = out[e] + x if e in out else x
+
+
+def _common_denominator(polys) -> int:
+    """The lcm of the denominators of the coefficients of the given
+    LaurentPolys (1 when all are ints)."""
+    d = 1
+    for p in polys:
+        for x in p.terms.values():
+            if x.__class__ is Fraction and d % x.denominator:
+                d = math.lcm(d, x.denominator)
+    return d
+
+
+def _cleared(terms: dict, d: int) -> dict:
+    """d times `terms`, as ints, for d a common denominator of its values."""
+    if d == 1:
+        return terms
+    return {e: x * d if x.__class__ is int else x.numerator * (d // x.denominator)
+            for e, x in terms.items()}
 
 
 def coeff_str(p: LaurentPoly) -> str:

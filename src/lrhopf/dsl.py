@@ -289,6 +289,10 @@ def _combine(op, left, right, where=None):
             if isinstance(left, EnvElement) and isinstance(right, EnvElement):
                 _count_pairs(left, right, where)
             result = left * right
+        elif isinstance(left, EnvElement) and right < 0 and not any(left.terms):
+            # a pure coefficient (the empty word only): a unit has negative powers
+            a = left.terms.get((), left.algebra.zero())
+            result = EnvElement.from_poly(left.structure, a ** right)
         elif isinstance(left, EnvElement) and isinstance(right, int) and right >= 0:
             result = EnvElement.one(left.structure)  # as EnvElement.__pow__ does
             used = 0  # the factors share one budget

@@ -13,12 +13,17 @@ Both rules strictly decrease (word length, inversion count), so rewriting
 terminates; the verification battery checks local confluence on all
 minimal ambiguities, which is what makes the monomial basis free.
 
-Products sum their coefficients raw, with the kernel of `algebra`
-(`_add_into`, `_mul_into`): a partial result is a dict from words to
-`exponent tuple -> rational` dicts, and it becomes word -> LaurentPoly
-once per result, through `_wrap`, which drops what cancelled and puts
-each coefficient back in canonical form (an `int` when integral).  No
-LaurentPoly is built for a partial term.
+Products sum one flat accumulator, (word, exponents) -> rational, from
+the rewriting memos up: `_word_times_gen` and `_word_times_monomial`
+store (word, exponents, rational) triples, `_word_poly_word` walks them
+into a flat dict, and `_product_into` multiplies in the left
+coefficient's monomials as it sums, so no LaurentPoly and no nested
+dict is built for a partial term.  The sums run on integers: the product
+clears each operand's denominators by their lcm (`_common_denominator`,
+`_cleared` of `algebra`, the helpers the legwise tensor product uses
+too) and `_wrap` divides once while it groups the sum by word into
+word -> LaurentPoly, dropping what cancelled and putting each
+coefficient back in canonical form (an `int` when integral).
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from . import sampling
-from .algebra import (LaurentPoly, _add_into, _mul_into, _nonzero, coeff_str,
+from .algebra import (LaurentPoly, _cleared, _common_denominator, coeff_str,
                       counit_morphism)
 from .lie_rinehart import LieRinehartAlgebra, LRElement
 from .report import Report
@@ -72,8 +78,8 @@ class Combination:
     coefficients (an `int` or a `Fraction`), sums repeated keys and drops
     zeros.  Arithmetic builds its results with `_trusted`, which stores a
     dict that already satisfies the invariant without looking at it again;
-    `terms` is never mutated once wrapped.  A product that sums many partial terms keeps
-    them raw (see the module docstring) and wraps the sum once, with
+    `terms` is never mutated once wrapped.  A product sums its partial
+    terms flat (see the module docstring) and wraps the sum once, with
     `_wrap` and then `_trusted`.
 
     A subclass may add one slot, named by `_shape` and fixed at
@@ -173,10 +179,11 @@ class Combination:
 
     def _scale(self, a):
         """a times every coefficient, for a scalar or a coefficient a."""
-        if isinstance(a, (int, Fraction)):
-            return self._like({key: c * a for key, c in self.terms.items()} if a else {})
-        if not isinstance(a, LaurentPoly):
-            return NotImplemented
+        if a.__class__ is not LaurentPoly:
+            if isinstance(a, (int, Fraction)):
+                return self._like({key: c * a for key, c in self.terms.items()} if a else {})
+            if not isinstance(a, LaurentPoly):
+                return NotImplemented
         if a.algebra != self.algebra:
             raise ValueError("coefficient lives in the wrong algebra")
         return self._like({key: a * c for key, c in self.terms.items()} if a else {})
@@ -198,9 +205,9 @@ class Combination:
         return f"<{self}>"
 
 
-def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
+def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> tuple:
     """Normal form of (word * y^e) for a nonempty normal word and a
-    non-constant exponent tuple e.  The result is shared: never mutate it.
+    non-constant exponent tuple e, as (word, exponents, rational) triples.
 
     Memo key: (word, e) in `S._poly_cache`.  The coefficient of the
     monomial is not part of the key, since rewriting is linear over the
@@ -221,7 +228,6 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
     if hit is not None:
         return hit
     A = S.algebra
-    unit = A.one()
     derived = {}  # (k, f) -> terms of l(y^f), l the k-th letter
     levels = []  # (k, the monomials f whose entry (word[:k], f) is missing)
     k, need = len(word), {e}
@@ -238,98 +244,89 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> dict:
         need = {f for f in below if k and any(f) and (head, f) not in memo}
 
     def lookup(head, f):
-        if not any(f):
-            return {head: unit}
-        if not head:
-            return {(): LaurentPoly._trusted(A, {f: 1})}
-        return memo[(head, f)]
+        return memo[(head, f)] if head and any(f) else ((head, f, 1),)
 
     for k, need in reversed(levels):
         head, last = word[:k - 1], word[k - 1]
         for f in need:
-            acc: dict = {}  # word -> {exponents: rational}
-            for u, p in lookup(head, f).items():
-                acc[u + (last,)] = dict(p.terms)
+            acc = {(u + (last,), g): x for u, g, x in lookup(head, f)}
             for g, c in derived[(k, f)].items():
-                for u, p in lookup(head, g).items():
-                    _add_into(acc.setdefault(u, {}), p.terms, c)
-            memo[(word[:k], f)] = _pooled(S, _wrap(A, acc))
+                for u, h, x in lookup(head, g):
+                    key, x = (u, h), x * c
+                    acc[key] = acc[key] + x if key in acc else x
+            memo[(word[:k], f)] = _frozen(acc)
     return memo[(word, e)]
 
 
-def _wrap(A, acc: dict) -> dict:
-    """Turn word -> {exponents: rational} sums into word -> LaurentPoly,
-    dropping cancelled coefficients and words and turning integral
-    Fractions into ints."""
+def _frozen(acc: dict) -> tuple:
+    """A finished flat sum as a memo entry: (word, exponents, rational)
+    triples, without what cancelled, each rational canonical."""
+    return tuple((u, e, x.numerator if x.denominator == 1 else x)
+                 for (u, e), x in acc.items() if x)
+
+
+def _wrap(A, acc: dict, d: int = 1) -> dict:
+    """Group a flat sum (word, exponents) -> rational by word, dividing
+    each rational by d, into word -> LaurentPoly: what cancelled is
+    dropped and integral values become ints."""
     out = {}
-    for u, terms in acc.items():
-        if len(terms) == 1:
-            # _nonzero inline: most sums have one monomial
-            (e, c), = terms.items()
-            if c:
-                out[u] = LaurentPoly._trusted(A, {e: c.numerator if c.denominator == 1 else c})
-            continue
-        terms = _nonzero(terms)
-        if terms:
-            out[u] = LaurentPoly._trusted(A, terms)
+    for (u, e), x in acc.items():
+        if x:
+            if d != 1:
+                x = Fraction(x, d) if x % d else x // d
+            terms = out.get(u)
+            if terms is None:
+                terms = out[u] = {}
+            terms[e] = x.numerator if x.denominator == 1 else x
+    for u, terms in out.items():
+        out[u] = LaurentPoly._trusted(A, terms)
     return out
-
-
-def _pooled(S: LieRinehartAlgebra, terms: dict) -> dict:
-    """`terms` with each coefficient replaced by the structure's one copy
-    of its value, for storing in a cache.  A cache holds few distinct
-    coefficients many times over; sharing them is sound because a
-    LaurentPoly is never mutated in place."""
-    pool = S._coefficient_pool
-    return {u: pool.setdefault(frozenset(p.terms.items()), p) for u, p in terms.items()}
 
 
 def _word_poly_word(S: LieRinehartAlgebra, w, e, v) -> dict:
     """Normal form of (w * y^e * v) for normal words w, v and an exponent
-    tuple e, as raw sums: word -> {exponents: rational}, some of which may
-    have cancelled to zero.  The sums may be shared with the memos: never
-    mutate them.  Once a word's last letter is not above the next letter
-    of v, the rest of v is appended without rewriting."""
-    if w and any(e):
-        cur = {u: p.terms for u, p in _word_times_monomial(S, w, e).items()}
-    else:
-        cur = {w: {e: 1}}
+    tuple e, as a fresh flat sum: (word, exponents) -> rational, some of
+    which may have cancelled to zero.  Once a word's last letter is not
+    above the next letter of v, the rest of v is appended without
+    rewriting."""
+    cur = _word_times_monomial(S, w, e) if w and any(e) else ((w, e, 1),)
     if not v:
-        return cur
+        return {(u, g): x for u, g, x in cur}
+    cur = [((u, g), x) for u, g, x in cur]
     done: dict = {}
-
-    def put(u, p):
-        # p may be shared: a word reached twice gets a fresh sum
-        if u in done:
-            p = dict(p)
-            _add_into(p, done[u])
-        done[u] = p
-
     for t, letter in enumerate(v):
         nxt: dict = {}
-        for u, p in cur.items():
-            if not u or u[-1] <= letter:
-                put(u + v[t:], p)
-                continue
-            for u2, q in _word_times_gen(S, u, letter).items():
-                _mul_into(nxt.setdefault(u2, {}), p, q.terms)
-        cur = nxt
-    for u, p in cur.items():
-        put(u, p)
+        for (u, g), x in cur:
+            if u and u[-1] > letter:
+                for u2, h, y in _word_times_gen(S, u, letter):
+                    key, y = (u2, tuple(map(add, g, h)) if any(h) else g), x * y
+                    nxt[key] = nxt[key] + y if key in nxt else y
+            else:
+                key = (u + v[t:], g)
+                done[key] = done[key] + x if key in done else x
+        cur = nxt.items()
+    for key, x in cur:
+        done[key] = done[key] + x if key in done else x
     return done
 
 
-def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict) -> None:
-    """out += the product of two sums of terms (word -> LaurentPoly), as
-    raw sums: (a w)(c y^e v) = c a (w y^e v) for each monomial c y^e of
-    the right coefficient; coefficients stay on the left."""
+def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict,
+                  d_left: int = 1, d_right: int = 1) -> None:
+    """out += d_left d_right times the product of two sums of terms (word
+    -> LaurentPoly), as a flat sum (see the module docstring), for d_left
+    and d_right common denominators of their coefficients:
+    (a w)(c y^e v) = c a (w y^e v) for each monomial c y^e of the right
+    coefficient; coefficients stay on the left."""
+    right = [(v, _cleared(b.terms, d_right).items()) for v, b in right.items()]
     for w, a in left.items():
-        a = a.terms
-        for v, b in right.items():
-            for e, c in b.terms.items():
-                ca = a if c == 1 else {f: c * x for f, x in a.items()}
-                for u, p in _word_poly_word(S, w, e, v).items():
-                    _mul_into(out.setdefault(u, {}), ca, p)
+        a = [(f if any(f) else None, x) for f, x in _cleared(a.terms, d_left).items()]
+        for v, b in right:
+            for e, c in b:
+                for (u, g), p in _word_poly_word(S, w, e, v).items():
+                    p *= c
+                    for f, x in a:
+                        key, x = (u, g) if f is None else (u, tuple(map(add, f, g))), x * p
+                        out[key] = out[key] + x if key in out else x
 
 
 def _is_one(u: "EnvElement") -> bool:
@@ -338,8 +335,9 @@ def _is_one(u: "EnvElement") -> bool:
     return c is not None and len(c.terms) == 1 and c.terms.get((0,) * c.algebra.ngens) == 1
 
 
-def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
-    """Normal form of (word * e_i).  Cached per structure under (word, i).
+def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> tuple:
+    """Normal form of (word * e_i), as (word, exponents, rational)
+    triples.  Cached per structure under (word, i).
 
     With j the last letter of the word and head the rest (j > i),
 
@@ -350,10 +348,9 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
     each swap finds (head, i) in the cache: no recursion along the word.
     The bracket term is summed one monomial c y^e of each bracket
     coefficient at a time, as c (head y^e e_letter) from `_word_poly_word`,
-    the path the product takes; coefficients are summed with the raw-sum
-    kernel of `algebra`."""
+    the path the product takes."""
     if not word or word[-1] <= i:
-        return {word + (i,): S.algebra.one()}
+        return ((word + (i,), (0,) * S.algebra.ngens, 1),)
     cache = S._nf_cache
     hit = cache.get((word, i))
     if hit is not None:
@@ -363,15 +360,17 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> dict:
         k -= 1
     for n in range(k + 1, len(word) + 1):
         head, j = word[:n - 1], word[n - 1]
-        acc: dict = {}  # word -> {exponents: rational}
-        for u, p in _word_times_gen(S, head, i).items():
-            for v, q in _word_times_gen(S, u, j).items():
-                _mul_into(acc.setdefault(v, {}), p.terms, q.terms)
+        acc: dict = {}  # (word, exponents) -> rational
+        for u, g, x in _word_times_gen(S, head, i):
+            for v, h, y in _word_times_gen(S, u, j):
+                key, y = (v, tuple(map(add, g, h)) if any(h) else g), x * y
+                acc[key] = acc[key] + y if key in acc else y
         for letter, b in enumerate(S.bracket_of_basis(j, i).coeffs):
             for e, c in b.terms.items():
-                for v, p in _word_poly_word(S, head, e, (letter,)).items():
-                    _add_into(acc.setdefault(v, {}), p, c)
-        cache[(word[:n], i)] = _pooled(S, _wrap(S.algebra, acc))
+                for key, x in _word_poly_word(S, head, e, (letter,)).items():
+                    x *= c
+                    acc[key] = acc[key] + x if key in acc else x
+        cache[(word[:n], i)] = _frozen(acc)
     return cache[(word, i)]
 
 
@@ -397,7 +396,9 @@ class EnvElement(Combination):
         return _normal_word(self.structure, word)
 
     def _operand(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        # the class test first: Fraction's metaclass is an ABCMeta, so the
+        # isinstance test is costly when it fails
+        if other.__class__ is not EnvElement and isinstance(other, (int, Fraction, LaurentPoly)):
             return EnvElement.from_poly(self.structure, other)
         return super()._operand(other)
 
@@ -440,11 +441,12 @@ class EnvElement(Combination):
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not EnvElement:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
         self._check(other)
         # a product by the constant 1 is the other factor itself
         if _is_one(other):
@@ -452,9 +454,11 @@ class EnvElement(Combination):
         if _is_one(self):
             return other
         S = self.structure
+        d_left = _common_denominator(self.terms.values())
+        d_right = _common_denominator(other.terms.values())
         result: dict = {}
-        _product_into(result, S, self.terms, other.terms)
-        return EnvElement._trusted(S, _wrap(S.algebra, result))
+        _product_into(result, S, self.terms, other.terms, d_left, d_right)
+        return EnvElement._trusted(S, _wrap(S.algebra, result, d_left * d_right))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

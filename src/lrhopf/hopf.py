@@ -17,8 +17,9 @@ leg.  A non-constant c multiplies once per output key of its left term,
 after the legs of all its pairs are summed.  The sums run on integers:
 each operand's coefficients are first multiplied by the lcm of their
 denominators (one denominator per operand, as FLINT's fmpq_poly keeps
-an integer polynomial over one denominator), and each summed coefficient
-is divided once by both lcms before it is wrapped.  The leg memo keeps
+an integer polynomial over one denominator; the clearing helpers of
+`algebra`, which the enveloping product uses too), and each summed
+coefficient is divided once by both lcms before it is wrapped.  The leg memo keeps
 its own rationals, so fractional structure constants still work; a
 Fraction then only reaches the sums through a leg.  Coefficients live in
 `A.tensor_power(k)`, which A builds once and keeps.  The same space is
@@ -88,6 +89,8 @@ from fractions import Fraction
 from . import sampling
 from .algebra import (
     LaurentPoly,
+    _cleared,
+    _common_denominator,
     _mul_into,
     _nonzero,
     antipode_morphism,
@@ -100,7 +103,7 @@ from .algebra import (
     check_hopf_axioms,
 )
 from .enveloping import (Combination, EnvElement, _add_term, _normal_word,
-                         _pooled, _product_into, _word_poly_word, _wrap, signed_sum)
+                         _product_into, _word_poly_word, _wrap, signed_sum)
 from .lie_rinehart import LieRinehartAlgebra, check_bi_lr
 from .report import Report
 
@@ -136,19 +139,22 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
     return T
 
 
-def _common_denominator(coefficients) -> int:
-    """The lcm of the denominators of every rational in the given
-    `exponents -> rational` dicts (1 when all are ints)."""
-    return math.lcm(*{x.denominator for terms in coefficients
-                      for x in terms.values() if x.__class__ is Fraction})
-
-
-def _cleared(terms: dict, d: int) -> dict:
-    """d times `terms`, as ints, for d a common denominator of its values."""
-    if d == 1:
-        return terms
-    return {e: x * d if x.__class__ is int else x.numerator * (d // x.denominator)
-            for e, x in terms.items()}
+def _wrap_legs(A, sums: dict) -> dict:
+    """Turn word tuple -> {exponents: rational} sums into word tuple ->
+    LaurentPoly, dropping cancelled coefficients and keys and turning
+    integral Fractions into ints."""
+    out = {}
+    for ws, terms in sums.items():
+        if len(terms) == 1:
+            # _nonzero inline: most sums have one monomial
+            (e, c), = terms.items()
+            if c:
+                out[ws] = LaurentPoly._trusted(A, {e: c.numerator if c.denominator == 1 else c})
+            continue
+        terms = _nonzero(terms)
+        if terms:
+            out[ws] = LaurentPoly._trusted(A, terms)
+    return out
 
 
 def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
@@ -174,12 +180,12 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     def leg(w, e, v):
         hit = memo.get((w, e, v))
         if hit is None:
-            terms = ((u, _nonzero(p)) for u, p in _word_poly_word(S, w, e, v).items())
-            hit = memo[(w, e, v)] = tuple((u, tuple(p.items())) for u, p in terms if p)
+            terms = _wrap(A, _word_poly_word(S, w, e, v))
+            hit = memo[(w, e, v)] = tuple((u, tuple(p.terms.items())) for u, p in terms.items())
         return hit
 
-    d_t = _common_denominator(c.terms for c in t.terms.values())
-    d_s = _common_denominator(b.terms for b in s.terms.values())
+    d_t = _common_denominator(t.terms.values())
+    d_s = _common_denominator(s.terms.values())
     # right terms with each monomial's exponents cut into legs once
     right = [(vs, [(tuple(e[cut] for cut in cuts), q) for e, q in _cleared(b.terms, d_s).items()])
              for vs, b in s.terms.items()]
@@ -218,7 +224,7 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
         for coeffs in sums.values():
             for exps, x in coeffs.items():
                 coeffs[exps] = Fraction(x, den)
-    return _wrap(A.tensor_power(k), sums)
+    return _wrap_legs(A.tensor_power(k), sums)
 
 
 class TensorEnvElement(Combination):
@@ -252,12 +258,14 @@ class TensorEnvElement(Combination):
         return cls._trusted(structure, {}, legs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        if isinstance(other, LaurentPoly):
-            other = TensorEnvElement(self.structure, {((),) * self.legs: other}, self.legs)
-        if not isinstance(other, TensorEnvElement):
-            return NotImplemented
+        # the class test first, as in EnvElement.__mul__
+        if other.__class__ is not TensorEnvElement:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
+            if isinstance(other, LaurentPoly):
+                other = TensorEnvElement(self.structure, {((),) * self.legs: other}, self.legs)
+            elif not isinstance(other, TensorEnvElement):
+                return NotImplemented
         self._check(other)
         return TensorEnvElement._trusted(
             self.structure, _legwise_product(self, other), self.legs
@@ -449,7 +457,7 @@ def _multiply_out(S, legs: int, terms, coefficient, letter_images, products) -> 
         c = coefficient(a).terms
         for ws, p in product.terms.items():
             _mul_into(sums.setdefault(ws, {}), c, p.terms)
-    return TensorEnvElement._trusted(S, _wrap(S.algebra.tensor_power(legs), sums), legs)
+    return TensorEnvElement._trusted(S, _wrap_legs(S.algebra.tensor_power(legs), sums), legs)
 
 
 def standard_coproduct(S: LieRinehartAlgebra) -> CoproductLikeMap:
@@ -476,20 +484,24 @@ def _word_antipode(S: LieRinehartAlgebra, w) -> EnvElement:
     length L, memoized per structure for w and each of its prefixes.  A
     miss starts from the longest prefix already known and extends it a
     letter at a time: appending the letter l multiplies by -e_l on the
-    left."""
+    left.  The memo holds few distinct coefficients many times over, so
+    its entries share one object per value (sound because a LaurentPoly
+    is never mutated in place); that keeps it about a third the size."""
     memo = S._tensor_cache.get("antipode-words")
     if memo is None:
         memo = S._tensor_cache["antipode-words"] = {(): EnvElement.one(S)}
     hit = memo.get(w)
     if hit is not None:
         return hit
+    pool = S._tensor_cache.setdefault("antipode-coefficients", {})
     k = len(w) - 1
     while w[:k] not in memo:
         k -= 1
     cur = memo[w[:k]]
     for k in range(k, len(w)):
         cur = -(EnvElement.generator(S, w[k]) * cur)
-        cur = memo[w[:k + 1]] = EnvElement._trusted(S, _pooled(S, cur.terms))
+        cur = memo[w[:k + 1]] = EnvElement._trusted(S, {
+            u: pool.setdefault(frozenset(p.terms.items()), p) for u, p in cur.terms.items()})
     return cur
 
 
@@ -503,10 +515,12 @@ def antipode(u: EnvElement) -> EnvElement:
         # one product, which returns the memo entry itself when S_A(a) = 1
         (w, a), = u.terms.items()
         return _word_antipode(S, w) * EnvElement._trusted(S, {(): anti_A(a)})
-    sums: dict = {}  # word -> {exponents: rational}
-    for w, a in u.terms.items():
-        _product_into(sums, S, _word_antipode(S, w).terms, {(): anti_A(a)})
-    return EnvElement._trusted(S, _wrap(S.algebra, sums))
+    images = {w: anti_A(a) for w, a in u.terms.items()}
+    d = _common_denominator(images.values())
+    sums: dict = {}  # (word, exponents) -> rational
+    for w, b in images.items():
+        _product_into(sums, S, _word_antipode(S, w).terms, {(): b}, 1, d)
+    return EnvElement._trusted(S, _wrap(S.algebra, sums, d))
 
 
 # -- collapsing maps used to state the axioms ---------------------------------
@@ -531,9 +545,10 @@ def antipode_convolution(t: TensorEnvElement, leg: int) -> EnvElement:
     S = t.structure
     A = S.algebra
     n = A.ngens
-    sums: dict = {}  # word -> {exponents: rational}
+    d = _common_denominator(t.terms.values())
+    sums: dict = {}  # (word, exponents) -> rational
     for (w1, w2), c in t.terms.items():
-        for exps, q in c.terms.items():
+        for exps, q in _cleared(c.terms, d).items():
             left = {w1: LaurentPoly._trusted(A, {exps[:n]: q})}
             right = {w2: LaurentPoly._trusted(A, {exps[n:]: 1})}
             if leg == 0:
@@ -541,7 +556,7 @@ def antipode_convolution(t: TensorEnvElement, leg: int) -> EnvElement:
             else:
                 right = antipode(EnvElement._trusted(S, right)).terms
             _product_into(sums, S, left, right)
-    return EnvElement._trusted(S, _wrap(A, sums))
+    return EnvElement._trusted(S, _wrap(A, sums, d))
 
 
 # -- batteries -----------------------------------------------------------------

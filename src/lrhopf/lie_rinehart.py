@@ -156,13 +156,11 @@ class LieRinehartAlgebra:
             if d.algebra != algebra:
                 raise ValueError("anchor derivation on the wrong algebra")
         self.anchor = anchor
-        # normal-form rewrite cache, filled lazily by the enveloping algebra
+        # (word, letter) -> normal form of word * e_letter, and (word,
+        # exponents) -> normal form of word * y^e, as (word, exponents,
+        # rational) triples, filled lazily by the enveloping algebra
         self._nf_cache = {}
-        # (word, exponents) -> normal form of word * y^e, filled lazily by
-        # the enveloping algebra
         self._poly_cache = {}
-        # one coefficient object per distinct value the caches hold
-        self._coefficient_pool = {}
         # the coalgebra layer's per-structure caches, built on demand
         self._tensor_cache = {}
         if validate:

@@ -68,6 +68,15 @@ def build_gl2():
     )
 
 
+def build_a_valued():
+    """[x1, x2] = y*x2 over Q[y], y primitive: a bracket with a coefficient."""
+    A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])
+    y, z = A.gen(0), A.zero()
+    return LieRinehartAlgebra(
+        A, ["x1", "x2"], {(0, 1): [z, y]}, [Derivation(A, [y]), Derivation(A, [z])]
+    )
+
+
 @pytest.fixture(scope="session")
 def euler():
     return build_euler()

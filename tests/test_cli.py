@@ -382,3 +382,23 @@ def test_the_ceilings_admit_the_largest_requests_in_use():
     _refuse_huge(build_parser().parse_args(["pbw", "gl3.lra", "--samples", str(MAX_SAMPLES)]), gl3)
     with pytest.raises(ValueError):
         _refuse_huge(build_parser().parse_args(["check-hopf", "gl3.lra", "--max-word", "4"]), gl3)
+
+
+@pytest.mark.parametrize("command, expression, want", [
+    ("nf", "t^-2*x", "t^-2*x"),
+    ("nf", "x*t^-1", "t^-1*x - t^-1"),
+    ("coproduct", "t^-1*x", "t^-1*x (x) t^-1 + t^-1 (x) t^-1*x"),
+    ("counit", "t^-1 + x", "1"),
+    ("antipode", "t^-1*x", "-t*x - t"),
+])
+def test_expressions_take_negative_powers_of_units(capsys, command, expression, want):
+    code, out, err = run(capsys, command, fixture_path("torus.lra"), expression)
+    assert (code, out.strip(), err) == (0, want, "")
+
+
+@pytest.mark.parametrize("fixture, expression", [
+    ("aff2.lra", "y^-1"), ("torus.lra", "x^-1"), ("torus.lra", "(t*x)^-1")])
+def test_negative_powers_of_non_units_are_refused(capsys, fixture, expression):
+    code, out, err = run(capsys, "nf", fixture_path(fixture), expression)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

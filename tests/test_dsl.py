@@ -161,6 +161,25 @@ def test_env_expression_rejects_negative_word_power():
     S = build_euler()
     with pytest.raises(ParseError):
         parse_env_element("x^-1", S)
+    T = parse_structure_file(read_fixture("torus.lra")).build()[0]
+    for text in ("x^-1", "(t*x)^-1", "(t + x)^-1"):
+        with pytest.raises(ParseError):
+            parse_env_element(text, T)
+
+
+def test_env_expression_takes_negative_powers_of_units():
+    # a pure coefficient is raised in A, where a unit has negative powers
+    S = parse_structure_file(read_fixture("torus.lra")).build()[0]
+    t = S.algebra.gen(0)
+    x = EnvElement.generator(S, 0)
+    assert parse_env_element("t^-2*x", S).terms == {(0,): t ** -2}
+    # x t^-1 = t^-1 x + x(t^-1) = t^-1 x - t^-1
+    assert parse_env_element("x*t^-1", S) == EnvElement(S, {(0,): t ** -1, (): -(t ** -1)})
+    assert parse_env_element("(2*t)^-1*x", S) == (t ** -1 * Fraction(1, 2)) * x
+    assert parse_env_element("t^-1*t", S) == EnvElement.one(S)
+    for text in ("(t + 1)^-1", "0^-1"):
+        with pytest.raises(ParseError, match="not a unit"):
+            parse_env_element(text, S)
 
 
 def test_long_sum_in_a_structure_file_evaluates(tmp_path, capsys):

@@ -18,10 +18,9 @@ from lrhopf import (
     antipode,
 )
 from lrhopf.dsl import parse_structure_file
-from lrhopf.enveloping import _word_times_gen
 from lrhopf.sampling import make_rng, random_env_element, random_poly
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, build_a_valued, fixture_path
 import rewriting_oracle as oracle
 
 _NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")) + ["a-valued"]
@@ -30,12 +29,7 @@ _NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")) + ["a-val
 def _fresh(name):
     """A newly built structure, so every memo starts empty."""
     if name == "a-valued":
-        # [x1, x2] = y*x2 over Q[y], y primitive: a bracket with a coefficient
-        A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])
-        y, z = A.gen(0), A.zero()
-        return LieRinehartAlgebra(
-            A, ["x1", "x2"], {(0, 1): [z, y]}, [Derivation(A, [y]), Derivation(A, [z])]
-        )
+        return build_a_valued()
     with open(fixture_path(name), encoding="utf-8") as fh:
         return parse_structure_file(fh.read()).build()[0]
 
@@ -68,8 +62,9 @@ def test_word_times_poly_matches_the_recursive_oracle(name):
 
 @pytest.mark.parametrize("name", _NAMES)
 def test_word_times_gen_matches_the_recursive_oracle(name):
-    # longest words first walk down through prefixes the cache does not
-    # hold yet; shortest first find every prefix filled
+    # the letter swap, through the public product word * e_i; longest
+    # words first walk down through prefixes the cache does not hold yet,
+    # shortest first find every prefix filled
     for longest_first in (False, True):
         S = _fresh(name)
         words = _words(S)
@@ -77,7 +72,8 @@ def test_word_times_gen_matches_the_recursive_oracle(name):
             words.reverse()
         for w in words:
             for i in range(S.rank):
-                assert _word_times_gen(S, w, i) == oracle.word_times_gen(S, w, i), (
+                product = EnvElement(S, {w: 1}) * EnvElement.generator(S, i)
+                assert product.terms == oracle.word_times_gen(S, w, i), (
                     f"{name}: {w} times letter {i}")
 
 

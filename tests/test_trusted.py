@@ -38,10 +38,10 @@ from lrhopf.algebra import (  # noqa: E402
     tensor_embed,
 )
 from lrhopf.dsl import parse_env_element, parse_structure_file  # noqa: E402
-from lrhopf.hopf import counit_collapse, standard_coproduct  # noqa: E402
+from lrhopf.hopf import antipode_convolution, counit_collapse, standard_coproduct  # noqa: E402
 from lrhopf.sampling import make_rng, random_env_element  # noqa: E402
 
-from conftest import FIXTURES, fixture_path  # noqa: E402
+from conftest import FIXTURES, build_a_valued, fixture_path  # noqa: E402
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat  # noqa: E402
 import rewriting_oracle  # noqa: E402
 
@@ -435,3 +435,121 @@ def test_fractional_structure_constants_reach_the_leg_memo():
     assert check_hopf_lr(S, seed=0, max_word=2).ok
     memo = S._tensor_cache["legs"]
     assert any(type(x) is Fraction for terms in memo.values() for _, p in terms for _, x in p)
+
+
+# -- the enveloping product's flat integer sums ---------------------------------
+
+# the kernel structures and one whose bracket has a coefficient
+ENV_KERNEL_STRUCTURES = dict(KERNEL_STRUCTURES, **{"a-valued": build_a_valued()})
+
+
+def env_denominator_operands(S, seed):
+    """Enveloping elements whose coefficients have denominators 2, 3 and 6,
+    next to random ones; the random coefficients are not constant, and on
+    torus they carry negative exponents."""
+    rng = make_rng(seed)
+    rand = lambda: random_env_element(rng, S, max_word=3, max_degree=2, terms=3)
+    basis = sum((EnvElement.generator(S, i) for i in range(S.rank)), EnvElement.zero(S))
+    return [rand(), rand(), basis * Fraction(1, 2) + rand(), (basis + 1) * Fraction(-2, 3),
+            basis ** 2 * Fraction(5, 6) + rand() * Fraction(1, 2),
+            # halves and thirds in one operand: its common denominator is 6
+            rand() * Fraction(1, 2) + basis * Fraction(1, 3)]
+
+
+def env_denominators(elements) -> set:
+    return {Fraction(x).denominator for u in elements
+            for c in u.terms.values() for x in c.terms.values()}
+
+
+@pytest.mark.parametrize("name", ENV_KERNEL_STRUCTURES)
+def test_env_products_with_denominators_match_the_letter_by_letter_oracle(name):
+    S = ENV_KERNEL_STRUCTURES[name]
+    operands = env_denominator_operands(S, 61)
+    assert {2, 3, 6} <= env_denominators(operands)
+    exponents = [e for u in operands for c in u.terms.values() for exps in c.terms for e in exps]
+    assert (any(exponents) or not S.algebra.ngens) and (name != "torus" or min(exponents) < 0)
+    for i, a in enumerate(operands):
+        for b in operands[i:]:
+            for x, y in ((a, b), (b, a)):
+                r = x * y
+                assert r.terms == rewriting_oracle.product(x, y).terms, f"{name}: {x} times {y}"
+                assert_valid_env(r)
+
+
+@pytest.mark.parametrize("name", ENV_KERNEL_STRUCTURES)
+def test_antipode_sums_with_denominators_match_the_oracle(name):
+    # antipode and antipode_convolution clear denominators too
+    S = ENV_KERNEL_STRUCTURES[name]
+    A, n = S.algebra, S.algebra.ngens
+    dmap = standard_coproduct(S)
+    for u in env_denominator_operands(S, 67):
+        got = antipode(u)
+        assert got.terms == rewriting_oracle.antipode(u).terms, f"{name}: antipode of {u}"
+        assert_valid_env(got)
+        t = dmap(u) + tensor_pair(u, u * Fraction(1, 3))
+        for leg in (0, 1):
+            want = EnvElement.zero(S)
+            for (w1, w2), c in t.terms.items():
+                for exps, q in c.terms.items():
+                    left = EnvElement(S, {w1: A.monomial(exps[:n], q)})
+                    right = EnvElement(S, {w2: A.monomial(exps[n:])})
+                    if leg == 0:
+                        left = rewriting_oracle.antipode(left)
+                    else:
+                        right = rewriting_oracle.antipode(right)
+                    want = want + rewriting_oracle.product(left, right)
+            got = antipode_convolution(t, leg)
+            assert got.terms == want.terms, f"{name}: leg {leg} of {t}"
+            assert_valid_env(got)
+
+
+@pytest.mark.parametrize("name", ENV_KERNEL_STRUCTURES)
+def test_rewriting_memos_hold_only_nonzero_canonical_triples(name):
+    S = ENV_KERNEL_STRUCTURES[name]
+    operands = env_denominator_operands(S, 71)
+    for a in operands:
+        for b in operands:
+            a * b
+    n = S.algebra.ngens
+    entries = list(S._nf_cache.values()) + list(S._poly_cache.values())
+    assert entries
+    for entry in entries:
+        assert type(entry) is tuple and entry
+        assert len({(u, e) for u, e, _ in entry}) == len(entry)
+        for u, e, x in entry:
+            assert u == tuple(sorted(u)) and len(e) == n
+            assert (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+
+
+SCALARS = (True, 3, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("c", SCALARS, ids=lambda c: type(c).__name__)
+def test_scalar_operands_pass_the_class_first_tests(c):
+    # each operand test looks at the operand's class before the costlier
+    # isinstance test; bool, int and Fraction scalars still take the
+    # scalar path
+    S = ENV_KERNEL_STRUCTURES["torus"]
+    A = S.algebra
+    k = A.const(c)
+    p = A.gen(0) * Fraction(1, 3) + 2
+    for r, want in ((p + c, p + k), (c + p, p + k), (p - c, p + (-k)), (c - p, k + (-p))):
+        assert r == want
+        assert_valid_poly(r)
+    u = random_env_element(make_rng(73), S, max_word=2, max_degree=2, terms=3)
+    scaled = EnvElement(S, {w: a * k for w, a in u.terms.items()})
+    for r, want in ((u * c, scaled), (c * u, scaled), (u * k, scaled), (k * u, scaled),
+                    (u + c, u + EnvElement.from_poly(S, k)),
+                    (u - c, u - EnvElement.from_poly(S, k)),
+                    (u * EnvElement.from_poly(S, k), scaled)):
+        assert r.terms == want.terms
+        assert_valid_env(r)
+    assert (EnvElement.from_poly(S, k) == c) and (c == EnvElement.from_poly(S, k))
+    t = coproduct(u)
+    k2 = A.tensor_power(2).const(c)
+    for r in (t * c, c * t, t * k2):
+        assert r.terms == {key: a * k2 for key, a in t.terms.items()}
+        assert_valid_tensor(r)
+    m = MultiVector(S, 1, {(0,): p})
+    assert (c * m).terms == {(0,): p * k}
+    assert_valid_multivector(c * m)
