@@ -12,15 +12,18 @@ Most coefficients are integral, and `int` arithmetic is far cheaper than
 (`_nonzero`); public scalar returns (`as_constant`,
 `constant_coefficient`) are `Fraction`s.
 
-This module owns the raw-sum kernel that every layer sums coefficients
-with: `_add_into` and `_mul_into` accumulate `exponent tuple -> rational`
-dicts in place (a constant factor only scales the other one, exponents
-otherwise add elementwise), and `_nonzero` turns a finished sum back into
-a valid term dict, once per result.  A raw sum may hold an integral
-`Fraction` until it is wrapped.  It also owns the one set of clearing
-helpers, `_common_denominator` and `_cleared`, with which the enveloping
-product and the legwise tensor product sum on integers over one
-denominator per operand and divide once per summed coefficient.
+This module owns the raw-sum kernel of polynomial arithmetic and of
+morphism and derivation application: `_add_into` and `_mul_into`
+accumulate `exponent tuple -> rational` dicts in place (a constant
+factor only scales the other one, exponents otherwise add elementwise),
+and `_nonzero` turns a finished sum back into a valid term dict, once
+per result.  A raw sum may hold an integral `Fraction` until it is
+wrapped.  The enveloping product and the tensor layer do not use it:
+they sum one flat (word, exponents) -> rational dict (see `enveloping`).
+This module also owns the one set of clearing helpers,
+`_common_denominator` and `_cleared`, with which the enveloping product
+and the legwise tensor product sum on integers over one denominator per
+operand and divide once per summed coefficient.
 
 Generators can additionally carry a Hopf marker ("primitive" or
 "group_like") from which comultiplication, counit and antipode morphisms
@@ -371,6 +374,10 @@ class LaurentPoly:
 def _canon(c):
     """A rational value entering a LaurentPoly, in canonical form: an `int`
     when integral (a `bool` becomes 0 or 1), otherwise a `Fraction`."""
+    # the class test first: Fraction's metaclass is an ABCMeta, so the
+    # isinstance test is costly when it fails, and most values are ints
+    if c.__class__ is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):

@@ -7,12 +7,13 @@ or a single computation, and prints a human-readable report or, with
 reports can be compared byte for byte.
 
 Exit status: 0 when all checks pass (or the value was computed), 1 when a
-check fails, 2 on input errors (unreadable file, parse error, a command
-that needs declarations the file does not provide, a sample count below 1
-or a negative bound, a battery larger than its ceiling: see MAX_SAMPLES
-and MAX_WORD_PAIRS), 3 on any other exception, which is a fault of
-lrhopf itself: it prints the one line
-`error: internal error: <exception type>: <message>` and no traceback.
+check fails, 2 on input errors (a file that cannot be read or is not
+UTF-8, a parse error, a command that needs declarations the file does
+not provide, a sample count below 1 or a negative bound, a battery
+larger than its ceiling: see MAX_SAMPLES and MAX_WORD_PAIRS), 3 on any
+other exception, which is a fault of lrhopf itself: it prints the one
+line `error: internal error: <exception type>: <message>` and no
+traceback.
 """
 
 from __future__ import annotations
@@ -194,6 +195,10 @@ def main(argv=None) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
         return 2
 
     started = time.monotonic()

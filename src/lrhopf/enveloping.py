@@ -23,7 +23,9 @@ clears each operand's denominators by their lcm (`_common_denominator`,
 `_cleared` of `algebra`, the helpers the legwise tensor product uses
 too) and `_wrap` divides once while it groups the sum by word into
 word -> LaurentPoly, dropping what cancelled and putting each
-coefficient back in canonical form (an `int` when integral).
+coefficient back in canonical form (an `int` when integral).  The
+legwise tensor product of `hopf` sums the same way, its key a tuple of
+words: its leg memo holds the same triples and `_wrap` wraps its sum.
 """
 
 from __future__ import annotations
@@ -266,9 +268,10 @@ def _frozen(acc: dict) -> tuple:
 
 
 def _wrap(A, acc: dict, d: int = 1) -> dict:
-    """Group a flat sum (word, exponents) -> rational by word, dividing
-    each rational by d, into word -> LaurentPoly: what cancelled is
-    dropped and integral values become ints."""
+    """Group a flat sum (word, exponents) -> rational by word (or by
+    word tuple, for a tensor), dividing each rational by d, into word ->
+    LaurentPoly: what cancelled is dropped and integral values become
+    ints."""
     out = {}
     for (u, e), x in acc.items():
         if x:

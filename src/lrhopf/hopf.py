@@ -9,19 +9,20 @@ product is computed one leg at a time with the structure's own rewriting:
         = c q (w_0 y^e_0 v_0) (x) .. (x) (w_{k-1} y^e_{k-1} v_{k-1})
 
 for each monomial q y^e_0 .. y^e_{k-1} of the right coefficient, where each
-leg w y^e v is a product in the enveloping algebra itself.  The leg
-products are memoized per structure, for every number of legs, in raw
-form: (w, e, v) -> ((word, ((exponents, rational), ..)), ..), zeros
-dropped, so the product loops over tuples and builds no LaurentPoly per
-leg.  A non-constant c multiplies once per output key of its left term,
-after the legs of all its pairs are summed.  The sums run on integers:
-each operand's coefficients are first multiplied by the lcm of their
-denominators (one denominator per operand, as FLINT's fmpq_poly keeps
-an integer polynomial over one denominator; the clearing helpers of
-`algebra`, which the enveloping product uses too), and each summed
-coefficient is divided once by both lcms before it is wrapped.  The leg memo keeps
-its own rationals, so fractional structure constants still work; a
-Fraction then only reaches the sums through a leg.  Coefficients live in
+leg w y^e v is a product in the enveloping algebra itself.  The tensor
+layer sums exactly as the enveloping product does (see `enveloping`):
+the leg products are memoized per structure, for every number of legs,
+as (w, e, v) -> the (word, exponents, rational) triples that the
+rewriting memos hold, each partial term is built leg by leg as (word
+tuple, concatenated exponents, rational), the monomials of c multiply
+in as each partial term is summed, and the one flat sum (word tuple,
+exponents) -> rational is wrapped once by `_wrap`.  The sums run on integers: each operand's
+coefficients are first multiplied by the lcm of their denominators (one
+denominator per operand, as FLINT's fmpq_poly keeps an integer
+polynomial over one denominator), and `_wrap` divides each summed
+coefficient once by both lcms.  The leg memo keeps its own rationals,
+so fractional structure constants still work; a Fraction then only
+reaches the sums through a leg.  Coefficients live in
 `A.tensor_power(k)`, which A builds once and keeps.  The same space is
 the enveloping algebra of `tensor_power_structure` (k commuting copies
 of the basis, copy c acting on leg c); nothing here uses it: it serves
@@ -69,13 +70,13 @@ against.
 Multiplying out (by_rewriting, and apply_to_leg for coassociativity)
 memoizes, per map and per leg, the legwise product of the letter images
 of each word tuple, and sums coefficient(a) times that product for each
-term a (word tuple) of the argument.  This regroups the same product by
-associativity and moves a coefficient on the left into the coefficients,
-nothing else: it never uses the closed form, so both stay independent of
-the coproduct they check, and the battery still measures
-multiplicativity and coassociativity.  Nor does the legwise product
-itself: it rewrites each leg with the structure's own rules, so a wrong
-split multiplicity in the closed form still fails
+term a (word tuple) of the argument, into the same flat sum.  This
+regroups the same product by associativity and moves a coefficient on
+the left into the coefficients, nothing else: it never uses the closed
+form, so both stay independent of the coproduct they check, and the
+battery still measures multiplicativity and coassociativity.  Nor does
+the legwise product itself: it rewrites each leg with the structure's
+own rules, so a wrong split multiplicity in the closed form still fails
 coproduct-multiplicative-words and coproduct-coassociative.
 """
 
@@ -85,14 +86,13 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 from . import sampling
 from .algebra import (
     LaurentPoly,
     _cleared,
     _common_denominator,
-    _mul_into,
-    _nonzero,
     antipode_morphism,
     comultiplication,
     counit_morphism,
@@ -102,7 +102,7 @@ from .algebra import (
     tensor_embed,
     check_hopf_axioms,
 )
-from .enveloping import (Combination, EnvElement, _add_term, _normal_word,
+from .enveloping import (Combination, EnvElement, _add_term, _frozen, _normal_word,
                          _product_into, _word_poly_word, _wrap, signed_sum)
 from .lie_rinehart import LieRinehartAlgebra, check_bi_lr
 from .report import Report
@@ -139,49 +139,25 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
     return T
 
 
-def _wrap_legs(A, sums: dict) -> dict:
-    """Turn word tuple -> {exponents: rational} sums into word tuple ->
-    LaurentPoly, dropping cancelled coefficients and keys and turning
-    integral Fractions into ints."""
-    out = {}
-    for ws, terms in sums.items():
-        if len(terms) == 1:
-            # _nonzero inline: most sums have one monomial
-            (e, c), = terms.items()
-            if c:
-                out[ws] = LaurentPoly._trusted(A, {e: c.numerator if c.denominator == 1 else c})
-            continue
-        terms = _nonzero(terms)
-        if terms:
-            out[ws] = LaurentPoly._trusted(A, terms)
-    return out
-
-
 def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     """The terms of t * s, one leg at a time (see the module docstring).
-    A constant left coefficient folds into the scalars; any other
-    multiplies once per output key of its term, after the legs of all its
-    pairs are summed.  Per monomial of a right coefficient, the products
-    of all legs but the last are collected per word tuple first; the last
-    leg is accumulated in place.
-    Coefficients are summed on cleared denominators, as raw exponent ->
-    rational dicts, divided once and wrapped once at the end, which puts
-    them back in canonical form."""
+    Each partial term is built leg by leg as (word tuple, concatenated
+    exponents, rational), and the left coefficient's monomials multiply in
+    as it is summed, as in `_product_into`: one flat sum on cleared
+    denominators, divided and wrapped once by `_wrap`."""
     S = t.structure
     A = S.algebra
     k = t.legs
     n = A.ngens
-    unit = (0,) * (k * n)
     cuts = [slice(l * n, (l + 1) * n) for l in range(k)]
-    # (w, e, v) -> the nonzero terms of w y^e v in S, per structure, as
-    # ((word, ((exponents, rational), ..)), ..)
+    # (w, e, v) -> the normal form of w y^e v in S, per structure, as the
+    # (word, exponents, rational) triples of the rewriting memos
     memo = S._tensor_cache.setdefault("legs", {})
 
     def leg(w, e, v):
         hit = memo.get((w, e, v))
         if hit is None:
-            terms = _wrap(A, _word_poly_word(S, w, e, v))
-            hit = memo[(w, e, v)] = tuple((u, tuple(p.terms.items())) for u, p in terms.items())
+            hit = memo[(w, e, v)] = _frozen(_word_poly_word(S, w, e, v))
         return hit
 
     d_t = _common_denominator(t.terms.values())
@@ -189,42 +165,21 @@ def _legwise_product(t: TensorEnvElement, s: TensorEnvElement) -> dict:
     # right terms with each monomial's exponents cut into legs once
     right = [(vs, [(tuple(e[cut] for cut in cuts), q) for e, q in _cleared(b.terms, d_s).items()])
              for vs, b in s.terms.items()]
-    sums: dict = {}  # word tuple -> {exponent tuple of the k-th power of A: rational}
-    for ws, c in t.terms.items():
-        c = _cleared(c.terms, d_t)
-        scalar = c.get(unit) if len(c) == 1 else None
-        acc = sums if scalar is not None else {}
+    sums: dict = {}  # (word tuple, exponents) -> rational
+    for ws, a in t.terms.items():
+        a = [(f if any(f) else None, x) for f, x in _cleared(a.terms, d_t).items()]
         for vs, monomials in right:
             for es, q in monomials:
-                if scalar is not None:
-                    q = q * scalar
-                head = [((z,), p) for z, p in leg(ws[0], es[0], vs[0])]
-                for l in range(1, k - 1):
-                    # distinct (zs, z) and (a0, a1) give distinct keys: nothing to sum
-                    head = [(zs + (z,), [(a0 + a1, c0 * c1) for a0, c0 in hp for a1, c1 in p])
-                            for zs, hp in head for z, p in leg(ws[l], es[l], vs[l])]
-                last = leg(ws[-1], es[-1], vs[-1])
-                for zs, hp in head:
-                    for z, p in last:
-                        key = zs + (z,)
-                        out = acc.get(key)
-                        if out is None:
-                            out = acc[key] = {}
-                        for a0, c0 in hp:
-                            qc0 = q * c0
-                            for a1, c1 in p:
-                                exps = a0 + a1
-                                x = qc0 * c1
-                                out[exps] = out[exps] + x if exps in out else x
-        if scalar is None:
-            for key, coeffs in acc.items():
-                _mul_into(sums.setdefault(key, {}), c, coeffs)
-    den = d_t * d_s
-    if den != 1:
-        for coeffs in sums.values():
-            for exps, x in coeffs.items():
-                coeffs[exps] = Fraction(x, den)
-    return _wrap_legs(A.tensor_power(k), sums)
+                # distinct terms of each leg give distinct partial terms
+                partial = [((), (), q)]
+                for l in range(k):
+                    partial = [(zs + (u,), g + h, x * y) for zs, g, x in partial
+                               for u, h, y in leg(ws[l], es[l], vs[l])]
+                for zs, g, p in partial:
+                    for f, x in a:
+                        key, x = (zs, g) if f is None else (zs, tuple(map(add, f, g))), x * p
+                        sums[key] = sums[key] + x if key in sums else x
+    return _wrap(A.tensor_power(k), sums, d_t * d_s)
 
 
 class TensorEnvElement(Combination):
@@ -442,10 +397,10 @@ def _multiply_out(S, legs: int, terms, coefficient, letter_images, products) -> 
     letter_images[l][i] is the image of letter i of word l.
 
     The product of a word tuple's images is memoized in `products` (see
-    _image_products); a miss multiplies the images out from 1.  A
-    coefficient on the left multiplies each coefficient of the product;
-    the terms are summed raw and wrapped once."""
-    sums: dict = {}  # word tuple -> {exponents: rational}
+    _image_products); a miss multiplies the images out from 1.  The
+    monomials of coefficient(a) multiply in on the left as the product's
+    terms are summed, into one flat sum wrapped once."""
+    sums: dict = {}  # (word tuple, exponents) -> rational
     for words, a in terms:
         product = products.get(words)
         if product is None:
@@ -454,10 +409,13 @@ def _multiply_out(S, legs: int, terms, coefficient, letter_images, products) -> 
                 for i in w:
                     product = product * images[i]
             products[words] = product
-        c = coefficient(a).terms
+        c = [(f if any(f) else None, x) for f, x in coefficient(a).terms.items()]
         for ws, p in product.terms.items():
-            _mul_into(sums.setdefault(ws, {}), c, p.terms)
-    return TensorEnvElement._trusted(S, _wrap_legs(S.algebra.tensor_power(legs), sums), legs)
+            for g, y in p.terms.items():
+                for f, x in c:
+                    key, x = (ws, g) if f is None else (ws, tuple(map(add, f, g))), x * y
+                    sums[key] = sums[key] + x if key in sums else x
+    return TensorEnvElement._trusted(S, _wrap(S.algebra.tensor_power(legs), sums), legs)
 
 
 def standard_coproduct(S: LieRinehartAlgebra) -> CoproductLikeMap:

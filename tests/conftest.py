@@ -23,6 +23,12 @@ def fixture_path(name):
     return os.path.join(FIXTURES, name)
 
 
+def read_fixture(name):
+    """The text of a fixture file, read with the file closed again."""
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def build_euler():
     """One basis element x over Q[y] with x(y) = y."""
     A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])

@@ -44,6 +44,15 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error:" in err
 
 
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.lra"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_parse_error_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.lra"
     bad.write_text("algebra A { gens: y primitive }\nlie g { basis a; }\n")

@@ -8,12 +8,7 @@ import pytest
 from lrhopf import EnvElement, ParseError, parse_env_element, parse_structure_file
 from lrhopf.dsl import parse_expression, tokenize
 
-from conftest import build_aff2, build_euler, build_gl2, fixture_path
-
-
-def read_fixture(name):
-    with open(fixture_path(name), encoding="utf-8") as fh:
-        return fh.read()
+from conftest import build_aff2, build_euler, build_gl2, read_fixture
 
 
 def test_tokenizer_idents_primes_comments():

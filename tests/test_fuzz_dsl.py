@@ -28,14 +28,14 @@ from lrhopf.dsl import (  # noqa: E402
     tokenize,
 )
 
-from conftest import FIXTURES, fixture_path  # noqa: E402
+from conftest import FIXTURES, fixture_path, read_fixture  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 CLI_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 SECONDS = 5.0
 
 TEXTS = {
-    name: open(fixture_path(name), encoding="utf-8").read()
+    name: read_fixture(name)
     for name in sorted(os.listdir(FIXTURES)) if name.endswith(".lra")
 }
 AFF2 = parse_structure_file(TEXTS["aff2.lra"]).build()[0]

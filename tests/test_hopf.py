@@ -31,7 +31,7 @@ from lrhopf.dsl import parse_structure_file
 from lrhopf.hopf import _unit_words, antipode_convolution, counit_collapse, standard_coproduct
 from lrhopf.sampling import make_rng, random_env_element
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, read_fixture
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat
 
 
@@ -184,9 +184,7 @@ _FIXTURE_FILES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra"))
 
 
 def _load(name):
-    with open(fixture_path(name), encoding="utf-8") as fh:
-        S, _ = parse_structure_file(fh.read()).build()
-    return S
+    return parse_structure_file(read_fixture(name)).build()[0]
 
 
 @pytest.mark.parametrize("name", _FIXTURE_FILES)
@@ -281,8 +279,7 @@ def _perturbed_map(base):
         # its own bracket read as a cobracket: images with coefficients in y
         S = dual = _legwise_structure(base)
     else:
-        with open(fixture_path(base), encoding="utf-8") as fh:
-            S, dual = parse_structure_file(fh.read()).build()
+        S, dual = parse_structure_file(read_fixture(base)).build()
     images = [e + d for e, d in zip(standard_coproduct(S).images, cobracket_images(S, dual))]
     return CoproductLikeMap(S, images, label="perturbed-coproduct")
 
@@ -381,8 +378,7 @@ def test_repeated_left_coefficients_match_the_flat_product(name):
 
 
 def test_separately_parsed_copies_are_one_structure_and_mix():
-    with open(fixture_path("aff2.lra"), encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_fixture("aff2.lra")
     S1, _ = parse_structure_file(text).build()
     S2, _ = parse_structure_file(text).build()
     assert S1 is not S2 and S1 == S2 and not S1 != S2

@@ -20,7 +20,7 @@ from lrhopf import (
 from lrhopf.dsl import parse_structure_file
 from lrhopf.sampling import make_rng, random_env_element, random_poly
 
-from conftest import FIXTURES, build_a_valued, fixture_path
+from conftest import FIXTURES, build_a_valued, read_fixture
 import rewriting_oracle as oracle
 
 _NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")) + ["a-valued"]
@@ -30,8 +30,7 @@ def _fresh(name):
     """A newly built structure, so every memo starts empty."""
     if name == "a-valued":
         return build_a_valued()
-    with open(fixture_path(name), encoding="utf-8") as fh:
-        return parse_structure_file(fh.read()).build()[0]
+    return parse_structure_file(read_fixture(name)).build()[0]
 
 
 def _words(S, max_len=4):

@@ -18,10 +18,10 @@ from lrhopf.enveloping import Combination
 from lrhopf.lie_rinehart import LRElement
 from lrhopf.sampling import _below
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, read_fixture
 
 STRUCTURES = {
-    name[:-4]: parse_structure_file(open(fixture_path(name)).read()).build()[0]
+    name[:-4]: parse_structure_file(read_fixture(name)).build()[0]
     for name in sorted(os.listdir(FIXTURES)) if name.endswith(".lra")
 }
 DRAWS = 500

@@ -23,7 +23,7 @@ from lrhopf import (  # noqa: E402
     parse_structure_file,
 )
 
-from conftest import FIXTURES, fixture_path  # noqa: E402
+from conftest import FIXTURES, read_fixture  # noqa: E402
 
 ALGEBRAS = {
     "poly": CommutativeAlgebra(
@@ -100,8 +100,7 @@ def _fixture_structures():
     """Every structure the fixture files declare, dual blocks included."""
     out = []
     for fname in sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")):
-        with open(fixture_path(fname), encoding="utf-8") as fh:
-            S, D = parse_structure_file(fh.read()).build()
+        S, D = parse_structure_file(read_fixture(fname)).build()
         out.append((fname, S))
         if D is not None:
             out.append((fname + ":dual", D))

@@ -9,7 +9,7 @@ import sys
 from lrhopf import EnvElement, coproduct
 from lrhopf.dsl import parse_structure_file
 
-from conftest import fixture_path
+from conftest import read_fixture
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -27,8 +27,7 @@ def _tracer_class():
 
 
 def test_tracer_counts_the_product_and_the_rewriting_memo():
-    with open(fixture_path("gl2.lra"), encoding="utf-8") as fh:
-        S = parse_structure_file(fh.read()).build()[0]
+    S = parse_structure_file(read_fixture("gl2.lra")).build()[0]
     original = EnvElement.__mul__
     tracer = _tracer_class()()
     tracer.install([S])

@@ -29,6 +29,7 @@ from lrhopf import (  # noqa: E402
 )
 from lrhopf.algebra import (  # noqa: E402
     LaurentPoly,
+    _canon,
     antipode_morphism,
     comultiplication,
     counit_morphism,
@@ -41,18 +42,18 @@ from lrhopf.dsl import parse_env_element, parse_structure_file  # noqa: E402
 from lrhopf.hopf import antipode_convolution, counit_collapse, standard_coproduct  # noqa: E402
 from lrhopf.sampling import make_rng, random_env_element  # noqa: E402
 
-from conftest import FIXTURES, build_a_valued, fixture_path  # noqa: E402
+from conftest import FIXTURES, build_a_valued, read_fixture  # noqa: E402
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat  # noqa: E402
 import rewriting_oracle  # noqa: E402
 
 NAMES = ("euler", "aff2", "torus")
 STRUCTURES = {
-    name: parse_structure_file(open(fixture_path(f"{name}.lra")).read()).build()[0]
+    name: parse_structure_file(read_fixture(f"{name}.lra")).build()[0]
     for name in NAMES
 }
 # every fixture, with its dual block (None when it declares none)
 FIXTURE_PAIRS = {
-    name[:-4]: parse_structure_file(open(fixture_path(name)).read()).build()
+    name[:-4]: parse_structure_file(read_fixture(name)).build()
     for name in sorted(os.listdir(FIXTURES)) if name.endswith(".lra")
 }
 # each structure's coefficients and their tensor square (the algebra the
@@ -434,7 +435,7 @@ def test_fractional_structure_constants_reach_the_leg_memo():
     S = parse_structure_file(FRACTIONAL).build()[0]
     assert check_hopf_lr(S, seed=0, max_word=2).ok
     memo = S._tensor_cache["legs"]
-    assert any(type(x) is Fraction for terms in memo.values() for _, p in terms for _, x in p)
+    assert any(type(x) is Fraction for entry in memo.values() for _, _, x in entry)
 
 
 # -- the enveloping product's flat integer sums ---------------------------------
@@ -510,8 +511,18 @@ def test_rewriting_memos_hold_only_nonzero_canonical_triples(name):
     for a in operands:
         for b in operands:
             a * b
+    # the leg memo of the tensor layer keeps the same triples
+    dmap = standard_coproduct(S)
+    tensors = [dmap(a) for a in operands[2:5]]
+    for t in tensors:
+        for s in tensors:
+            t * s
+        dmap.apply_to_leg(t, 0)
+        dmap.apply_to_leg(t, 1)
     n = S.algebra.ngens
-    entries = list(S._nf_cache.values()) + list(S._poly_cache.values())
+    legs = S._tensor_cache["legs"]
+    assert legs
+    entries = list(S._nf_cache.values()) + list(S._poly_cache.values()) + list(legs.values())
     assert entries
     for entry in entries:
         assert type(entry) is tuple and entry
@@ -553,3 +564,5 @@ def test_scalar_operands_pass_the_class_first_tests(c):
     m = MultiVector(S, 1, {(0,): p})
     assert (c * m).terms == {(0,): p * k}
     assert_valid_multivector(c * m)
+    canon = _canon(c)
+    assert canon == c and type(canon) is (int if Fraction(c).denominator == 1 else Fraction)
