@@ -12,13 +12,18 @@ Most coefficients are integral, and `int` arithmetic is far cheaper than
 (`_nonzero`); public scalar returns (`as_constant`,
 `constant_coefficient`) are `Fraction`s.
 
-This module owns the raw-sum kernel of polynomial arithmetic and of
-morphism and derivation application: `_add_into` and `_mul_into`
-accumulate `exponent tuple -> rational` dicts in place (a constant
-factor only scales the other one, exponents otherwise add elementwise),
-and `_nonzero` turns a finished sum back into a valid term dict, once
-per result.  A raw sum may hold an integral `Fraction` until it is
-wrapped.  The enveloping product and the tensor layer do not use it:
+This module owns the raw-sum kernel of polynomial arithmetic, of
+morphism and derivation application and of the Lie-Rinehart layer
+(brackets, anchors and derivation arithmetic): `_add_into` and
+`_mul_into` accumulate `exponent tuple -> rational` dicts in place,
+`out += c * p * q` (a constant factor only scales the other one,
+exponents otherwise add elementwise), and `_nonzero` turns a finished
+sum back into a valid term dict, once per result.  A raw sum may hold
+an integral `Fraction` until it is wrapped.  A morphism keeps the image
+of each monomial, so the long-lived Hopf maps apply by lookup; the memo
+is sound because values are never mutated in place: no LaurentPoly, and
+no morphism's images, change after they are built.  The enveloping
+product and the tensor layer do not use this kernel:
 they sum one flat (word, exponents) -> rational dict (see `enveloping`).
 This module also owns the one set of clearing helpers,
 `_common_denominator` and `_cleared`, with which the enveloping product
@@ -404,18 +409,20 @@ def _add_into(out: dict, terms: dict, c=1) -> None:
             out[e] = out[e] + x if e in out else x
 
 
-def _mul_into(out: dict, p: dict, q: dict) -> None:
-    """out += p * q, for exponent -> rational dicts: a constant factor only
-    scales the other one (q is tried first: the enveloping product passes
-    rewriting results there, mostly the constant 1); otherwise exponents
-    add elementwise."""
+def _mul_into(out: dict, p: dict, q: dict, c=1) -> None:
+    """out += c * p * q, for exponent -> rational dicts and a rational c: a
+    constant factor only scales the other one (q is tried first: callers
+    pass a derivation's or a bracket table's values there, often a
+    constant); otherwise exponents add elementwise."""
     for const, other in ((q, p), (p, q)):
         if len(const) == 1:
-            (e, c), = const.items()
+            (e, k), = const.items()
             if not any(e):
-                _add_into(out, other, c)
+                _add_into(out, other, k if c == 1 else k * c)
                 return
     for e1, c1 in p.items():
+        if c != 1:
+            c1 = c1 * c
         for e2, c2 in q.items():
             e = tuple(map(add, e1, e2))
             x = c1 * c2
@@ -721,7 +728,21 @@ def check_hopf_axioms(
 
 
 class Derivation:
-    """A Q-linear derivation of the algebra, stored by generator values."""
+    """A Q-linear derivation of the algebra, stored by generator values.
+
+    The constructor checks the values; arithmetic builds its results with
+    `_trusted`, and each operator checks the algebra of its operand once.
+    """
+
+    __slots__ = ("algebra", "values")
+
+    @classmethod
+    def _trusted(cls, algebra: CommutativeAlgebra, values: tuple) -> "Derivation":
+        """Wrap `values`, one LaurentPoly over `algebra` per generator."""
+        d = object.__new__(cls)
+        d.algebra = algebra
+        d.values = values
+        return d
 
     def __init__(self, algebra: CommutativeAlgebra, values):
         values = tuple(values)
@@ -735,10 +756,10 @@ class Derivation:
 
     @classmethod
     def zero(cls, algebra: CommutativeAlgebra) -> "Derivation":
-        return cls(algebra, [algebra.zero()] * algebra.ngens)
+        return cls._trusted(algebra, (algebra.zero(),) * algebra.ngens)
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
-        if p.algebra != self.algebra:
+        if not (p.algebra is self.algebra or p.algebra == self.algebra):
             raise ValueError("argument lives in the wrong algebra")
         terms: dict = {}
         for exps, c in p.terms.items():
@@ -754,34 +775,45 @@ class Derivation:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
-    def __add__(self, other: "Derivation") -> "Derivation":
-        if self.algebra != other.algebra:
+    def _check(self, other: "Derivation"):
+        if not (self.algebra is other.algebra or self.algebra == other.algebra):
             raise ValueError("derivations of different algebras")
-        return Derivation(
-            self.algebra, [a + b for a, b in zip(self.values, other.values)]
+
+    def __add__(self, other: "Derivation") -> "Derivation":
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        self._check(other)
+        return Derivation._trusted(
+            self.algebra, tuple(a + b for a, b in zip(self.values, other.values))
         )
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-other)
 
     def __neg__(self) -> "Derivation":
-        return Derivation(self.algebra, [-v for v in self.values])
+        return Derivation._trusted(self.algebra, tuple(-v for v in self.values))
 
     def __rmul__(self, a) -> "Derivation":
-        # module structure: (a·D)(p) = a * D(p)
-        if isinstance(a, (int, Fraction)):
+        # module structure: (a·D)(p) = a * D(p); the class test first, as
+        # in LaurentPoly.__mul__
+        if a.__class__ is not LaurentPoly:
+            if not isinstance(a, (int, Fraction)):
+                return NotImplemented
             a = self.algebra.const(a)
-        if not isinstance(a, LaurentPoly):
-            return NotImplemented
-        return Derivation(self.algebra, [a * v for v in self.values])
+        elif not (a.algebra is self.algebra or a.algebra == self.algebra):
+            raise ValueError("coefficient lives in the wrong algebra")
+        return Derivation._trusted(self.algebra, tuple(a * v for v in self.values))
 
     def commutator(self, other: "Derivation") -> "Derivation":
-        if self.algebra != other.algebra:
-            raise ValueError("derivations of different algebras")
-        return Derivation(
-            self.algebra,
-            [self(other.values[i]) - other(self.values[i]) for i in range(self.algebra.ngens)],
-        )
+        """[D, E] = D E - E D, by generator values: D(E(g)) - E(D(g)),
+        each summed into one dict."""
+        self._check(other)
+        values = []
+        for v, w in zip(self.values, other.values):
+            terms = dict(self(w).terms)
+            _add_into(terms, other(v).terms, -1)
+            values.append(LaurentPoly._trusted(self.algebra, _nonzero(terms)))
+        return Derivation._trusted(self.algebra, tuple(values))
 
     def tensor_lift(self, copy: int, power_alg: CommutativeAlgebra) -> "Derivation":
         """Extend to a tensor power of the algebra, acting on one copy only."""

@@ -7,6 +7,11 @@ of the coefficient algebra per basis element.  General elements are handled
 by extending the table bilinearly with the two defining compatibility rules:
 the anchor is linear over the coefficients, and the bracket obeys the
 Leibniz rule in its second slot.
+
+The bracket and the anchor of an element sum into one raw `exponent
+tuple -> rational` dict per slot (`_mul_into` of `algebra`) and wrap
+each slot once.  The batteries use the public operators only; the naive
+arithmetic these sums replaced is their oracle in `tests/lr_oracle.py`.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from .algebra import (
     CommutativeAlgebra,
     Derivation,
     LaurentPoly,
+    _add_into,
+    _mul_into,
+    _nonzero,
     coeff_str,
     comultiplication,
     counit_morphism,
@@ -28,9 +36,20 @@ from .report import Report
 
 class LRElement:
     """An element of the free module underlying a Lie-Rinehart structure,
-    stored as one coefficient per basis element."""
+    stored as one coefficient per basis element.  The constructor checks
+    the coefficients; arithmetic builds its results with `_trusted`, and
+    each operator checks its operand's structure or algebra once."""
 
     __slots__ = ("structure", "coeffs")
+
+    @classmethod
+    def _trusted(cls, structure: "LieRinehartAlgebra", coeffs: tuple) -> "LRElement":
+        """Wrap `coeffs`, one LaurentPoly over the structure's algebra per
+        basis element."""
+        x = object.__new__(cls)
+        x.structure = structure
+        x.coeffs = coeffs
+        return x
 
     def __init__(self, structure: "LieRinehartAlgebra", coeffs):
         coeffs = tuple(coeffs)
@@ -46,23 +65,29 @@ class LRElement:
         return all(c.is_zero() for c in self.coeffs)
 
     def __add__(self, other: "LRElement") -> "LRElement":
+        if other.__class__ is not LRElement:
+            return NotImplemented
         self._check(other)
-        return LRElement(
-            self.structure, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return LRElement._trusted(
+            self.structure, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "LRElement") -> "LRElement":
         return self + (-other)
 
     def __neg__(self) -> "LRElement":
-        return LRElement(self.structure, [-c for c in self.coeffs])
+        return LRElement._trusted(self.structure, tuple(-c for c in self.coeffs))
 
     def __rmul__(self, a) -> "LRElement":
-        if isinstance(a, (int, Fraction)):
-            a = self.structure.algebra.const(a)
-        if not isinstance(a, LaurentPoly):
-            return NotImplemented
-        return LRElement(self.structure, [a * c for c in self.coeffs])
+        # the class test first, as in LaurentPoly.__mul__
+        A = self.structure.algebra
+        if a.__class__ is not LaurentPoly:
+            if not isinstance(a, (int, Fraction)):
+                return NotImplemented
+            a = A.const(a)
+        elif not (a.algebra is A or a.algebra == A):
+            raise ValueError("coefficient lives in the wrong algebra")
+        return LRElement._trusted(self.structure, tuple(a * c for c in self.coeffs))
 
     def _check(self, other: "LRElement"):
         if self.structure != other.structure:
@@ -74,28 +99,39 @@ class LRElement:
 
     def bracket(self, other: "LRElement") -> "LRElement":
         """Bracket extended from the basis table by bilinearity, the anchor
-        acting on coefficients per the Leibniz rule."""
+        acting on coefficients per the Leibniz rule:
+
+            [x, y]_k = sum a_i b_j c^k_ij + sum_i a_i rho_i(b_k)
+                       - sum_j b_j rho_j(a_k)
+
+        for x = sum a_i e_i and y = sum b_j e_j, summed into one dict per
+        basis element."""
         self._check(other)
         S = self.structure
-        out = [S.algebra.zero()] * S.rank
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
+        table = S.bracket_table
+        out = [{} for _ in range(S.rank)]
+        xs = [(i, a) for i, a in enumerate(self.coeffs) if a.terms]
+        ys = [(j, b) for j, b in enumerate(other.coeffs) if b.terms]
+        for i, a in xs:
+            for j, b in ys:
+                # the table holds [e_i, e_j] for i < j only
+                row = table.get((i, j) if i < j else (j, i))
+                if row is None:
                     continue
-                for k, c in enumerate(S.bracket_of_basis(i, j).coeffs):
-                    if not c.is_zero():
-                        out[k] = out[k] + a * b * c
+                ab: dict = {}
+                _mul_into(ab, a.terms, b.terms, -1 if i > j else 1)
+                for k, c in enumerate(row):
+                    if c.terms:
+                        _mul_into(out[k], ab, c.terms)
         dx = S.anchor_of(self)
+        for j, b in ys:
+            _add_into(out[j], dx(b).terms)
         dy = S.anchor_of(other)
-        for j, b in enumerate(other.coeffs):
-            if not b.is_zero():
-                out[j] = out[j] + dx(b)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                out[i] = out[i] - dy(a)
-        return LRElement(S, out)
+        for i, a in xs:
+            _add_into(out[i], dy(a).terms, -1)
+        return LRElement._trusted(
+            S, tuple(LaurentPoly._trusted(S.algebra, _nonzero(t)) for t in out)
+        )
 
     def __eq__(self, other):
         return (
@@ -177,12 +213,12 @@ class LieRinehartAlgebra:
         return LRElement(self, coeffs)
 
     def zero_element(self) -> LRElement:
-        return LRElement(self, [self.algebra.zero()] * self.rank)
+        return LRElement._trusted(self, (self.algebra.zero(),) * self.rank)
 
     def basis_element(self, i: int) -> LRElement:
         coeffs = [self.algebra.zero()] * self.rank
         coeffs[i] = self.algebra.one()
-        return LRElement(self, coeffs)
+        return LRElement._trusted(self, tuple(coeffs))
 
     def bracket_of_basis(self, i: int, j: int) -> LRElement:
         if i == j:
@@ -191,15 +227,24 @@ class LieRinehartAlgebra:
             coeffs = self.bracket_table.get((i, j))
             if coeffs is None:
                 return self.zero_element()
-            return LRElement(self, coeffs)
+            return LRElement._trusted(self, coeffs)
         return -self.bracket_of_basis(j, i)
 
     def anchor_of(self, x: LRElement) -> Derivation:
-        d = Derivation.zero(self.algebra)
-        for a, base in zip(x.coeffs, self.anchor):
-            if not a.is_zero():
-                d = d + a * base
-        return d
+        """The derivation sum a_i rho_i for x = sum a_i e_i, its value on
+        each generator summed into one dict."""
+        A = self.algebra
+        if not (x.structure.algebra is A or x.structure.algebra == A):
+            raise ValueError("element lives over the wrong algebra")
+        out = [{} for _ in range(A.ngens)]
+        for a, rho in zip(x.coeffs, self.anchor):
+            if a.terms:
+                for g, v in enumerate(rho.values):
+                    if v.terms:
+                        _mul_into(out[g], a.terms, v.terms)
+        return Derivation._trusted(
+            A, tuple(LaurentPoly._trusted(A, _nonzero(t)) for t in out)
+        )
 
     def _validate(self):
         rep = check_lr_axioms(self, samples=0)

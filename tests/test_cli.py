@@ -37,6 +37,16 @@ def test_check_fails_on_broken_table(capsys):
     assert "FAIL" in out
 
 
+def test_check_bi_refuses_a_broken_table_through_its_tensor_square(capsys):
+    # the tensor square is built validating inside check_bi_lr, and the
+    # broken Jacobi identity is reported as an input error
+    code, out, err = run(capsys, "check-bi", fixture_path("broken_jacobi.lra"))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: not a Lie-Rinehart structure: jacobi-basis: "
+                   "basis triple ('x1', 'x2', 'x3') gives x3\n")
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, out, err = run(capsys, "check", fixture_path("no_such.lra"))
     assert code == 2

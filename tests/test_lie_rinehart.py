@@ -172,3 +172,55 @@ def test_tensor_square_fails_when_the_lifted_bracket_is_not_the_commutator():
     }
     with pytest.raises(ValueError, match=re.escape(witness)):
         tensor_square(S)
+
+
+def _other_algebra_and_structure():
+    """Q[z] and a rank-two structure over it, both foreign to aff2."""
+    B = CommutativeAlgebra([GeneratorDecl("z", hopf_kind="primitive")])
+    T = LieRinehartAlgebra(B, ["x1", "x2"], {}, [Derivation.zero(B)] * 2)
+    return B, T
+
+
+def test_arithmetic_refuses_operands_of_another_algebra_or_structure(aff2, euler):
+    # results are built trusted, so each operator checks its operand once
+    B, T = _other_algebra_and_structure()
+    z = B.gen(0)
+    x = aff2.basis_element(0)
+    d = aff2.anchor[0]
+    with pytest.raises(ValueError, match="wrong algebra"):
+        z * x
+    with pytest.raises(ValueError, match="wrong algebra"):
+        z * d
+    with pytest.raises(ValueError, match="different structures"):
+        x + T.basis_element(0)
+    with pytest.raises(ValueError, match="different structures"):
+        x + make_opposite(aff2).basis_element(0)
+    with pytest.raises(ValueError, match="different structures"):
+        x.bracket(T.basis_element(1))
+    with pytest.raises(ValueError, match="different algebras"):
+        d + Derivation.zero(B)
+    with pytest.raises(ValueError, match="different algebras"):
+        d.commutator(Derivation.zero(B))
+    with pytest.raises(ValueError, match="wrong algebra"):
+        d(z)
+    with pytest.raises(ValueError, match="wrong algebra"):
+        aff2.zero_element().act(z)
+    with pytest.raises(ValueError, match="wrong algebra"):
+        aff2.anchor_of(T.basis_element(0))
+    # same generators, a different object: equal algebras still mix
+    A2 = CommutativeAlgebra(aff2.algebra.gens)
+    assert A2.gen(0) * x == aff2.algebra.gen(0) * x
+    assert d(A2.gen(0)) == d(aff2.algebra.gen(0))
+
+
+def test_public_constructors_keep_validating(aff2):
+    B, _ = _other_algebra_and_structure()
+    A = aff2.algebra
+    with pytest.raises(ValueError, match="wrong algebra"):
+        LRElement(aff2, [A.one(), B.one()])
+    with pytest.raises(ValueError, match="one coefficient per basis element"):
+        LRElement(aff2, [A.one()])
+    with pytest.raises(ValueError, match="wrong algebra"):
+        Derivation(A, [B.one()])
+    with pytest.raises(ValueError, match="one value per generator"):
+        Derivation(A, [])

@@ -1,12 +1,16 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps lrhopf's products by
-name and reads the per-structure rewriting memo: a rename on either side
-would silently zero its per-layer counters.  It is imported read-only,
-installed around one gl2 product and one coproduct, and uninstalled."""
+"""The benchmark's tracer (perfbench/tracer.py) wraps lrhopf's products,
+derivations, batteries and calculus by name and reads the per-structure
+rewriting memo: a rename on either side would silently zero its per-layer
+counters.  It is imported read-only, installed around one gl2 product and
+one coproduct, or around one gl2 module battery and one Gerstenhaber
+battery, and uninstalled."""
 
 import os
 import sys
 
+import lrhopf
 from lrhopf import EnvElement, coproduct
+from lrhopf.algebra import Derivation
 from lrhopf.dsl import parse_structure_file
 
 from conftest import read_fixture
@@ -42,3 +46,26 @@ def test_tracer_counts_the_product_and_the_rewriting_memo():
     assert summary["nf_cache_entries"] > 0
     assert summary["agg"]["enveloping.mul.base"][0] == 1
     assert summary["agg"]["hopf.coproduct"][0] == 1
+
+
+def test_tracer_counts_derivations_batteries_and_calculus():
+    S = parse_structure_file(read_fixture("gl2.lra")).build()[0]
+    call, bracket = Derivation.__call__, lrhopf.calculus.schouten_bracket
+    tracer = _tracer_class()()
+    tracer.install([S])
+    try:
+        # through the package's names, which the tracer rebinds
+        assert lrhopf.check_lr_axioms(S, samples=5).ok
+        assert lrhopf.check_gerstenhaber(S, samples=5).ok
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert Derivation.__call__ is call
+    assert lrhopf.calculus.schouten_bracket is bracket
+    assert lrhopf.schouten_bracket is bracket
+    assert summary["counts"]["algebra.derivation_apply.calls"] > 0
+    agg = summary["agg"]
+    assert agg["battery.check_lr_axioms"][0] == 1
+    assert agg["battery.check_gerstenhaber"][0] == 1
+    assert agg["calculus.schouten_bracket"][0] > 0
+    assert agg["calculus.ce_differential"][0] > 0
