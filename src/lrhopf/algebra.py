@@ -287,10 +287,14 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        # the class test first: Fraction's metaclass is an ABCMeta, so the
-        # isinstance test below is costly when it fails
-        if other.__class__ is not LaurentPoly:
-            if isinstance(other, (int, Fraction)):
+        # the class tests first: isinstance(other, Fraction) is an ABC
+        # check (Fraction's metaclass is an ABCMeta), costly when it fails,
+        # so the scalar test reads the operand's classes instead, and an
+        # LRElement, Derivation or Combination operand returns
+        # NotImplemented without one
+        cls = other.__class__
+        if cls is not LaurentPoly:
+            if issubclass(cls, int) or Fraction in cls.__mro__:
                 if other == 0:
                     return self.algebra.zero()
                 return LaurentPoly._trusted(

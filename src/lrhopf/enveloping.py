@@ -13,9 +13,26 @@ Both rules strictly decrease (word length, inversion count), so rewriting
 terminates; the verification battery checks local confluence on all
 minimal ambiguities, which is what makes the monomial basis free.
 
+Rewriting is memoized per structure, in four memos that fill lazily and
+are never evicted: each grows without bound while its structure lives
+(a library caller that keeps one structure keeps every entry its
+products made) and dies with it; none is module-level.
+
+  * `S._poly_cache`, the coefficient push (`_word_times_monomial`):
+    (word, e) -> word * y^e as a tuple of (word, exponents, rational)
+    triples;
+  * `S._nf_cache`, the letter swap (`_word_times_gen`): (word, i) ->
+    word * e_i as the same triples;
+  * `S._word_cache`, word times word (`_word_times_word`): (u, v) -> u * v
+    for u[-1] > v[0] and v of two letters or more, as one flat tuple
+    (u0, e0, x0, u1, e1, x1, ...) whose words and exponent tuples are
+    interned through `S._word_pool`; a one-letter v reads `_nf_cache`;
+  * `S._tensor_cache["legs"]`, the leg memo of the legwise tensor
+    product (`hopf`): (w, e, v) -> w * y^e * v as triples.
+
 Products sum one flat accumulator, (word, exponents) -> rational, from
-the rewriting memos up: `_word_times_gen` and `_word_times_monomial`
-store (word, exponents, rational) triples, `_word_poly_word` walks them
+the rewriting memos up: `_word_poly_word` follows each term y^g u of the
+`(w, e)` entry by the `(u, v)` entry with its exponents shifted by g,
 into a flat dict, and `_product_into` multiplies in the left
 coefficient's monomials as it sums, so no LaurentPoly and no nested
 dict is built for a partial term.  The sums run on integers: the product
@@ -289,28 +306,66 @@ def _wrap(A, acc: dict, d: int = 1) -> dict:
 def _word_poly_word(S: LieRinehartAlgebra, w, e, v) -> dict:
     """Normal form of (w * y^e * v) for normal words w, v and an exponent
     tuple e, as a fresh flat sum: (word, exponents) -> rational, some of
-    which may have cancelled to zero.  Once a word's last letter is not
-    above the next letter of v, the rest of v is appended without
-    rewriting."""
+    which may have cancelled to zero.  Each term y^g u of w * y^e (the
+    `S._poly_cache` entry) is followed by u * v: the `_word_times_word`
+    entry with its exponents shifted by g, or u v itself when the last
+    letter of u is not above the first letter of v."""
     cur = _word_times_monomial(S, w, e) if w and any(e) else ((w, e, 1),)
     if not v:
         return {(u, g): x for u, g, x in cur}
-    cur = [((u, g), x) for u, g, x in cur]
-    done: dict = {}
-    for t, letter in enumerate(v):
-        nxt: dict = {}
-        for (u, g), x in cur:
-            if u and u[-1] > letter:
-                for u2, h, y in _word_times_gen(S, u, letter):
-                    key, y = (u2, tuple(map(add, g, h)) if any(h) else g), x * y
-                    nxt[key] = nxt[key] + y if key in nxt else y
-            else:
-                key = (u + v[t:], g)
-                done[key] = done[key] + x if key in done else x
-        cur = nxt.items()
-    for key, x in cur:
-        done[key] = done[key] + x if key in done else x
-    return done
+    first = v[0]
+    out: dict = {}
+    for u, g, x in cur:
+        if u and u[-1] > first:
+            for u2, h, y in _word_times_word(S, u, v):
+                key, y = (u2, tuple(map(add, g, h)) if any(h) else g), x * y
+                out[key] = out[key] + y if key in out else y
+        else:
+            key = (u + v, g)
+            out[key] = out[key] + x if key in out else x
+    return out
+
+
+def _word_times_word(S: LieRinehartAlgebra, u, v):
+    """Normal form of (u * v) for normal words u, v with u[-1] > v[0], as
+    an iterable of (word, exponents, rational) triples.
+
+    A one-letter v reads `_word_times_gen`'s entry (u, v[0]).  A longer v
+    is memoized per structure in `S._word_cache` under (u, v), as one flat
+    tuple (u0, e0, x0, u1, e1, x1, ...) whose words and exponent tuples
+    are interned through `S._word_pool`, so equal ones in different
+    entries are one object.  A miss walks v into u one letter at a time
+    by `_word_times_gen`; once a word's last letter is not above the next
+    letter of v, the rest of v is appended without rewriting."""
+    if len(v) == 1:
+        return _word_times_gen(S, u, v[0])
+    memo = S._word_cache
+    hit = memo.get((u, v))
+    if hit is None:
+        cur = (((u, (0,) * S.algebra.ngens), 1),)
+        done: dict = {}
+        for t, letter in enumerate(v):
+            nxt: dict = {}
+            for (w, g), x in cur:
+                if w and w[-1] > letter:
+                    for w2, h, y in _word_times_gen(S, w, letter):
+                        key, y = (w2, tuple(map(add, g, h)) if any(h) else g), x * y
+                        nxt[key] = nxt[key] + y if key in nxt else y
+                else:
+                    key = (w + v[t:], g)
+                    done[key] = done[key] + x if key in done else x
+            cur = nxt.items()
+        for key, x in cur:
+            done[key] = done[key] + x if key in done else x
+        pool = S._word_pool
+        flat = []
+        for (w, g), x in done.items():
+            if x:
+                flat += (pool.setdefault(w, w), pool.setdefault(g, g),
+                         x.numerator if x.denominator == 1 else x)
+        hit = memo[(u, v)] = tuple(flat)
+    it = iter(hit)
+    return zip(it, it, it)
 
 
 def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict,

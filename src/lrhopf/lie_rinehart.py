@@ -192,11 +192,15 @@ class LieRinehartAlgebra:
             if d.algebra != algebra:
                 raise ValueError("anchor derivation on the wrong algebra")
         self.anchor = anchor
-        # (word, letter) -> normal form of word * e_letter, and (word,
-        # exponents) -> normal form of word * y^e, as (word, exponents,
-        # rational) triples, filled lazily by the enveloping algebra
+        # the rewriting memos of the enveloping algebra, filled lazily (see
+        # lrhopf.enveloping): (word, letter) -> word * e_letter and (word,
+        # exponents) -> word * y^e as (word, exponents, rational) triples,
+        # (u, v) -> u * v as one flat tuple, its words and exponents
+        # interned through the pool
         self._nf_cache = {}
         self._poly_cache = {}
+        self._word_cache = {}
+        self._word_pool = {}
         # the coalgebra layer's per-structure caches, built on demand
         self._tensor_cache = {}
         if validate:
@@ -498,14 +502,17 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
     def equivariant(_):
         x = sampling.random_lr_element(rng, S, max_degree)
         a = sampling.random_poly(rng, S.algebra, max_degree)
-        d = S.anchor_of(x)
-        lifted = Derivation.zero(doubled)
+        xa = S.anchor_of(x)(a)
+        da = delta(a)
+        # the diagonal extension of x applied to delta(a): the sum of
+        # delta(c_i) diag[i](delta(a)), no derivation summed
+        lifted = doubled.zero()
         for c, base in zip(x.coeffs, diag):
             if not c.is_zero():
-                lifted = lifted + delta(c) * base
-        if lifted(delta(a)) != delta(d(a)):
+                lifted = lifted + delta(c) * base(da)
+        if lifted != delta(xa):
             return f"at x={x}, a={a}"
-        if not eps(d(a)).is_zero():
+        if not eps(xa).is_zero():
             return f"counit of x(a) nonzero at x={x}, a={a}"
 
     report.law("equivariance-random", range(samples), equivariant)

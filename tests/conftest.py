@@ -83,6 +83,20 @@ def build_a_valued():
     )
 
 
+# fractional structure constants and anchor: the rewriting memos and the
+# leg products hold Fractions
+FRACTIONAL = """\
+algebra A { gens: y primitive }
+lie g {
+    basis: x1, x2;
+    bracket [x1, x2] = 1/2*x2;
+}
+action {
+    x1(y) = 1/3*y;
+}
+"""
+
+
 @pytest.fixture(scope="session")
 def euler():
     return build_euler()

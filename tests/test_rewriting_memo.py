@@ -1,11 +1,14 @@
-"""The per-structure memos of the rewriting (coefficient push and letter
-swap) and of the antipode against their letter-by-letter oracles
-(tests/rewriting_oracle.py), term for term, and on words longer than the
-default recursion limit."""
+"""The per-structure memos of the rewriting (coefficient push, letter
+swap and word times word) and of the antipode against their
+letter-by-letter oracles (tests/rewriting_oracle.py), term for term, and
+on words longer than the default recursion limit."""
 
+import gc
 import itertools
 import os
 import sys
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -16,21 +19,24 @@ from lrhopf import (
     GeneratorDecl,
     LieRinehartAlgebra,
     antipode,
+    check_hopf_lr,
 )
 from lrhopf.dsl import parse_structure_file
+from lrhopf.enveloping import _word_times_word
 from lrhopf.sampling import make_rng, random_env_element, random_poly
 
-from conftest import FIXTURES, build_a_valued, read_fixture
+from conftest import FIXTURES, FRACTIONAL, build_a_valued, read_fixture
 import rewriting_oracle as oracle
 
-_NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")) + ["a-valued"]
+_NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")) + ["a-valued", "fractional"]
 
 
 def _fresh(name):
     """A newly built structure, so every memo starts empty."""
     if name == "a-valued":
         return build_a_valued()
-    return parse_structure_file(read_fixture(name)).build()[0]
+    text = FRACTIONAL if name == "fractional" else read_fixture(name)
+    return parse_structure_file(text).build()[0]
 
 
 def _words(S, max_len=4):
@@ -74,6 +80,99 @@ def test_word_times_gen_matches_the_recursive_oracle(name):
                 product = EnvElement(S, {w: 1}) * EnvElement.generator(S, i)
                 assert product.terms == oracle.word_times_gen(S, w, i), (
                     f"{name}: {w} times letter {i}")
+
+
+def _descents(S, max_len=4):
+    """The pairs of normal words (u, v) whose product needs rewriting:
+    the last letter of u above the first letter of v."""
+    words = _words(S, max_len)
+    return [(u, v) for u in words for v in words if u and v and u[-1] > v[0]]
+
+
+def _flat(terms: dict) -> dict:
+    """word -> LaurentPoly as (word, exponents) -> rational."""
+    return {(w, e): x for w, c in terms.items() for e, x in c.terms.items()}
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_word_times_word_matches_the_letter_by_letter_oracle(name):
+    S = _fresh(name)
+    one = S.algebra.one()
+    for u, v in _descents(S):
+        got: dict = {}
+        for w, e, x in _word_times_word(S, u, v):
+            assert (w, e) not in got, f"{name}: {u} times {v} repeats {(w, e)}"
+            got[(w, e)] = x
+        want = oracle.product(EnvElement(S, {u: one}), EnvElement(S, {v: one}))
+        assert got == _flat(want.terms), f"{name}: {u} times {v}"
+    # a one-letter right word reads the letter-swap cache instead
+    assert all(len(v) > 1 for _, v in S._word_cache)
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_word_times_coefficient_times_word_matches_the_oracle(name):
+    # u * (b v): each term y^g w of u * b is followed by the memoized w * v
+    # with its exponents shifted by g
+    S = _fresh(name)
+    A = S.algebra
+    rng = make_rng(53)
+    coefficients = [A.gen(g) for g in range(A.ngens)]
+    coefficients += [random_poly(rng, A, 2, terms=3) for _ in range(2)]
+    for u, v in _descents(S, 3):
+        for b in coefficients:
+            left, right = EnvElement(S, {u: A.one()}), EnvElement(S, {v: b})
+            assert (left * right).terms == oracle.product(left, right).terms, (
+                f"{name}: {u} times {b} {v}")
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_word_memo_entries_are_flat_canonical_and_interned(name):
+    S = _fresh(name)
+    rng = make_rng(59)
+    operands = [random_env_element(rng, S, max_word=4, max_degree=2, terms=3)
+                for _ in range(10)]
+    operands.append(EnvElement(S, {w: Fraction(1, 6) for w in _words(S, 3)}))
+    for a in operands:
+        antipode(a)
+        for b in operands:
+            a * b
+    memo = S._word_cache
+    assert memo or S.rank == 1
+    n = S.algebra.ngens
+    interned: dict = {}
+    for (u, v), entry in memo.items():
+        assert len(v) > 1 and u[-1] > v[0]
+        assert type(entry) is tuple and len(entry) % 3 == 0
+        triples = list(zip(*[iter(entry)] * 3))
+        assert len({(w, e) for w, e, _ in triples}) == len(triples)
+        for w, e, x in triples:
+            assert type(w) is tuple and w == tuple(sorted(w))
+            assert type(e) is tuple and len(e) == n
+            assert (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+            # equal words (and exponent tuples) anywhere in the memo are one object
+            assert interned.setdefault(w, w) is w and interned.setdefault(e, e) is e
+
+
+def test_a_long_word_times_a_letter_stays_out_of_the_word_memo():
+    # h^L e on sl2 swaps e left through h^L by the letter-swap cache alone
+    S = _fresh("sl2.lra")
+    e, h = (S.basis_names.index(name) for name in ("e", "h"))
+    product = EnvElement(S, {(h,) * 40: S.algebra.one()}) * EnvElement.generator(S, e)
+    assert product.terms
+    assert not S._word_cache
+
+
+def test_a_structures_memos_die_with_it():
+    # every memo hangs off the structure; none is module-level
+    S = _fresh("gl2.lra")
+    ref = weakref.ref(S)
+    u = random_env_element(make_rng(61), S, max_word=3, max_degree=2, terms=3)
+    assert (u * u).terms
+    assert check_hopf_lr(S, max_word=1).ok
+    assert S._word_cache and S._nf_cache and S._poly_cache and S._tensor_cache
+    del S, u
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", _NAMES)

@@ -7,6 +7,7 @@ tuple."""
 
 import itertools
 import os
+from abc import ABCMeta
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ from lrhopf.dsl import parse_env_element, parse_structure_file  # noqa: E402
 from lrhopf.hopf import antipode_convolution, counit_collapse, standard_coproduct  # noqa: E402
 from lrhopf.sampling import make_rng, random_env_element  # noqa: E402
 
-from conftest import FIXTURES, build_a_valued, read_fixture  # noqa: E402
+from conftest import FIXTURES, FRACTIONAL, build_a_valued, read_fixture  # noqa: E402
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat  # noqa: E402
 import rewriting_oracle  # noqa: E402
 
@@ -363,17 +364,6 @@ def test_no_result_stores_a_float_a_bool_or_an_integral_fraction(name, data):
 
 # -- the legwise product on cleared denominators -------------------------------
 
-# fractional structure constants: the leg products hold Fractions
-FRACTIONAL = """\
-algebra A { gens: y primitive }
-lie g {
-    basis: x1, x2;
-    bracket [x1, x2] = 1/2*x2;
-}
-action {
-    x1(y) = 1/3*y;
-}
-"""
 KERNEL_STRUCTURES = dict(
     {name: S for name, (S, _) in FIXTURE_PAIRS.items()},
     fractional=parse_structure_file(FRACTIONAL).build()[0],
@@ -536,7 +526,7 @@ SCALARS = (True, 3, Fraction(-1, 2))
 
 
 @pytest.mark.parametrize("c", SCALARS, ids=lambda c: type(c).__name__)
-def test_scalar_operands_pass_the_class_first_tests(c):
+def test_scalar_operands_pass_the_class_first_tests(c, monkeypatch):
     # each operand test looks at the operand's class before the costlier
     # isinstance test; bool, int and Fraction scalars still take the
     # scalar path
@@ -566,3 +556,13 @@ def test_scalar_operands_pass_the_class_first_tests(c):
     assert_valid_multivector(c * m)
     canon = _canon(c)
     assert canon == c and type(canon) is (int if Fraction(c).denominator == 1 else Fraction)
+    # LaurentPoly.__mul__ refuses an LRElement, Derivation or Combination
+    # operand by its class alone: no ABC isinstance test is made
+    checks = []
+    instancecheck = ABCMeta.__instancecheck__
+    monkeypatch.setattr(ABCMeta, "__instancecheck__",
+                        lambda cls, inst: checks.append(cls) or instancecheck(cls, inst))
+    refused = [p.__mul__(x) for x in (S.basis_element(0), S.anchor[0], u, t, m)]
+    monkeypatch.undo()
+    assert all(r is NotImplemented for r in refused)
+    assert checks == []
