@@ -28,7 +28,9 @@ products made) and dies with it; none is module-level.
     (u0, e0, x0, u1, e1, x1, ...) whose words and exponent tuples are
     interned through `S._word_pool`; a one-letter v reads `_nf_cache`;
   * `S._tensor_cache["legs"]`, the leg memo of the legwise tensor
-    product (`hopf`): (w, e, v) -> w * y^e * v as triples.
+    product (`hopf`): (w, e, v) -> w * y^e * v as triples;
+  the antipode memo (`hopf`) sits on top: `S._tensor_cache["antipode"]`,
+  (w, e) -> S(y^e w) as an EnvElement.
 
 Products sum one flat accumulator, (word, exponents) -> rational, from
 the rewriting memos up: `_word_poly_word` follows each term y^g u of the

@@ -37,21 +37,19 @@ The structure maps:
   * the antipode reverses words, signs them by length, and applies the
     antipode of A to coefficients.
 
-The antipode of a w, for a normal word w = e_{w_1} .. e_{w_L}, is
+The antipode of c y^e w, for a normal word w = e_{w_1} .. e_{w_L}, is
 
-    S(a w) = S(w) S_A(a),   S(w) = (-1)^L e_{w_L} .. e_{w_1},
+    S(c y^e w) = c S(w) S_A(y^e),   S(w) = (-1)^L e_{w_L} .. e_{w_1},
 
-a product in the enveloping algebra.  S(w) is memoized per structure and
-per word, and filled along the prefixes of w by
-
-    S(w l) = -e_l S(w),
-
-so each new word costs one product and each term of an argument one
-more.  Both identities only regroup the same product of letters and a
-coefficient, so they hold by associativity of the enveloping algebra
-alone: the antipode's Hopf properties (anti-multiplicativity, the
-convolution laws) are not used to compute it, and the battery still
-measures them.
+a product in the enveloping algebra.  S(y^e w) is memoized per structure
+under (w, e) in `S._tensor_cache["antipode"]`: the entries S(w) = S(y^0 w)
+fill along prefixes by S(w l) = -e_l S(w), one product per new word, an
+entry with e != 0 costs one product S(w) S_A(y^e) when first missed, and
+an argument then costs one lookup per monomial.  These identities only
+regroup a product of letters and a coefficient and move a rational
+scalar out of it, so they hold by linearity and associativity alone:
+the antipode's Hopf properties (anti-multiplicativity, the convolution
+laws) are not used to compute it, and the battery still measures them.
 
 The standard coproduct is computed in closed form.  The two legs
 commute and the letter images carry no coefficients, so for a normal word
@@ -437,47 +435,50 @@ def counit(u: EnvElement) -> Fraction:
     return u.counit()
 
 
-def _word_antipode(S: LieRinehartAlgebra, w) -> EnvElement:
-    """The signed reversal (-1)^L e_{w_L} .. e_{w_1} of a normal word w of
-    length L, memoized per structure for w and each of its prefixes.  A
-    miss starts from the longest prefix already known and extends it a
-    letter at a time: appending the letter l multiplies by -e_l on the
-    left.  The memo holds few distinct coefficients many times over, so
-    its entries share one object per value (sound because a LaurentPoly
-    is never mutated in place); that keeps it about a third the size."""
-    memo = S._tensor_cache.get("antipode-words")
-    if memo is None:
-        memo = S._tensor_cache["antipode-words"] = {(): EnvElement.one(S)}
-    hit = memo.get(w)
+def _antipode_entry(S: LieRinehartAlgebra, memo: dict, w, e) -> EnvElement:
+    """S(y^e w) = S(w) S_A(y^e), from the memo (see the module docstring).
+    A miss of S(w) = S(y^0 w) extends the longest prefix known a letter l
+    at a time by S(w l) = -e_l S(w)."""
+    hit = memo.get((w, e))
     if hit is not None:
         return hit
-    pool = S._tensor_cache.setdefault("antipode-coefficients", {})
+    if any(e):
+        image = EnvElement._trusted(S, {(): antipode_morphism(S.algebra)._monomial_image(e)})
+        hit = memo[(w, e)] = _antipode_entry(S, memo, w, (0,) * len(e)) * image
+        return hit
     k = len(w) - 1
-    while w[:k] not in memo:
+    while (w[:k], e) not in memo:
         k -= 1
-    cur = memo[w[:k]]
+    hit = memo[(w[:k], e)]
     for k in range(k, len(w)):
-        cur = -(EnvElement.generator(S, w[k]) * cur)
-        cur = memo[w[:k + 1]] = EnvElement._trusted(S, {
-            u: pool.setdefault(frozenset(p.terms.items()), p) for u, p in cur.terms.items()})
-    return cur
+        hit = memo[(w[:k + 1], e)] = -(EnvElement.generator(S, w[k]) * hit)
+    return hit
 
 
 def antipode(u: EnvElement) -> EnvElement:
-    """The sum over the terms a w of u of S(w) times the antipode of A
-    applied to a, with S(w) the memoized signed reversal of the word (see
-    the module docstring)."""
+    """The sum of c S(y^e w) over the monomials c y^e of each term of u,
+    read from the memo, in one flat sum wrapped once; a single monomial
+    with c = 1 is the memo entry itself."""
     S = u.structure
-    anti_A = antipode_morphism(S.algebra)
-    if len(u.terms) == 1:
-        # one product, which returns the memo entry itself when S_A(a) = 1
-        (w, a), = u.terms.items()
-        return _word_antipode(S, w) * EnvElement._trusted(S, {(): anti_A(a)})
-    images = {w: anti_A(a) for w, a in u.terms.items()}
-    d = _common_denominator(images.values())
+    memo = S._tensor_cache.get("antipode")
+    if memo is None:
+        antipode_morphism(S.algebra)  # refuses an A with an unmarked generator
+        memo = S._tensor_cache["antipode"] = {((), (0,) * S.algebra.ngens): EnvElement.one(S)}
+    terms = u.terms
+    if len(terms) == 1:
+        (w, a), = terms.items()
+        if len(a.terms) == 1:
+            (e, c), = a.terms.items()
+            if c == 1:
+                return _antipode_entry(S, memo, w, e)
+    d = _common_denominator(terms.values())
     sums: dict = {}  # (word, exponents) -> rational
-    for w, b in images.items():
-        _product_into(sums, S, _word_antipode(S, w).terms, {(): b}, 1, d)
+    for w, a in terms.items():
+        for e, c in _cleared(a.terms, d).items():
+            for v, p in _antipode_entry(S, memo, w, e).terms.items():
+                for g, x in p.terms.items():
+                    key, x = (v, g), x * c
+                    sums[key] = sums[key] + x if key in sums else x
     return EnvElement._trusted(S, _wrap(S.algebra, sums, d))
 
 
@@ -507,8 +508,9 @@ def antipode_convolution(t: TensorEnvElement, leg: int) -> EnvElement:
     sums: dict = {}  # (word, exponents) -> rational
     for (w1, w2), c in t.terms.items():
         for exps, q in _cleared(c.terms, d).items():
-            left = {w1: LaurentPoly._trusted(A, {exps[:n]: q})}
-            right = {w2: LaurentPoly._trusted(A, {exps[n:]: 1})}
+            # q rides on the leg the antipode leaves, so the other is a memo entry
+            left = {w1: LaurentPoly._trusted(A, {exps[:n]: 1 if leg == 0 else q})}
+            right = {w2: LaurentPoly._trusted(A, {exps[n:]: q if leg == 0 else 1})}
             if leg == 0:
                 left = antipode(EnvElement._trusted(S, left)).terms
             else:

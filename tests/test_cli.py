@@ -38,7 +38,8 @@ def test_check_fails_on_broken_table(capsys):
 
 
 def test_check_bi_refuses_a_broken_table_through_its_tensor_square(capsys):
-    # the tensor square is built validating inside check_bi_lr, and the
+    # check_bi_lr refuses the tensor square when its one pass of the axioms
+    # fails a basis law, as the validating constructor does, and the
     # broken Jacobi identity is reported as an input error
     code, out, err = run(capsys, "check-bi", fixture_path("broken_jacobi.lra"))
     assert code == 2

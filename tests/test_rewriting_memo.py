@@ -170,9 +170,16 @@ def test_a_structures_memos_die_with_it():
     assert (u * u).terms
     assert check_hopf_lr(S, max_word=1).ok
     assert S._word_cache and S._nf_cache and S._poly_cache and S._tensor_cache
+    assert len(S._tensor_cache["antipode"]) > 1
     del S, u
     gc.collect()
     assert ref() is None
+
+
+def _monomials(u):
+    """Each monomial c y^e w of u as an element of its own."""
+    return [EnvElement._trusted(u.structure, {w: a.algebra.monomial(e, c)})
+            for w, a in u.terms.items() for e, c in a.terms.items()]
 
 
 @pytest.mark.parametrize("name", _NAMES)
@@ -184,8 +191,40 @@ def test_antipode_matches_the_letter_by_letter_oracle(name):
     inputs += [random_env_element(rng, S, max_word=4, max_degree=2, terms=3)
                for _ in range(40)]
     inputs.append(sum(inputs[:6], EnvElement.zero(S)) ** 2)
+    # degree 3 coefficients, Laurent exponents on torus; then monomials
+    # alone, most with a coefficient other than 1
+    cubic = [random_env_element(rng, S, max_word=3, max_degree=3, terms=3) for _ in range(30)]
+    inputs += cubic + [m for u in cubic[:10] for m in _monomials(u)]
     for u in inputs:
         assert antipode(u).terms == oracle.antipode(u).terms, f"{name}: antipode of {u}"
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_every_antipode_memo_entry_is_the_antipode_of_its_monomial(name):
+    # the entry (w, e) is S(y^e w), whether e is 0 or not
+    S = _fresh(name)
+    A = S.algebra
+    rng = make_rng(71)
+    for _ in range(30):
+        antipode(random_env_element(rng, S, max_word=3, max_degree=3, terms=3))
+    memo = S._tensor_cache["antipode"]
+    assert any(any(e) for _, e in memo) or A.ngens == 0
+    for (w, e), entry in memo.items():
+        monomial = EnvElement(S, {w: A.monomial(e)})
+        assert entry.terms == oracle.antipode(monomial).terms, f"{name}: entry {(w, e)}"
+
+
+def test_the_antipode_refuses_a_generator_without_a_hopf_marker():
+    # y carries no marker, so A has no antipode, even where the word part
+    # would not need it; the unit word comes twice, as a refused call
+    # must leave no memo behind
+    text = "algebra A { gens: y }\nlie g { basis: x; }\naction { x(y) = y; }\n"
+    S = parse_structure_file(text).build()[0]
+    A = S.algebra
+    for u in (EnvElement.generator(S, 0), EnvElement.one(S), EnvElement.zero(S),
+              EnvElement.from_poly(S, A.gen(0)), EnvElement.generator(S, 0)):
+        with pytest.raises(ValueError, match="no Hopf structure declared for generator"):
+            antipode(u)
 
 
 def test_a_product_by_one_and_the_antipode_of_a_unit_word_copy_nothing():
