@@ -39,7 +39,6 @@ from .hopf import (
     counit,
     standard_coproduct,
     tensor_pair,
-    tensor_power_structure,
 )
 from .lie_rinehart import (
     LieRinehartAlgebra,
@@ -96,7 +95,6 @@ __all__ = [
     "schouten_bracket",
     "standard_coproduct",
     "tensor_pair",
-    "tensor_power_structure",
     "tensor_square",
     "__version__",
 ]

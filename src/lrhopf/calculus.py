@@ -462,7 +462,7 @@ def conjecture_probe(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
     report = Report()
     deltas = cobracket_images(S, dual)
     images = [e + d for e, d in zip(standard_coproduct(S).images, deltas)]
-    dmap = CoproductLikeMap(S, images, label="perturbed-coproduct")
+    dmap = CoproductLikeMap(S, images)
     report.add("perturbation-constructed", True)
 
     rng = sampling.make_rng(seed)

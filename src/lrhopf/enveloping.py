@@ -11,7 +11,9 @@ Multiplication rewrites using two rules until normal:
 
 Both rules strictly decrease (word length, inversion count), so rewriting
 terminates; the verification battery checks local confluence on all
-minimal ambiguities, which is what makes the monomial basis free.
+minimal ambiguities, which is what makes the monomial basis free.  A
+coefficient moves past a whole run of one letter at once, by the first
+rule's closed form  x^n a = sum over k of C(n, k) x^k(a) x^(n-k).
 
 Rewriting is memoized per structure, in four memos that fill lazily and
 are never evicted: each grows without bound while its structure lives
@@ -20,7 +22,7 @@ products made) and dies with it; none is module-level.
 
   * `S._poly_cache`, the coefficient push (`_word_times_monomial`):
     (word, e) -> word * y^e as a tuple of (word, exponents, rational)
-    triples;
+    triples, one entry per push, pushed through the word run by run;
   * `S._nf_cache`, the letter swap (`_word_times_gen`): (word, i) ->
     word * e_i as the same triples;
   * `S._word_cache`, word times word (`_word_times_word`): (u, v) -> u * v
@@ -227,56 +229,40 @@ class Combination:
 
 
 def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> tuple:
-    """Normal form of (word * y^e) for a nonempty normal word and a
-    non-constant exponent tuple e, as (word, exponents, rational) triples.
+    """Normal form of (word * y^e) for a normal word and an exponent tuple
+    e, as (word, exponents, rational) triples.
 
     Memo key: (word, e) in `S._poly_cache`.  The coefficient of the
     monomial is not part of the key, since rewriting is linear over the
     rationals, and neither is the coefficient algebra, which the structure
-    fixes.  With l the last letter and head the rest of the word,
+    fixes.  y^e moves left through the runs of the word, the last run
+    first, by the closed form of the Leibniz rule over a run x^n,
 
-        word * y^e = (head * y^e) l + head * l(y^e),
+        x^n b = sum over k of C(n, k) x^k(b) x^(n-k),
 
-    and every word of head * y^e is a subword of head, so appending l
-    needs no rewriting.  A miss first walks down the prefixes of the word,
-    collecting the monomials each prefix must be multiplied by (a
-    monomial already in the memo, or constant, stops the walk), then
-    fills those entries from the shortest prefix up: no recursion, and a
-    word of length L costs O(L) entries per monomial that the anchors
-    reach from y^e."""
+    x^k(b) the anchor of x applied k times (a term stops once it is 0).
+    What a term leaves of each run keeps the runs' order, so every word
+    is normal as it stands; the cost follows the number of terms."""
     memo = S._poly_cache
     hit = memo.get((word, e))
     if hit is not None:
         return hit
-    A = S.algebra
-    derived = {}  # (k, f) -> terms of l(y^f), l the k-th letter
-    levels = []  # (k, the monomials f whose entry (word[:k], f) is missing)
-    k, need = len(word), {e}
-    while need:
-        levels.append((k, need))
-        below = set()
-        for f in need:
-            d = derived[(k, f)] = S.anchor[word[k - 1]](
-                LaurentPoly._trusted(A, {f: 1})).terms
-            below.add(f)
-            below.update(d)
-        k -= 1
-        head = word[:k]
-        need = {f for f in below if k and any(f) and (head, f) not in memo}
-
-    def lookup(head, f):
-        return memo[(head, f)] if head and any(f) else ((head, f, 1),)
-
-    for k, need in reversed(levels):
-        head, last = word[:k - 1], word[k - 1]
-        for f in need:
-            acc = {(u + (last,), g): x for u, g, x in lookup(head, f)}
-            for g, c in derived[(k, f)].items():
-                for u, h, x in lookup(head, g):
-                    key, x = (u, h), x * c
-                    acc[key] = acc[key] + x if key in acc else x
-            memo[(word[:k], f)] = _frozen(acc)
-    return memo[(word, e)]
+    # what the terms keep of the runs pushed through so far -> the
+    # product of their binomials and the coefficient standing left of it
+    pushed = {(): (1, LaurentPoly._trusted(S.algebra, {e: 1}))}
+    for x, run in itertools.groupby(reversed(word)):
+        n, anchor, nxt = len(list(run)), S.anchor[x], {}
+        for tail, (c, b) in pushed.items():
+            for k in range(n + 1):
+                if k:
+                    b = anchor(b)
+                    if not b:
+                        break
+                nxt[(x,) * (n - k) + tail] = c * math.comb(n, k), b
+        pushed = nxt
+    hit = memo[(word, e)] = _frozen(
+        {(u, g): c * x for u, (c, b) in pushed.items() for g, x in b.terms.items()})
+    return hit
 
 
 def _frozen(acc: dict) -> tuple:

@@ -277,9 +277,8 @@ class CoproductLikeMap:
     When every letter image is the standard e' + e'' (`standard`), the map
     is evaluated in closed form; otherwise by rewriting."""
 
-    def __init__(self, S: LieRinehartAlgebra, letter_images, label: str = "coproduct"):
+    def __init__(self, S: LieRinehartAlgebra, letter_images):
         self.S = S
-        self.label = label
         self.delta_A = comultiplication(S.algebra)
         images = list(letter_images)
         for img in images:

@@ -10,8 +10,9 @@ c + 1 letters.  Products there rewrite in the tensor power structure
 itself, independently of the legwise product in lrhopf.hopf.
 """
 
-from lrhopf import EnvElement, TensorEnvElement, tensor_power_structure
+from lrhopf import EnvElement, TensorEnvElement
 from lrhopf.algebra import comultiplication, spread_copies, tensor_embed
+from lrhopf.hopf import tensor_power_structure
 
 
 def to_flat(t: TensorEnvElement) -> EnvElement:

@@ -23,12 +23,12 @@ from lrhopf import (
     coproduct,
     counit,
     tensor_pair,
-    tensor_power_structure,
 )
 from lrhopf.algebra import spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_structure_file
-from lrhopf.hopf import _unit_words, antipode_convolution, counit_collapse, standard_coproduct
+from lrhopf.hopf import (_unit_words, antipode_convolution, counit_collapse, standard_coproduct,
+                         tensor_power_structure)
 from lrhopf.sampling import make_rng, random_env_element
 
 from conftest import FIXTURES, read_fixture
@@ -281,7 +281,7 @@ def _perturbed_map(base):
     else:
         S, dual = parse_structure_file(read_fixture(base)).build()
     images = [e + d for e, d in zip(standard_coproduct(S).images, cobracket_images(S, dual))]
-    return CoproductLikeMap(S, images, label="perturbed-coproduct")
+    return CoproductLikeMap(S, images)
 
 
 def _three_leg_map(name):

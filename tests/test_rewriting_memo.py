@@ -5,6 +5,7 @@ on words longer than the default recursion limit."""
 
 import gc
 import itertools
+import math
 import os
 import sys
 import weakref
@@ -239,21 +240,47 @@ def test_a_product_by_one_and_the_antipode_of_a_unit_word_copy_nothing():
     assert antipode(w).terms == oracle.antipode(w).terms
 
 
-def test_words_longer_than_the_recursion_limit():
-    # x(y) = 1 over Q[y]: the derived coefficient is a constant after one
-    # step, so x^L y = y x^L + L x^(L-1)
+def _line():
+    # x(y) = 1 over Q[y]: the derived coefficient is a constant after one step
     A = CommutativeAlgebra([GeneratorDecl("y", hopf_kind="primitive")])
-    S = LieRinehartAlgebra(A, ["x"], {}, [Derivation(A, [A.one()])])
-    y = A.gen(0)
+    return LieRinehartAlgebra(A, ["x"], {}, [Derivation(A, [A.one()])])
+
+
+def _line_push(A, L, e):
+    """x^L y = y x^L + L x^(L-1) on `_line`, for e = (1,)."""
+    return {(0,) * L: A.monomial(e), (0,) * (L - 1): A.const(L)}
+
+
+def _eigen_push(A, L, e):
+    """x^L y^e = sum over k of C(L, k) n^k y^e x^(L-k), for e = (n,) and
+    x(y) = y, so that x(y^n) = n y^n."""
+    n, = e
+    return {(0,) * (L - k): A.monomial(e, math.comb(L, k) * n ** k) for k in range(L + 1)}
+
+
+# each case: the structure, e, x^L y^e by hand, and S_A(y^e) = sign y^f
+@pytest.mark.parametrize("build, e, push, sign, f", [
+    (_line, (1,), _line_push, -1, (1,)),
+    # y primitive: S_A(y^3) = -y^3
+    (lambda: _fresh("euler.lra"), (3,), _eigen_push, -1, (3,)),
+    # t group-like: S_A(t^-5) = t^5
+    (lambda: _fresh("torus.lra"), (-5,), _eigen_push, 1, (5,)),
+], ids=["line", "euler", "torus"])
+def test_words_longer_than_the_recursion_limit(build, e, push, sign, f):
+    S = build()
+    A = S.algebra
+    y = A.monomial(e)
     L = sys.getrecursionlimit() + 100
     w = (0,) * L
     with pytest.raises(RecursionError):
         oracle.word_times_poly(S, w, y)
-    expected = {w: y, w[:-1]: A.const(L)}
-    assert (EnvElement(S, {w: A.one()}) * EnvElement.from_poly(S, y)).terms == expected
-    # S(y x^L) = S(x^L) S_A(y) = (-1)^L x^L (-y) = (-1)^(L+1) (y x^L + L x^(L-1))
-    sign = -1 if L % 2 == 0 else 1
-    assert antipode(EnvElement(S, {w: y})).terms == {v: c * sign for v, c in expected.items()}
+    assert (EnvElement(S, {w: A.one()}) * EnvElement.from_poly(S, y)).terms == push(A, L, e)
+    # the push by runs fills the one entry it was asked for, no prefix of w
+    assert list(S._poly_cache) == [(w, e)]
+    # S(y^e x^L) = S(x^L) S_A(y^e) = (-1)^L sign x^L y^f
+    sign *= (-1) ** L
+    assert antipode(EnvElement(S, {w: y})).terms == {
+        u: c * sign for u, c in push(A, L, f).items()}
 
 
 @pytest.mark.parametrize("name, left, right, expected", [
