@@ -26,9 +26,9 @@ from lrhopf import (
 )
 from lrhopf.algebra import spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
-from lrhopf.dsl import parse_structure_file
-from lrhopf.hopf import (_unit_words, antipode_convolution, counit_collapse, standard_coproduct,
-                         tensor_power_structure)
+from lrhopf.dsl import parse_env_element, parse_structure_file
+from lrhopf.hopf import (_legwise_sums, _matches, _unit_words, antipode_convolution,
+                         counit_collapse, standard_coproduct, tensor_power_structure)
 from lrhopf.sampling import make_rng, random_env_element
 
 from conftest import FIXTURES, read_fixture
@@ -458,3 +458,93 @@ def test_coproduct_coefficients_live_in_the_memoized_tensor_square(gl2):
     assert t.terms and all(c.algebra is A2 for c in t.terms.values())
     assert t.algebra is A2
     assert all(c.algebra is A2 for c in (t * t).terms.values())
+
+
+def _near_misses(target):
+    """Elements one step away from target: one coefficient off by 1, one
+    term dropped, one extra term, and target over another denominator."""
+    S, A2 = target.structure, target.algebra
+    out = [target * Fraction(1, 7), target + tensor_pair(EnvElement.one(S), EnvElement.one(S))]
+    if target.terms:
+        key, c = next(iter(target.terms.items()))
+        off = dict(target.terms)
+        off[key] = c + A2.monomial(next(iter(c.terms)), 1)
+        out.append(TensorEnvElement(S, off))
+        out.append(TensorEnvElement(S, {k: v for k, v in target.terms.items() if k != key}))
+    words = max(sum(map(len, key)) for key in target.terms) if target.terms else 0
+    extra = ((0,) * (words + 1), ())
+    out.append(TensorEnvElement(S, {**target.terms, extra: A2.const(Fraction(2, 3))}))
+    return out
+
+
+@pytest.mark.parametrize("name", _FIXTURE_FILES + ["a-valued"])
+def test_unwrapped_comparison_agrees_with_equality(name):
+    # the multiplicative laws compare coproduct(uv) with the unwrapped sums
+    # of coproduct(u) coproduct(v); that must decide what == decides
+    S = _legwise_structure(name)
+    dmap = standard_coproduct(S)
+    rng = make_rng(61)
+    pairs = [(random_env_element(rng, S, 2, 2), random_env_element(rng, S, 2, 2))
+             for _ in range(12)]
+    seen = set()
+    for u, v in pairs:
+        t, s = dmap(u), dmap(v)
+        for target in [dmap(u * v)] + _near_misses(dmap(u * v)):
+            want = target == t * s
+            seen.add(want)
+            assert _matches(target, *_legwise_sums(t, s)) is want, f"{name}: {u}, {v}"
+    # a-valued fails multiplicativity, so its true targets differ as well
+    assert False in seen and (True in seen or name == "a-valued")
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("sl2.lra", "at u=e, v=e"),
+    ("gl2.lra", "at u=E11, v=E11"),
+])
+def test_a_wrong_split_multiplicity_fails_the_multiplicative_law(monkeypatch, name, witness):
+    # the module docstring's claim: the legwise product rewrites each leg
+    # itself, so a closed form that forgets the binomials is caught
+    splits = CoproductLikeMap._word_splits
+    monkeypatch.setattr(CoproductLikeMap, "_word_splits",
+                        lambda self, w: tuple((key, 1) for key, _ in splits(self, w)))
+    report = check_bialgebra(_load(name), seed=0, samples=8, max_word=2)
+    failing = {c.name: c.witness for c in report.checks if c.verdict == "fail"}
+    assert failing["coproduct-multiplicative-words"] == witness
+    assert "coproduct-coassociative" in failing
+
+
+@pytest.mark.parametrize("name, expr", [
+    ("sl2.lra", "h^3*e^2"),
+    ("gl2.lra", "y1^2*E11^2*E12^2*E22"),
+    ("aff2.lra", "y^2*x1^2"),
+])
+def test_closed_form_shares_one_scaling_per_multiplicity(name, expr):
+    # repeated letters give equal multiplicities across splits, and the
+    # coefficient's coproduct is scaled once for each
+    S = _load(name)
+    dmap = standard_coproduct(S)
+    u = parse_env_element(expr, S)
+    assert dmap(u).terms == dmap.by_rewriting(u).terms
+    for w, a in u.terms.items():
+        t, image = dmap(EnvElement(S, {w: a})), dmap.delta_A(a)
+        shared = {}
+        for key, mult in dmap._word_splits(w):
+            assert t.terms[key] == image * mult
+            assert t.terms[key] is shared.setdefault(mult, t.terms[key])
+        splits = [mult for _, mult in dmap._word_splits(w)]
+        # some multiplicity above 1, and some shared by several splits
+        assert max(splits) > 1 and len(set(splits)) < len(splits)
+
+
+def test_the_bialgebra_battery_computes_each_coproduct_once(monkeypatch, aff2):
+    # one coproduct per pair product and per random pair operand; the unit
+    # words' and the coassociative/counital randoms' coproducts are shared
+    calls = []
+    call = CoproductLikeMap.__call__
+    monkeypatch.setattr(CoproductLikeMap, "__call__",
+                        lambda self, u: calls.append(u) or call(self, u))
+    samples, max_word = 16, 2
+    assert check_bialgebra(aff2, seed=0, samples=samples, max_word=max_word).ok
+    words = len(_unit_words(aff2, max_word))
+    randoms = samples // 8
+    assert len(calls) == words ** 2 + words + 3 * samples + randoms
