@@ -19,7 +19,6 @@ import itertools
 
 from . import sampling
 from .algebra import LaurentPoly, coeff_str, comultiplication
-from .enveloping import Combination, _add_term, signed_sum
 from .hopf import (
     CoproductLikeMap,
     TensorEnvElement,
@@ -28,7 +27,8 @@ from .hopf import (
     counit_collapse,
     standard_coproduct,
 )
-from .lie_rinehart import LieRinehartAlgebra, LRElement
+from .lie_rinehart import (Combination, LieRinehartAlgebra, LRElement, _add_term,
+                           signed_sum)
 from .report import Report
 
 
@@ -89,11 +89,7 @@ class MultiVector(Combination):
 
     @classmethod
     def from_lr(cls, x: LRElement) -> "MultiVector":
-        return cls(
-            x.structure,
-            1,
-            {(i,): c for i, c in enumerate(x.coeffs) if not c.is_zero()},
-        )
+        return cls(x.structure, 1, {(i,): c for i, c in x.terms.items()})
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
         if self.structure != other.structure:
@@ -159,9 +155,8 @@ def ce_differential(S: LieRinehartAlgebra, phi: MultiVector) -> MultiVector:
                 bracket = S.bracket_of_basis(T[r], T[s])
                 rest = tuple(T[t] for t in range(p + 1) if t != r and t != s)
                 inner = S.algebra.zero()
-                for k, c in enumerate(bracket.coeffs):
-                    if not c.is_zero():
-                        inner = inner + c * phi.eval_signed((k,) + rest)
+                for k, c in bracket.terms.items():
+                    inner = inner + c * phi.eval_signed((k,) + rest)
                 val = val + (-inner if (r + s) % 2 else inner)
         if not val.is_zero():
             out[T] = val
@@ -201,9 +196,7 @@ def schouten_bracket(P: MultiVector, Q: MultiVector) -> MultiVector:
                     bracket = S.bracket_of_basis(I[r], J[s])
                     sign_rs = -1 if (r + s) % 2 else 1  # (-1)^{(r+1)+(s+1)}
                     rest = I[:r] + I[r + 1 :] + J[:s] + J[s + 1 :]
-                    for k, c in enumerate(bracket.coeffs):
-                        if c.is_zero():
-                            continue
+                    for k, c in bracket.terms.items():
                         sgn, key = _sort_sign((k,) + rest)
                         if sgn is not None:
                             _add_term(acc, key, (sign_rs * sgn) * (a * b * c))

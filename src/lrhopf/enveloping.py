@@ -1,8 +1,9 @@
 """The universal enveloping algebra of a Lie-Rinehart structure.
 
 Elements are kept in normal form: a finite sum of nondecreasing words in
-the module basis, each with a coefficient from A written on the left.
-Multiplication rewrites using two rules until normal:
+the module basis, each with a coefficient from A written on the left, an
+`EnvElement` being the sparse `Combination` of `lie_rinehart` keyed by
+those words.  Multiplication rewrites using two rules until normal:
 
   * a basis letter moves right past a coefficient, producing the
     derivative term:  e a -> a e + e(a);
@@ -59,173 +60,9 @@ from operator import add
 from . import sampling
 from .algebra import (LaurentPoly, _cleared, _common_denominator, coeff_str,
                       counit_morphism)
-from .lie_rinehart import LieRinehartAlgebra, LRElement
+from .lie_rinehart import (Combination, LieRinehartAlgebra, LRElement, _add_term,
+                           signed_sum)
 from .report import Report
-
-
-def _add_term(acc: dict, word, coeff):
-    if coeff.is_zero():
-        return
-    cur = acc.get(word)
-    if cur is None:
-        acc[word] = coeff
-    else:
-        s = cur + coeff
-        if s.is_zero():
-            del acc[word]
-        else:
-            acc[word] = s
-
-
-def signed_sum(pieces) -> str:
-    """Printed terms joined as `a + b - c`, a leading "-" of a later term
-    becoming the operator; "0" when there are none."""
-    pieces = iter(pieces)
-    out = next(pieces, "0")
-    for piece in pieces:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
-
-
-class Combination:
-    """A sparse sum over a structure: `terms` maps keys to coefficients in
-    `algebra`.  The base of EnvElement, TensorEnvElement and MultiVector.
-
-    Invariant of `terms`, kept by every constructor:
-      * each key is one that the subclass's `_normal_key` returns;
-      * each value is a nonzero LaurentPoly over `algebra`, whose own
-        coefficients are canonical (an `int` when integral, otherwise a
-        `Fraction`; see LaurentPoly).
-
-    The constructor checks keys through `_normal_key`, converts scalar
-    coefficients (an `int` or a `Fraction`), sums repeated keys and drops
-    zeros.  Arithmetic builds its results with `_trusted`, which stores a
-    dict that already satisfies the invariant without looking at it again;
-    `terms` is never mutated once wrapped.  A product sums its partial
-    terms flat (see the module docstring) and wraps the sum once, with
-    `_wrap` and then `_trusted`.
-
-    A subclass may add one slot, named by `_shape` and fixed at
-    construction.  Operands must agree on it (tensors with different
-    `legs` never mix), unless the class is `_graded`: then the slot grades
-    one space (a multivector's `grade`), and a zero of any grade adds as
-    the identity and equals every other zero."""
-
-    __slots__ = ("structure", "terms")
-    _shape = None
-    _graded = False
-
-    @classmethod
-    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict, shape=None):
-        """Wrap `terms`, which must already satisfy the class invariant and
-        must not be shared with code that will mutate it; `shape` is the
-        value of the subclass's slot."""
-        u = object.__new__(cls)
-        u.structure = structure
-        u.terms = terms
-        if cls._shape:
-            setattr(u, cls._shape, shape)
-        return u
-
-    def __init__(self, structure: LieRinehartAlgebra, terms: dict, shape=None):
-        self.structure = structure
-        if self._shape:
-            setattr(self, self._shape, shape)
-        algebra = self.algebra
-        clean: dict = {}
-        for key, c in terms.items():
-            key = self._normal_key(key)
-            if not isinstance(c, LaurentPoly):
-                c = algebra.const(c)
-            if c.algebra != algebra:
-                raise ValueError("coefficient lives in the wrong algebra")
-            _add_term(clean, key, c)
-        self.terms = clean
-
-    def _like(self, terms: dict):
-        """A trusted combination with self's structure and shape."""
-        return self._trusted(self.structure, terms,
-                             getattr(self, self._shape) if self._shape else None)
-
-    def _operand(self, other):
-        """`other` as an operand of +, - and ==, or None."""
-        return other if isinstance(other, type(self)) else None
-
-    @property
-    def algebra(self):
-        """The coefficient algebra."""
-        return self.structure.algebra
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _same_shape(self, other) -> bool:
-        shape = self._shape
-        return (shape is None or getattr(self, shape) == getattr(other, shape)
-                or (self._graded and not (self.terms and other.terms)))
-
-    def _check(self, other):
-        if self.structure is not other.structure and self.structure != other.structure:
-            raise ValueError(f"{type(self).__name__} operands over different structures")
-        if not self._same_shape(other):
-            raise ValueError(f"{type(self).__name__} operands with {self._shape} "
-                             f"{getattr(self, self._shape)} and {getattr(other, self._shape)}")
-
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        self._check(other)
-        if not self.terms:
-            return other
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(acc, key, c)
-        return self._like(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _scale(self, a):
-        """a times every coefficient, for a scalar or a coefficient a."""
-        if a.__class__ is not LaurentPoly:
-            if isinstance(a, (int, Fraction)):
-                return self._like({key: c * a for key, c in self.terms.items()} if a else {})
-            if not isinstance(a, LaurentPoly):
-                return NotImplemented
-        if a.algebra != self.algebra:
-            raise ValueError("coefficient lives in the wrong algebra")
-        return self._like({key: a * c for key, c in self.terms.items()} if a else {})
-
-    def __mul__(self, other):
-        return self._scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
-
-    # scalars and coefficients multiply on the left coefficient-wise
-    __rmul__ = _scale
-
-    def __eq__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return (self.structure == other.structure and self._same_shape(other)
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"<{self}>"
 
 
 def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> tuple:
@@ -411,7 +248,7 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> tuple:
             for v, h, y in _word_times_gen(S, u, j):
                 key, y = (v, tuple(map(add, g, h)) if any(h) else g), x * y
                 acc[key] = acc[key] + y if key in acc else y
-        for letter, b in enumerate(S.bracket_of_basis(j, i).coeffs):
+        for letter, b in S.bracket_of_basis(j, i).terms.items():
             for e, c in b.terms.items():
                 for key, x in _word_poly_word(S, head, e, (letter,)).items():
                     x *= c
@@ -466,8 +303,7 @@ class EnvElement(Combination):
     @classmethod
     def from_lr(cls, x: LRElement) -> "EnvElement":
         """The canonical image of a module element."""
-        S = x.structure
-        return cls(S, {(i,): c for i, c in enumerate(x.coeffs) if not c.is_zero()})
+        return cls(x.structure, {(i,): c for i, c in x.terms.items()})
 
     @classmethod
     def generator(cls, structure, i: int) -> "EnvElement":

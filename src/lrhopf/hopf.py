@@ -111,9 +111,10 @@ from .algebra import (
     tensor_embed,
     check_hopf_axioms,
 )
-from .enveloping import (Combination, EnvElement, _add_term, _frozen, _normal_word,
-                         _product_into, _word_poly_word, _wrap, signed_sum)
-from .lie_rinehart import LieRinehartAlgebra, check_bi_lr
+from .enveloping import (EnvElement, _frozen, _normal_word, _product_into, _word_poly_word,
+                         _wrap)
+from .lie_rinehart import (Combination, LieRinehartAlgebra, _add_term, check_bi_lr,
+                           signed_sum)
 from .report import Report
 
 

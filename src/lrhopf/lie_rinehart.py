@@ -2,16 +2,21 @@
 module of derivations-like elements, a bracket, and an anchor.
 
 The module is always free with a finite ordered basis, brackets are stored
-as a sparse table over the basis, and the anchor is stored as one derivation
-of the coefficient algebra per basis element.  General elements are handled
+as a table over the basis, one coefficient per basis element for each pair
+i < j with a nonzero bracket, and the anchor is stored as one derivation of
+the coefficient algebra per basis element.  General elements are handled
 by extending the table bilinearly with the two defining compatibility rules:
 the anchor is linear over the coefficients, and the bracket obeys the
 Leibniz rule in its second slot.
 
-The bracket and the anchor of an element sum into one raw `exponent
-tuple -> rational` dict per slot (`_mul_into` of `algebra`) and wrap
-each slot once.  The batteries use the public operators only; the naive
-arithmetic these sums replaced is their oracle in `tests/lr_oracle.py`.
+`Combination` is the one sparse sum of the package, keys -> nonzero
+coefficients; it lives here, the lowest module that knows a structure.
+An element of the module (`LRElement`) is a Combination keyed by basis
+index.  The bracket and the anchor of an element visit only its nonzero
+slots, sum into one raw `exponent tuple -> rational` dict per slot they
+reach (`_mul_into` of `algebra`) and wrap each of those slots once.  The
+batteries use the public operators only; the naive arithmetic these sums
+replaced is their oracle in `tests/lr_oracle.py`.
 """
 
 from __future__ import annotations
@@ -34,64 +39,188 @@ from .algebra import (
 from .report import Report
 
 
-class LRElement:
-    """An element of the free module underlying a Lie-Rinehart structure,
-    stored as one coefficient per basis element.  The constructor checks
-    the coefficients; arithmetic builds its results with `_trusted`, and
-    each operator checks its operand's structure or algebra once."""
+def _add_term(acc: dict, word, coeff):
+    if coeff.is_zero():
+        return
+    cur = acc.get(word)
+    if cur is None:
+        acc[word] = coeff
+    else:
+        s = cur + coeff
+        if s.is_zero():
+            del acc[word]
+        else:
+            acc[word] = s
 
-    __slots__ = ("structure", "coeffs")
+
+def signed_sum(pieces) -> str:
+    """Printed terms joined as `a + b - c`, a leading "-" of a later term
+    becoming the operator; "0" when there are none."""
+    pieces = iter(pieces)
+    out = next(pieces, "0")
+    for piece in pieces:
+        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    return out
+
+
+class Combination:
+    """A sparse sum over a structure: `terms` maps keys to coefficients in
+    `algebra`.  The base of LRElement, EnvElement (`enveloping`),
+    TensorEnvElement (`hopf`) and MultiVector (`calculus`).
+
+    Invariant of `terms`, kept by every constructor:
+      * each key is one that the subclass's `_normal_key` returns;
+      * each value is a nonzero LaurentPoly over `algebra`, whose own
+        coefficients are canonical (an `int` when integral, otherwise a
+        `Fraction`; see LaurentPoly).
+
+    The constructor checks keys through `_normal_key`, converts scalar
+    coefficients (an `int` or a `Fraction`), sums repeated keys and drops
+    zeros.  Arithmetic builds its results with `_trusted`, which stores a
+    dict that already satisfies the invariant without looking at it again;
+    `terms` is never mutated once wrapped.  A product sums its partial
+    terms flat (see the `enveloping` module docstring) and wraps the sum
+    once, with `_wrap` and then `_trusted`.
+
+    A subclass may add one slot, named by `_shape` and fixed at
+    construction.  Operands must agree on it (tensors with different
+    `legs` never mix), unless the class is `_graded`: then the slot grades
+    one space (a multivector's `grade`), and a zero of any grade adds as
+    the identity and equals every other zero."""
+
+    __slots__ = ("structure", "terms")
+    _shape = None
+    _graded = False
 
     @classmethod
-    def _trusted(cls, structure: "LieRinehartAlgebra", coeffs: tuple) -> "LRElement":
-        """Wrap `coeffs`, one LaurentPoly over the structure's algebra per
-        basis element."""
-        x = object.__new__(cls)
-        x.structure = structure
-        x.coeffs = coeffs
-        return x
+    def _trusted(cls, structure: LieRinehartAlgebra, terms: dict, shape=None):
+        """Wrap `terms`, which must already satisfy the class invariant and
+        must not be shared with code that will mutate it; `shape` is the
+        value of the subclass's slot."""
+        u = object.__new__(cls)
+        u.structure = structure
+        u.terms = terms
+        if cls._shape:
+            setattr(u, cls._shape, shape)
+        return u
+
+    def __init__(self, structure: LieRinehartAlgebra, terms: dict, shape=None):
+        self.structure = structure
+        if self._shape:
+            setattr(self, self._shape, shape)
+        algebra = self.algebra
+        clean: dict = {}
+        for key, c in terms.items():
+            key = self._normal_key(key)
+            if not isinstance(c, LaurentPoly):
+                c = algebra.const(c)
+            if c.algebra != algebra:
+                raise ValueError("coefficient lives in the wrong algebra")
+            _add_term(clean, key, c)
+        self.terms = clean
+
+    def _like(self, terms: dict):
+        """A trusted combination with self's structure and shape."""
+        return self._trusted(self.structure, terms,
+                             getattr(self, self._shape) if self._shape else None)
+
+    def _operand(self, other):
+        """`other` as an operand of +, - and ==, or None."""
+        return other if isinstance(other, type(self)) else None
+
+    @property
+    def algebra(self):
+        """The coefficient algebra."""
+        return self.structure.algebra
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _same_shape(self, other) -> bool:
+        shape = self._shape
+        return (shape is None or getattr(self, shape) == getattr(other, shape)
+                or (self._graded and not (self.terms and other.terms)))
+
+    def _check(self, other):
+        if self.structure is not other.structure and self.structure != other.structure:
+            raise ValueError(f"{type(self).__name__} operands over different structures")
+        if not self._same_shape(other):
+            raise ValueError(f"{type(self).__name__} operands with {self._shape} "
+                             f"{getattr(self, self._shape)} and {getattr(other, self._shape)}")
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        if not self.terms:
+            return other
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(acc, key, c)
+        return self._like(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, a):
+        """a times every coefficient, for a scalar or a coefficient a."""
+        if a.__class__ is not LaurentPoly:
+            if isinstance(a, (int, Fraction)):
+                return self._like({key: c * a for key, c in self.terms.items()} if a else {})
+            if not isinstance(a, LaurentPoly):
+                return NotImplemented
+        if a.algebra != self.algebra:
+            raise ValueError("coefficient lives in the wrong algebra")
+        return self._like({key: a * c for key, c in self.terms.items()} if a else {})
+
+    def __mul__(self, other):
+        return self._scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+
+    # scalars and coefficients multiply on the left coefficient-wise
+    __rmul__ = _scale
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return (self.structure == other.structure and self._same_shape(other)
+                and self.terms == other.terms)
+
+    def __repr__(self):
+        return f"<{self}>"
+
+
+class LRElement(Combination):
+    """An element of the free module underlying a Lie-Rinehart structure: a
+    Combination whose keys are basis indices, holding only the nonzero
+    coefficients.  The public constructor takes one coefficient per basis
+    element."""
+
+    __slots__ = ()
 
     def __init__(self, structure: "LieRinehartAlgebra", coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != structure.rank:
             raise ValueError("need one coefficient per basis element")
-        for c in coeffs:
-            if c.algebra != structure.algebra:
-                raise ValueError("coefficient lives in the wrong algebra")
-        self.structure = structure
-        self.coeffs = coeffs
+        super().__init__(structure, dict(enumerate(coeffs)))
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other: "LRElement") -> "LRElement":
-        if other.__class__ is not LRElement:
-            return NotImplemented
-        self._check(other)
-        return LRElement._trusted(
-            self.structure, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "LRElement") -> "LRElement":
-        return self + (-other)
-
-    def __neg__(self) -> "LRElement":
-        return LRElement._trusted(self.structure, tuple(-c for c in self.coeffs))
-
-    def __rmul__(self, a) -> "LRElement":
-        # the class test first, as in LaurentPoly.__mul__
-        A = self.structure.algebra
-        if a.__class__ is not LaurentPoly:
-            if not isinstance(a, (int, Fraction)):
-                return NotImplemented
-            a = A.const(a)
-        elif not (a.algebra is A or a.algebra == A):
-            raise ValueError("coefficient lives in the wrong algebra")
-        return LRElement._trusted(self.structure, tuple(a * c for c in self.coeffs))
-
-    def _check(self, other: "LRElement"):
-        if self.structure != other.structure:
-            raise ValueError("elements of different structures")
+    def _normal_key(self, i):
+        return i
 
     def act(self, p: LaurentPoly) -> LaurentPoly:
         """Apply the anchored derivation of this element to p."""
@@ -104,14 +233,13 @@ class LRElement:
             [x, y]_k = sum a_i b_j c^k_ij + sum_i a_i rho_i(b_k)
                        - sum_j b_j rho_j(a_k)
 
-        for x = sum a_i e_i and y = sum b_j e_j, summed into one dict per
-        basis element."""
+        for x = sum a_i e_i and y = sum b_j e_j, over the nonzero slots of
+        both, summed into one dict per basis element it reaches."""
         self._check(other)
         S = self.structure
         table = S.bracket_table
-        out = [{} for _ in range(S.rank)]
-        xs = [(i, a) for i, a in enumerate(self.coeffs) if a.terms]
-        ys = [(j, b) for j, b in enumerate(other.coeffs) if b.terms]
+        out: dict = {}  # basis index -> exponent tuple -> rational
+        xs, ys = self.terms.items(), other.terms.items()
         for i, a in xs:
             for j, b in ys:
                 # the table holds [e_i, e_j] for i < j only
@@ -122,40 +250,28 @@ class LRElement:
                 _mul_into(ab, a.terms, b.terms, -1 if i > j else 1)
                 for k, c in enumerate(row):
                     if c.terms:
-                        _mul_into(out[k], ab, c.terms)
+                        _mul_into(out.setdefault(k, {}), ab, c.terms)
         dx = S.anchor_of(self)
         for j, b in ys:
-            _add_into(out[j], dx(b).terms)
+            _add_into(out.setdefault(j, {}), dx(b).terms)
         dy = S.anchor_of(other)
         for i, a in xs:
-            _add_into(out[i], dy(a).terms, -1)
-        return LRElement._trusted(
-            S, tuple(LaurentPoly._trusted(S.algebra, _nonzero(t)) for t in out)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LRElement)
-            and self.structure == other.structure
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.structure, self.coeffs))
+            _add_into(out.setdefault(i, {}), dy(a).terms, -1)
+        A = S.algebra
+        terms = {}
+        for k in sorted(out):
+            t = _nonzero(out[k])
+            if t:
+                terms[k] = LaurentPoly._trusted(A, t)
+        return LRElement._trusted(S, terms)
 
     def __str__(self):
-        parts = []
-        for name, c in zip(self.structure.basis_names, self.coeffs):
-            if c.is_zero():
-                continue
-            if c == 1:
-                parts.append(name)
-            else:
-                parts.append(f"{coeff_str(c)}*{name}")
+        names = self.structure.basis_names
+        parts = [
+            names[i] if c == 1 else f"{coeff_str(c)}*{names[i]}"
+            for i, c in sorted(self.terms.items())
+        ]
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<{self}>"
 
 
 class LieRinehartAlgebra:
@@ -211,43 +327,45 @@ class LieRinehartAlgebra:
         return len(self.basis_names)
 
     def element(self, coeffs) -> LRElement:
-        coeffs = [
-            c if isinstance(c, LaurentPoly) else self.algebra.const(c) for c in coeffs
-        ]
         return LRElement(self, coeffs)
 
     def zero_element(self) -> LRElement:
-        return LRElement._trusted(self, (self.algebra.zero(),) * self.rank)
+        return LRElement._trusted(self, {})
+
+    def _basis_index(self, i: int) -> int:
+        if not 0 <= i < self.rank:
+            raise ValueError(f"basis index {i} outside 0..{self.rank - 1}")
+        return i
 
     def basis_element(self, i: int) -> LRElement:
-        coeffs = [self.algebra.zero()] * self.rank
-        coeffs[i] = self.algebra.one()
-        return LRElement._trusted(self, tuple(coeffs))
+        return LRElement._trusted(self, {self._basis_index(i): self.algebra.one()})
 
     def bracket_of_basis(self, i: int, j: int) -> LRElement:
-        if i == j:
-            return self.zero_element()
-        if i < j:
-            coeffs = self.bracket_table.get((i, j))
-            if coeffs is None:
-                return self.zero_element()
-            return LRElement._trusted(self, coeffs)
-        return -self.bracket_of_basis(j, i)
+        self._basis_index(i)
+        self._basis_index(j)
+        if i > j:
+            return -self.bracket_of_basis(j, i)
+        row = self.bracket_table.get((i, j), ())
+        return LRElement._trusted(self, {k: c for k, c in enumerate(row) if c.terms})
 
     def anchor_of(self, x: LRElement) -> Derivation:
         """The derivation sum a_i rho_i for x = sum a_i e_i, its value on
         each generator summed into one dict."""
         A = self.algebra
-        if not (x.structure.algebra is A or x.structure.algebra == A):
-            raise ValueError("element lives over the wrong algebra")
+        if x.structure is not self and x.structure != self:
+            if x.structure.algebra != A:
+                raise ValueError("element lives over the wrong algebra")
+            raise ValueError("element of a different structure")
         out = [{} for _ in range(A.ngens)]
-        for a, rho in zip(x.coeffs, self.anchor):
-            if a.terms:
-                for g, v in enumerate(rho.values):
-                    if v.terms:
-                        _mul_into(out[g], a.terms, v.terms)
+        anchor = self.anchor
+        for i, a in x.terms.items():
+            for g, v in enumerate(anchor[i].values):
+                if v.terms:
+                    _mul_into(out[g], a.terms, v.terms)
+        # the slots no term reached share one zero, as in Derivation.zero
+        zero = A.zero()
         return Derivation._trusted(
-            A, tuple(LaurentPoly._trusted(A, _nonzero(t)) for t in out)
+            A, tuple(LaurentPoly._trusted(A, _nonzero(t)) if t else zero for t in out)
         )
 
     # structural equality so that elements built from equal structures mix
@@ -389,7 +507,7 @@ def check_lr_axioms(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
 # -- constructions -----------------------------------------------------------
 
 
-def make_opposite(S: LieRinehartAlgebra, validate: bool = True) -> LieRinehartAlgebra:
+def make_opposite(S: LieRinehartAlgebra) -> LieRinehartAlgebra:
     """Same module with the negated bracket and negated anchor."""
     table = {
         key: tuple(-c for c in coeffs) for key, coeffs in S.bracket_table.items()
@@ -399,7 +517,6 @@ def make_opposite(S: LieRinehartAlgebra, validate: bool = True) -> LieRinehartAl
         S.basis_names,
         table,
         [-d for d in S.anchor],
-        validate=validate,
     )
 
 
@@ -522,9 +639,8 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
         # the diagonal extension of x applied to delta(a): the sum of
         # delta(c_i) diag[i](delta(a)), no derivation summed
         lifted = doubled.zero()
-        for c, base in zip(x.coeffs, diag):
-            if not c.is_zero():
-                lifted = lifted + delta(c) * base(da)
+        for i, c in x.terms.items():
+            lifted = lifted + delta(c) * diag[i](da)
         if lifted != delta(xa):
             return f"at x={x}, a={a}"
         if not eps(xa).is_zero():

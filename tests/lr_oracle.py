@@ -56,9 +56,15 @@ def commutator(D: Derivation, E: Derivation) -> Derivation:
 # -- module elements ---------------------------------------------------------
 
 
+def dense(x: LRElement) -> list:
+    """One coefficient per basis element, zeros included."""
+    zero = x.structure.algebra.zero()
+    return [x.terms.get(i, zero) for i in range(x.structure.rank)]
+
+
 def anchor_of(S, x: LRElement) -> Derivation:
     d = Derivation.zero(S.algebra)
-    for a, base in zip(x.coeffs, S.anchor):
+    for a, base in zip(dense(x), S.anchor):
         if not a.is_zero():
             d = add(d, scale(a, base))
     return d
@@ -75,21 +81,21 @@ def bracket(x: LRElement, y: LRElement) -> LRElement:
         raise ValueError("elements of different structures")
     S = x.structure
     out = [S.algebra.zero()] * S.rank
-    for i, a in enumerate(x.coeffs):
+    for i, a in enumerate(dense(x)):
         if a.is_zero():
             continue
-        for j, b in enumerate(y.coeffs):
+        for j, b in enumerate(dense(y)):
             if b.is_zero():
                 continue
-            for k, c in enumerate(S.bracket_of_basis(i, j).coeffs):
+            for k, c in enumerate(dense(S.bracket_of_basis(i, j))):
                 if not c.is_zero():
                     out[k] = out[k] + a * b * c
     dx = anchor_of(S, x)
     dy = anchor_of(S, y)
-    for j, b in enumerate(y.coeffs):
+    for j, b in enumerate(dense(y)):
         if not b.is_zero():
             out[j] = out[j] + apply(dx, b)
-    for i, a in enumerate(x.coeffs):
+    for i, a in enumerate(dense(x)):
         if not a.is_zero():
             out[i] = out[i] - apply(dy, a)
     return LRElement(S, out)

@@ -16,6 +16,8 @@ it summed raw exponent -> rational dicts.
 
 from lrhopf import EnvElement, antipode_morphism
 
+from lr_oracle import dense
+
 
 def _add(acc: dict, word, coeff):
     s = acc[word] + coeff if word in acc else coeff
@@ -52,7 +54,7 @@ def word_times_gen(S, word, i: int) -> dict:
     for u, p in word_times_gen(S, head, i).items():
         for v, q in word_times_gen(S, u, j).items():
             _add(acc, v, p * q)
-    for k, c in enumerate(S.bracket_of_basis(j, i).coeffs):
+    for k, c in enumerate(dense(S.bracket_of_basis(j, i))):
         for u, p in word_times_poly(S, head, c).items():
             for v, q in word_times_gen(S, u, k).items():
                 _add(acc, v, p * q)

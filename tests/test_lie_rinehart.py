@@ -207,10 +207,38 @@ def test_arithmetic_refuses_operands_of_another_algebra_or_structure(aff2, euler
         aff2.zero_element().act(z)
     with pytest.raises(ValueError, match="wrong algebra"):
         aff2.anchor_of(T.basis_element(0))
+    # same algebra, another structure: the opposite's anchor is d(y) = -y
+    with pytest.raises(ValueError, match="different structure"):
+        aff2.anchor_of(make_opposite(aff2).basis_element(0))
     # same generators, a different object: equal algebras still mix
     A2 = CommutativeAlgebra(aff2.algebra.gens)
     assert A2.gen(0) * x == aff2.algebra.gen(0) * x
     assert d(A2.gen(0)) == d(aff2.algebra.gen(0))
+
+
+def test_elements_are_sparse_over_basis_indices(aff2):
+    A = aff2.algebra
+    x = LRElement(aff2, [A.zero(), A.gen(0)])
+    assert x.terms == {1: A.gen(0)}
+    assert aff2.zero_element().terms == {}
+    assert aff2.basis_element(1).terms == {1: A.one()}
+    assert aff2.element([0, 0]) == aff2.zero_element()
+    assert str(aff2.element([2, -1])) == "2*x1 + -1*x2"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda S: S.basis_element(-1),
+        lambda S: S.basis_element(5),
+        lambda S: S.bracket_of_basis(0, 7),
+        lambda S: S.bracket_of_basis(-1, 0),
+    ],
+    ids=["basis-negative", "basis-past-rank", "bracket-past-rank", "bracket-negative"],
+)
+def test_basis_indices_outside_the_basis_are_refused(aff2, call):
+    with pytest.raises(ValueError, match=r"basis index -?\d+ outside 0\.\.1"):
+        call(aff2)
 
 
 def test_public_constructors_keep_validating(aff2):

@@ -5,9 +5,10 @@ rationals, and the same canonical types (an int when integral, otherwise
 a Fraction).
 
 The structures are every fixture and its tensor square, the bracket with
-a coefficient of `build_a_valued`, and gl2 with its basis rescaled so
-that its structure constants and anchors are Fractions; torus brings
-Laurent exponents.  Random coefficients have denominators 1, 2, 3 and 6.
+a coefficient of `build_a_valued`, gl2 with its basis rescaled so that
+its structure constants and anchors are Fractions, and gl3 (rank 9, from
+tests/fixtures_large); torus brings Laurent exponents.  Random
+coefficients have denominators 1, 2, 3 and 6.
 """
 
 import itertools
@@ -54,6 +55,8 @@ def _structures():
             out[name[:-4] + "^2"] = tensor_square(S, validate=False)
     out["a_valued"] = build_a_valued()
     out["fractional"] = build_fractional(out["gl2"])
+    gl3 = read_fixture(os.path.join(os.pardir, "fixtures_large", "gl3.lra"))
+    out["gl3"] = parse_structure_file(gl3).build()[0]
     return out
 
 
@@ -61,7 +64,8 @@ STRUCTURES = _structures()
 
 
 def test_the_structures_cover_the_cases():
-    assert len([n for n in STRUCTURES if not n.endswith("^2")]) == 13
+    assert len([n for n in STRUCTURES if not n.endswith("^2")]) == 14
+    assert STRUCTURES["gl3"].rank == 9
     assert check_lr_axioms(STRUCTURES["fractional"], samples=0).ok
     assert any(isinstance(c, Fraction) for row in STRUCTURES["fractional"].bracket_table.values()
                for p in row for c in p.terms.values())
@@ -107,10 +111,13 @@ def same_poly(p, q):
 
 
 def same_lr(x, y):
+    """The same sparse terms: the same basis indices, each with a nonzero
+    canonical coefficient."""
     assert x.structure == y.structure
-    assert len(x.coeffs) == len(y.coeffs)
-    for a, b in zip(x.coeffs, y.coeffs):
-        same_poly(a, b)
+    assert x.terms.keys() == y.terms.keys()
+    for i, a in x.terms.items():
+        assert a, i
+        same_poly(a, y.terms[i])
 
 
 def same_derivation(d, e):

@@ -14,8 +14,7 @@ import sampling_oracle as oracle
 from lrhopf import sampling
 from lrhopf.algebra import LaurentPoly
 from lrhopf.dsl import parse_structure_file
-from lrhopf.enveloping import Combination
-from lrhopf.lie_rinehart import LRElement
+from lrhopf.lie_rinehart import Combination
 from lrhopf.sampling import _below
 
 from conftest import FIXTURES, read_fixture
@@ -51,8 +50,6 @@ def exact(x):
     if isinstance(x, Combination):
         shape = getattr(x, x._shape) if x._shape else None
         return (type(x).__name__, shape, exact(x.terms))
-    if isinstance(x, LRElement):
-        return ("lr", exact(x.coeffs))
     if isinstance(x, dict):
         return [(k, exact(v)) for k, v in x.items()]
     if isinstance(x, tuple):
