@@ -31,7 +31,8 @@ products made) and dies with it; none is module-level.
     (u0, e0, x0, u1, e1, x1, ...) whose words and exponent tuples are
     interned through `S._word_pool`; a one-letter v reads `_nf_cache`;
   * `S._tensor_cache["legs"]`, the leg memo of the legwise tensor
-    product (`hopf`): (w, e, v) -> w * y^e * v as triples;
+    product (`hopf`): (e, v) -> a row w -> w * y^e * v as triples whose
+    words are wrapped in one-word tuples, ((word,), exponents, rational);
   the antipode memo (`hopf`) sits on top: `S._tensor_cache["antipode"]`,
   (w, e) -> S(y^e w) as an EnvElement.
 
@@ -47,7 +48,8 @@ too) and `_wrap` divides once while it groups the sum by word into
 word -> LaurentPoly, dropping what cancelled and putting each
 coefficient back in canonical form (an `int` when integral).  The
 legwise tensor product of `hopf` sums the same way, its key a tuple of
-words: its leg memo holds the same triples and `_wrap` wraps its sum.
+words: its leg memo holds the same triples, each word wrapped in a
+one-word tuple, and `_wrap` wraps its sum.
 """
 
 from __future__ import annotations

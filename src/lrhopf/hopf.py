@@ -10,15 +10,24 @@ product is computed one leg at a time with the structure's own rewriting:
 
 for each monomial q y^e_0 .. y^e_{k-1} of the right coefficient, where each
 leg w y^e v is a product in the enveloping algebra itself.  The tensor
-layer sums exactly as the enveloping product does (see `enveloping`):
-the leg products are memoized per structure, for every number of legs,
-as (w, e, v) -> the (word, exponents, rational) triples that the
-rewriting memos hold, each partial term is built leg by leg as (word
-tuple, concatenated exponents, rational), and the monomials of c
-multiply in as each partial term is summed.  The product comes in two
-steps: `_legwise_sums` returns the one flat sum (word tuple, exponents)
--> rational and its denominator, and `_wrap` turns that sum into terms
-once.  The sums run on integers: each operand's coefficients are first
+layer sums exactly as the enveloping product does (see `enveloping`),
+at a cost that follows the terms it sums.  The leg products are
+memoized per structure, for every number of legs, in rows: (e, v) -> w
+-> the (word, exponents, rational) triples that the rewriting memos
+hold, each word wrapped in a one-word tuple, so that the entry of leg 0
+is already a list of partial terms (word tuple, concatenated exponents,
+rational).  A later leg extends a partial term by zs + z, g + h, the
+last leg is summed straight into the sum, and the monomials of c
+multiply in there.  Each operand is prepared once per side it takes,
+on first use, and keeps the preparation: on the left (`_as_left`) its
+denominator and its terms' word tuples and monomials, on the right
+(`_as_right`) its denominator and per monomial the leg memo's rows for
+its exponents cut into legs, so that the lookup of a leg is one word in
+a row (the words law multiplies each coproduct |words| times on each
+side).  The product comes in two steps: `_legwise_sums` returns the one flat sum
+(word tuple, exponents) -> rational and its denominator, and `_wrap`
+turns that sum into terms once.  The sums run on integers: each
+operand's coefficients are first
 multiplied by the lcm of their denominators (one denominator per
 operand, as FLINT's fmpq_poly keeps an integer polynomial over one
 denominator), and `_wrap` divides each summed coefficient once by both
@@ -149,48 +158,102 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
     return T
 
 
+class _LegRow(dict):
+    """One row of the leg memo: w -> the normal form of w y^e v in the
+    structure, for one (e, v), as ((word,), exponents, rational) triples,
+    the word wrapped in a one-word tuple so that the entries of leg 0 are
+    already partial terms.  A miss rewrites with `_word_poly_word`."""
+
+    __slots__ = ("S", "e", "v")
+
+    def __init__(self, S: LieRinehartAlgebra, e, v):
+        self.S, self.e, self.v = S, e, v
+
+    def __missing__(self, w):
+        entry = self[w] = tuple(((u,), g, x) for u, g, x in
+                                _frozen(_word_poly_word(self.S, w, self.e, self.v)))
+        return entry
+
+
+def _as_left(t: TensorEnvElement) -> tuple:
+    """t as the left operand of `_legwise_sums`: the lcm d of its
+    denominators and, per term, (word tuple, its monomials as (exponents,
+    or None when all are 0; d times the coefficient)).  Computed on first
+    use and kept in t's `_left` slot: a tensor is never mutated once
+    wrapped."""
+    try:
+        return t._left
+    except AttributeError:
+        pass
+    d = _common_denominator(t.terms.values())
+    t._left = d, [(ws, [(e if any(e) else None, x)
+                        for e, x in _cleared(c.terms, d).items()])
+                  for ws, c in t.terms.items()]
+    return t._left
+
+
+def _as_right(t: TensorEnvElement) -> tuple:
+    """t as the right operand of `_legwise_sums`: the lcm d of its
+    denominators and, per monomial of every term, (d times the
+    coefficient, the leg memo's rows for its exponents cut into legs and
+    the words of the term).  Kept in t's `_right` slot, as `_as_left`."""
+    try:
+        return t._right
+    except AttributeError:
+        pass
+    S = t.structure
+    memo = S._tensor_cache.get("legs")
+    if memo is None:
+        memo = S._tensor_cache["legs"] = {}
+    n = S.algebra.ngens
+    cuts = [slice(l * n, (l + 1) * n) for l in range(t.legs)]
+    d = _common_denominator(t.terms.values())
+    monomials = []
+    for ws, c in t.terms.items():
+        for e, x in _cleared(c.terms, d).items():
+            rows = []
+            for cut, v in zip(cuts, ws):
+                key = (e[cut], v)
+                row = memo.get(key)
+                if row is None:
+                    row = memo[key] = _LegRow(S, *key)
+                rows.append(row)
+            monomials.append((x, rows))
+    t._right = d, monomials
+    return t._right
+
+
 def _legwise_sums(t: TensorEnvElement, s: TensorEnvElement) -> tuple:
     """The terms of t * s, one leg at a time (see the module docstring), as
     the flat sum (word tuple, exponents) -> rational on cleared
-    denominators and the denominator d that divides it.  Each partial term
-    is built leg by leg as (word tuple, concatenated exponents, rational),
-    and the left coefficient's monomials multiply in as it is summed, as
-    in `_product_into`.  `_wrap(algebra, sums, d)` turns the sum into
-    terms; `_matches` compares it with an element without wrapping it."""
-    S = t.structure
-    A = S.algebra
-    k = t.legs
-    n = A.ngens
-    cuts = [slice(l * n, (l + 1) * n) for l in range(k)]
-    # (w, e, v) -> the normal form of w y^e v in S, per structure, as the
-    # (word, exponents, rational) triples of the rewriting memos
-    memo = S._tensor_cache.setdefault("legs", {})
-
-    def leg(w, e, v):
-        hit = memo.get((w, e, v))
-        if hit is None:
-            hit = memo[(w, e, v)] = _frozen(_word_poly_word(S, w, e, v))
-        return hit
-
-    d_t = _common_denominator(t.terms.values())
-    d_s = _common_denominator(s.terms.values())
-    # right terms with each monomial's exponents cut into legs once
-    right = [(vs, [(tuple(e[cut] for cut in cuts), q) for e, q in _cleared(b.terms, d_s).items()])
-             for vs, b in s.terms.items()]
+    denominators and the denominator d that divides it.  Per left term and
+    right monomial each leg's entry is one lookup in the row the right
+    monomial prepared; a partial term (word tuple, concatenated exponents,
+    rational) extends leg by leg as zs + z, g + h, and the last leg is
+    summed straight into the sum, the left coefficient's monomials
+    multiplying in there as in `_product_into`.  `_wrap(algebra, sums, d)`
+    turns the sum into terms; `_matches` compares it with an element
+    without wrapping it."""
+    d_t, left = _as_left(t)
+    d_s, right = _as_right(s)
+    middle = tuple(range(1, t.legs - 1))  # the legs between the first and the last
     sums: dict = {}  # (word tuple, exponents) -> rational
-    for ws, a in t.terms.items():
-        a = [(f if any(f) else None, x) for f, x in _cleared(a.terms, d_t).items()]
-        for vs, monomials in right:
-            for es, q in monomials:
-                # distinct terms of each leg give distinct partial terms
-                partial = [((), (), q)]
-                for l in range(k):
-                    partial = [(zs + (u,), g + h, x * y) for zs, g, x in partial
-                               for u, h, y in leg(ws[l], es[l], vs[l])]
-                for zs, g, p in partial:
-                    for f, x in a:
-                        key, x = (zs, g) if f is None else (zs, tuple(map(add, f, g))), x * p
-                        sums[key] = sums[key] + x if key in sums else x
+    for ws, a in left:
+        w0, wl = ws[0], ws[-1]
+        for q, rows in right:
+            # distinct terms of each leg give distinct partial terms
+            partial = rows[0][w0]
+            for l in middle:
+                partial = [(zs + z, g + h, x * y) for zs, g, x in partial
+                           for z, h, y in rows[l][ws[l]]]
+            last = rows[-1][wl]
+            for zs, g, x in partial:
+                x *= q
+                for z, h, y in last:
+                    zs2, gh, y = zs + z, g + h, x * y
+                    for f, c in a:
+                        key, c = (zs2, gh) if f is None else (zs2, tuple(map(add, f, gh))), c * y
+                        sums[key] = sums[key] + c if key in sums else c
     return sums, d_t * d_s
 
 
@@ -221,7 +284,8 @@ class TensorEnvElement(Combination):
     Elements with different numbers of legs neither add nor multiply, and
     never compare equal."""
 
-    __slots__ = ("legs",)
+    # _left, _right: the operand forms of `_legwise_sums`, kept on first use
+    __slots__ = ("legs", "_left", "_right")
     _shape = "legs"
 
     def __init__(self, structure: LieRinehartAlgebra, terms: dict, legs: int = 2):

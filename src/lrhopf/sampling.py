@@ -44,6 +44,12 @@ _FRACTIONS = tuple(
 )
 
 
+# the element classes and the term helper the samplers build with, bound on
+# first use: enveloping and calculus import this module, so it cannot import
+# them when it loads
+_EnvElement = _add_term = _MultiVector = None
+
+
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
@@ -193,7 +199,9 @@ def random_word(rng: random.Random, rank: int, max_len: int = 3):
 def random_env_element(rng: random.Random, structure, max_word: int = 3,
                        max_degree: int = 2, terms: int = 2):
     """Random element of the enveloping algebra in normal form."""
-    from .enveloping import EnvElement, _add_term
+    global _EnvElement, _add_term
+    if _EnvElement is None:
+        from .enveloping import EnvElement as _EnvElement, _add_term
 
     getrandbits, rand = rng.getrandbits, rng.random
     rank, A = structure.rank, structure.algebra
@@ -243,14 +251,16 @@ def random_env_element(rng: random.Random, structure, max_word: int = 3,
             c = getrandbits(3)
         _add_term(data, tuple(sorted(letters)),
                   LaurentPoly._trusted(A, {tuple(exps): _FRACTIONS[r][c]}))
-    return EnvElement._trusted(structure, data)
+    return _EnvElement._trusted(structure, data)
 
 
 def random_multivector(rng: random.Random, structure, grade: int,
                        max_degree: int = 2, terms: int = 2):
     """Random multivector of the given grade.  Each coefficient is a
     random_poly draw (see the module docstring)."""
-    from .calculus import MultiVector
+    global _MultiVector
+    if _MultiVector is None:
+        from .calculus import MultiVector as _MultiVector
 
     getrandbits = rng.getrandbits
     rank = structure.rank
@@ -258,7 +268,7 @@ def random_multivector(rng: random.Random, structure, grade: int,
         raise ValueError("grade exceeds the module rank")
     if terms <= 0:
         raise _empty(terms)
-    mv = MultiVector.zero(structure, grade)
+    mv = _MultiVector.zero(structure, grade)
     tuples = list(itertools.combinations(range(rank), grade))
     n = len(tuples)
     k, kt = n.bit_length(), terms.bit_length()
@@ -269,7 +279,7 @@ def random_multivector(rng: random.Random, structure, grade: int,
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)
-        mv = mv + MultiVector.single(
+        mv = mv + _MultiVector.single(
             structure, tuples[i], random_poly(rng, structure.algebra, max_degree, terms=1)
         )
     return mv

@@ -24,9 +24,11 @@ from lrhopf import (
     counit,
     tensor_pair,
 )
+from lrhopf import hopf
 from lrhopf.algebra import spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_env_element, parse_structure_file
+from lrhopf.enveloping import _wrap
 from lrhopf.hopf import (_legwise_sums, _matches, _unit_words, antipode_convolution,
                          counit_collapse, standard_coproduct, tensor_power_structure)
 from lrhopf.sampling import make_rng, random_env_element
@@ -511,6 +513,118 @@ def test_a_wrong_split_multiplicity_fails_the_multiplicative_law(monkeypatch, na
     failing = {c.name: c.witness for c in report.checks if c.verdict == "fail"}
     assert failing["coproduct-multiplicative-words"] == witness
     assert "coproduct-coassociative" in failing
+
+
+def _gl3():
+    return _load(os.path.join(os.pardir, "fixtures_large", "gl3.lra"))
+
+
+def test_the_legwise_sums_match_the_flat_oracle_on_gl3_unit_word_pairs():
+    # the kernel itself, wrapped as TensorEnvElement.__mul__ wraps it, on
+    # the rank-9 pairs of the multiplicative words law
+    S = _gl3()
+    dmap = standard_coproduct(S)
+    A2 = S.algebra.tensor_power(2)
+    words = _unit_words(S, 2)
+    deltas = [dmap(w) for w in words]
+    for t in deltas[::3]:
+        for s in deltas[1::4]:
+            got = TensorEnvElement(S, _wrap(A2, *_legwise_sums(t, s)))
+            assert got.terms == flat_product(t, s).terms, f"{t} times {s}"
+
+
+def test_the_legwise_sums_match_the_flat_oracle_on_gl3_three_leg_fractions():
+    # three legs, with coefficients over 2, 3 and 5 and nonzero exponents
+    S = _gl3()
+    dmap = standard_coproduct(S)
+    A3 = S.algebra.tensor_power(3)
+    rng = make_rng(83)
+    operands = []
+    for q in (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)):
+        u = random_env_element(rng, S, max_word=2, max_degree=1, terms=2) * q
+        operands.append(dmap.apply_to_leg(dmap(u), 0))
+        operands.append(dmap.apply_to_leg(dmap(u), 1))
+    assert {2, 3, 5} <= {x.denominator for t in operands for c in t.terms.values()
+                         for x in map(Fraction, c.terms.values())}
+    assert any(any(e) for t in operands for c in t.terms.values() for e in c.terms)
+    for t, s in zip(operands, operands[1:] + operands[:1]):
+        got = TensorEnvElement(S, _wrap(A3, *_legwise_sums(t, s)), 3)
+        assert got.terms == flat_product(t, s).terms, f"{t} times {s}"
+        assert got.terms == (t * s).terms
+
+
+def test_four_leg_products_match_the_flat_oracle(aff2):
+    # the batteries multiply two and three legs; the kernel's one code path
+    # serves any number, every middle leg extending the partial terms
+    S = aff2
+    A4 = S.algebra.tensor_power(4)
+    c = A4.gen(1) * Fraction(1, 2) + 3
+    t = TensorEnvElement(S, {((1,), (), (0, 1), (1,)): c, ((0,), (1,), (), ()): 2}, 4)
+    s = TensorEnvElement(S, {((0,), (0,), (1,), ()): A4.gen(2) - Fraction(2, 3),
+                             ((), (1,), (0,), (0, 0)): 1}, 4)
+    for a, b in ((t, s), (s, t), (t, t)):
+        got = a * b
+        assert got.terms == flat_product(a, b).terms, f"{a} times {b}"
+        assert all(len(key) == 4 for key in got.terms)
+
+
+def test_each_coproduct_is_prepared_once_per_words_law(monkeypatch):
+    # the words law multiplies each unit word's coproduct 2 |words| times,
+    # |words| times on each side, and prepares it once as either operand
+    S = _load("gl2.lra")
+    calls, prepared = [], {}
+    kernel = hopf._legwise_sums
+
+    def spy_kernel(t, s):
+        calls.append((t, s))
+        return kernel(t, s)
+
+    def spy(form, slot):
+        def prepare(t):
+            if not hasattr(t, slot):
+                prepared[id(t), slot] = prepared.get((id(t), slot), 0) + 1
+            return form(t)
+        return prepare
+
+    monkeypatch.setattr(hopf, "_legwise_sums", spy_kernel)
+    monkeypatch.setattr(hopf, "_as_left", spy(hopf._as_left, "_left"))
+    monkeypatch.setattr(hopf, "_as_right", spy(hopf._as_right, "_right"))
+    max_word = 2
+    assert check_bialgebra(S, seed=0, samples=8, max_word=max_word).ok
+    words = _unit_words(S, max_word)
+    # the words law is the first law, and nothing before it reaches the
+    # kernel (its coproducts come from the closed form), so its pairs are
+    # the first |words|^2 calls
+    law = calls[:len(words) ** 2]
+    dmap = standard_coproduct(S)
+    assert [t.terms for t, _ in law[::len(words)]] == [dmap(w).terms for w in words]
+    operands = {id(x) for pair in law for x in pair}
+    assert len(operands) == len(words)
+    assert all(prepared[i, slot] == 1 for i in operands for slot in ("_left", "_right"))
+    # every operand that reached the kernel was prepared once per side it
+    # took, and only for that side
+    assert all(prepared[id(t), "_left"] == 1 and prepared[id(s), "_right"] == 1
+               for t, s in calls)
+    sides = {(id(t), "_left") for t, _ in calls} | {(id(s), "_right") for _, s in calls}
+    assert set(prepared) == sides and set(prepared.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["sl2.lra", "gl2.lra"])
+def test_a_corrupt_leg_memo_entry_fails_the_multiplicative_words_law(name):
+    # the kernel is the independent side of the law: one leg product with a
+    # doubled rational makes coproduct(u) coproduct(v) wrong, and the
+    # closed-form coproduct(uv), which never reads the leg memo, catches it
+    S = _load(name)
+    assert check_bialgebra(S, seed=0, samples=8, max_word=2).ok
+    zero = (0,) * S.algebra.ngens
+    rows = S._tensor_cache["legs"]
+    (e, v), w = min((key, w) for key, row in rows.items() for w in row
+                    if key[0] == zero and key[1] and w and w[-1] > key[1][0])
+    (z, g, x), *rest = rows[(e, v)][w]
+    rows[(e, v)][w] = ((z, g, 2 * x), *rest)
+    report = check_bialgebra(S, seed=0, samples=8, max_word=2)
+    failing = {c.name for c in report.checks if c.verdict == "fail"}
+    assert "coproduct-multiplicative-words" in failing
 
 
 @pytest.mark.parametrize("name, expr", [

@@ -425,7 +425,8 @@ def test_fractional_structure_constants_reach_the_leg_memo():
     S = parse_structure_file(FRACTIONAL).build()[0]
     assert check_hopf_lr(S, seed=0, max_word=2).ok
     memo = S._tensor_cache["legs"]
-    assert any(type(x) is Fraction for entry in memo.values() for _, _, x in entry)
+    assert any(type(x) is Fraction for row in memo.values() for entry in row.values()
+               for _, _, x in entry)
 
 
 # -- the enveloping product's flat integer sums ---------------------------------
@@ -510,15 +511,24 @@ def test_rewriting_memos_hold_only_nonzero_canonical_triples(name):
         dmap.apply_to_leg(t, 0)
         dmap.apply_to_leg(t, 1)
     n = S.algebra.ngens
+    # the leg memo is keyed (e, v) -> w, and its entries wrap each word in a
+    # one-word tuple: the entries of leg 0 are partial terms as they stand
     legs = S._tensor_cache["legs"]
     assert legs
-    entries = list(S._nf_cache.values()) + list(S._poly_cache.values()) + list(legs.values())
+    leg_entries = []
+    for (e, v), row in legs.items():
+        assert len(e) == n and v == tuple(sorted(v))
+        for w, entry in row.items():
+            assert w == tuple(sorted(w))
+            assert all(type(z) is tuple and len(z) == 1 for z, _, _ in entry)
+            leg_entries.append(tuple((z[0], g, x) for z, g, x in entry))
+    entries = list(S._nf_cache.values()) + list(S._poly_cache.values()) + leg_entries
     assert entries
     for entry in entries:
         assert type(entry) is tuple and entry
         assert len({(u, e) for u, e, _ in entry}) == len(entry)
         for u, e, x in entry:
-            assert u == tuple(sorted(u)) and len(e) == n
+            assert type(u) is tuple and u == tuple(sorted(u)) and len(e) == n
             assert (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
 
 
