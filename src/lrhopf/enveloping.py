@@ -373,7 +373,9 @@ class EnvElement(Combination):
 
     def counit(self) -> Fraction:
         """Coefficient counit of the empty-word part; words die."""
-        empty = self.terms.get((), self.structure.algebra.zero())
+        empty = self.terms.get(())
+        if empty is None:
+            return Fraction(0)
         return counit_morphism(self.structure.algebra)(empty).as_constant()
 
     # -- printing --------------------------------------------------------------

@@ -18,24 +18,19 @@ hold, each word wrapped in a one-word tuple, so that the entry of leg 0
 is already a list of partial terms (word tuple, concatenated exponents,
 rational).  A later leg extends a partial term by zs + z, g + h, the
 last leg is summed straight into the sum, and the monomials of c
-multiply in there.  Each operand is prepared once per side it takes,
-on first use, and keeps the preparation: on the left (`_as_left`) its
-denominator and its terms' word tuples and monomials, on the right
-(`_as_right`) its denominator and per monomial the leg memo's rows for
-its exponents cut into legs, so that the lookup of a leg is one word in
-a row (the words law multiplies each coproduct |words| times on each
-side).  The product comes in two steps: `_legwise_sums` returns the one flat sum
-(word tuple, exponents) -> rational and its denominator, and `_wrap`
-turns that sum into terms once.  The sums run on integers: each
-operand's coefficients are first
-multiplied by the lcm of their denominators (one denominator per
-operand, as FLINT's fmpq_poly keeps an integer polynomial over one
-denominator), and `_wrap` divides each summed coefficient once by both
-lcms.  `TensorEnvElement.__mul__` wraps; the multiplicative laws of the
-battery do not: `_matches` pops each monomial of the closed-form
-coproduct(uv), times the denominator, from the unwrapped sum of
-coproduct(u) coproduct(v) and requires every sum left over to be 0, which
-holds exactly when the two elements are equal.  The leg memo keeps its
+multiply in there.  The kernel `_form_sums` multiplies two operand
+forms built from a denominator and (word tuple, cleared monomials)
+pairs: on the left (`_left_form`) the terms' monomials, on the right
+(`_right_form`) per monomial the leg memo's rows for its exponents cut
+into legs, so that a leg is one word looked up in a row.  A tensor keeps
+both forms on first use (`_as_left`, `_as_right`), which
+`_legwise_sums(t, s)` multiplies.  The kernel returns the one flat sum
+(word tuple, exponents) -> rational on integers, each operand's
+coefficients multiplied first by the lcm of their denominators (as
+FLINT's fmpq_poly keeps an integer polynomial over one denominator), and
+the product of the two lcms; `_wrap` turns the sum into terms once,
+dividing each coefficient by it.  `TensorEnvElement.__mul__` wraps; the
+multiplicative laws do not (see below).  The leg memo keeps its
 own rationals, so fractional structure constants still work; a Fraction
 then only reaches the sums through a leg.  Coefficients live in
 `A.tensor_power(k)`, which A builds once and keeps.  The same space is
@@ -74,9 +69,19 @@ w the product of the images e' + e'' needs no rewriting:
 
 over the splits of the multiset w into a sub-multiset w1 and its
 complement w2, where mult is the product over letters l of
-binomial(count of l in w, count of l in w1).  coproduct_A(a) is scaled
-once per distinct multiplicity of w, and the splits with that
-multiplicity share the scaled LaurentPoly, which is never mutated.
+binomial(count of l in w, count of l in w1).  `CoproductLikeMap._closed`
+gives it unwrapped: the lcm d of the argument's denominators and, per
+term a w, the splits of w with their multiplicities and the integer
+monomials of d coproduct_A(a); `__call__` wraps it, one LaurentPoly per
+distinct multiplicity of w, shared by its splits (a LaurentPoly is never
+mutated).  The multiplicative laws build no tensor: `_agrees` pops each
+monomial of the closed form of uv from the unwrapped sum of coproduct(u)
+coproduct(v), cross-multiplying the denominators, and requires every sum
+left to be 0; a random pair's coproducts go from the closed form
+straight into the operand forms (`_closed_terms`).  The closed form is
+read on both sides, which stay independent: coproduct(uv) is read at the
+rewritten product uv, and coproduct(u) coproduct(v) comes from the
+legwise leg products.
 Multiplying the letter images out with the legwise product
 (CoproductLikeMap.by_rewriting) gives the same element; it stays as the
 engine for any other letter images and as the independent oracle the
@@ -95,7 +100,8 @@ form, so both stay independent of the coproduct they check, and the
 battery still measures multiplicativity and coassociativity.  Nor does
 the legwise product itself: it rewrites each leg with the structure's
 own rules, so a wrong split multiplicity in the closed form still fails
-coproduct-multiplicative-words and coproduct-coassociative.
+coproduct-multiplicative-words and coproduct-coassociative, and a wrong
+coefficient image fails coproduct-multiplicative-random.
 """
 
 from __future__ import annotations
@@ -109,6 +115,7 @@ from operator import add
 from . import sampling
 from .algebra import (
     LaurentPoly,
+    _add_into,
     _cleared,
     _common_denominator,
     antipode_morphism,
@@ -175,42 +182,26 @@ class _LegRow(dict):
         return entry
 
 
-def _as_left(t: TensorEnvElement) -> tuple:
-    """t as the left operand of `_legwise_sums`: the lcm d of its
-    denominators and, per term, (word tuple, its monomials as (exponents,
-    or None when all are 0; d times the coefficient)).  Computed on first
-    use and kept in t's `_left` slot: a tensor is never mutated once
-    wrapped."""
-    try:
-        return t._left
-    except AttributeError:
-        pass
-    d = _common_denominator(t.terms.values())
-    t._left = d, [(ws, [(e if any(e) else None, x)
-                        for e, x in _cleared(c.terms, d).items()])
-                  for ws, c in t.terms.items()]
-    return t._left
+def _left_form(d: int, terms) -> tuple:
+    """The left operand of `_form_sums` from the lcm d of its denominators
+    and its (word tuple, d times the coefficient's terms) pairs: per term,
+    (word tuple, [(exponents, or None when all are 0; rational)])."""
+    return d, [(ws, [(e if any(e) else None, x) for e, x in monomials.items()])
+               for ws, monomials in terms]
 
 
-def _as_right(t: TensorEnvElement) -> tuple:
-    """t as the right operand of `_legwise_sums`: the lcm d of its
-    denominators and, per monomial of every term, (d times the
-    coefficient, the leg memo's rows for its exponents cut into legs and
-    the words of the term).  Kept in t's `_right` slot, as `_as_left`."""
-    try:
-        return t._right
-    except AttributeError:
-        pass
-    S = t.structure
+def _right_form(S: LieRinehartAlgebra, legs: int, d: int, terms) -> tuple:
+    """The right operand of `_form_sums` from the pairs `_left_form` takes:
+    d and, per monomial of every term, (its rational, the leg memo's rows
+    for its exponents cut into legs and the words of the term)."""
     memo = S._tensor_cache.get("legs")
     if memo is None:
         memo = S._tensor_cache["legs"] = {}
     n = S.algebra.ngens
-    cuts = [slice(l * n, (l + 1) * n) for l in range(t.legs)]
-    d = _common_denominator(t.terms.values())
+    cuts = [slice(l * n, (l + 1) * n) for l in range(legs)]
     monomials = []
-    for ws, c in t.terms.items():
-        for e, x in _cleared(c.terms, d).items():
+    for ws, cleared in terms:
+        for e, x in cleared.items():
             rows = []
             for cut, v in zip(cuts, ws):
                 key = (e[cut], v)
@@ -219,24 +210,50 @@ def _as_right(t: TensorEnvElement) -> tuple:
                     row = memo[key] = _LegRow(S, *key)
                 rows.append(row)
             monomials.append((x, rows))
-    t._right = d, monomials
-    return t._right
+    return d, monomials
+
+
+def _tensor_terms(t: TensorEnvElement) -> tuple:
+    """The lcm d of t's denominators and t's (word tuple, cleared
+    monomials) pairs."""
+    d = _common_denominator(t.terms.values())
+    return d, ((ws, _cleared(c.terms, d)) for ws, c in t.terms.items())
+
+
+def _as_left(t: TensorEnvElement) -> tuple:
+    """t's left operand form, kept in its `_left` slot on first use: a
+    tensor is never mutated once wrapped."""
+    try:
+        return t._left
+    except AttributeError:
+        t._left = _left_form(*_tensor_terms(t))
+        return t._left
+
+
+def _as_right(t: TensorEnvElement) -> tuple:
+    """t's right operand form, kept in its `_right` slot, as `_as_left`."""
+    try:
+        return t._right
+    except AttributeError:
+        t._right = _right_form(t.structure, t.legs, *_tensor_terms(t))
+        return t._right
 
 
 def _legwise_sums(t: TensorEnvElement, s: TensorEnvElement) -> tuple:
-    """The terms of t * s, one leg at a time (see the module docstring), as
-    the flat sum (word tuple, exponents) -> rational on cleared
-    denominators and the denominator d that divides it.  Per left term and
-    right monomial each leg's entry is one lookup in the row the right
-    monomial prepared; a partial term (word tuple, concatenated exponents,
-    rational) extends leg by leg as zs + z, g + h, and the last leg is
-    summed straight into the sum, the left coefficient's monomials
-    multiplying in there as in `_product_into`.  `_wrap(algebra, sums, d)`
-    turns the sum into terms; `_matches` compares it with an element
-    without wrapping it."""
-    d_t, left = _as_left(t)
-    d_s, right = _as_right(s)
-    middle = tuple(range(1, t.legs - 1))  # the legs between the first and the last
+    """The sums of t * s, from the operand forms t and s keep."""
+    return _form_sums(_as_left(t), _as_right(s), t.legs)
+
+
+def _form_sums(left: tuple, right: tuple, legs: int) -> tuple:
+    """The product of two operand forms with `legs` legs (see the module
+    docstring): the flat sum (word tuple, exponents) -> rational and the
+    denominator that divides it.  Each leg's entry is one lookup in a row
+    the right monomial prepared; a partial term (word tuple, concatenated
+    exponents, rational) extends leg by leg, and the last leg is summed
+    straight into the sum with the left monomials, as in `_product_into`."""
+    d_t, left = left
+    d_s, right = right
+    middle = tuple(range(1, legs - 1))  # the legs between the first and the last
     sums: dict = {}  # (word tuple, exponents) -> rational
     for ws, a in left:
         w0, wl = ws[0], ws[-1]
@@ -257,23 +274,28 @@ def _legwise_sums(t: TensorEnvElement, s: TensorEnvElement) -> tuple:
     return sums, d_t * d_s
 
 
-def _matches(target: TensorEnvElement, sums: dict, d: int) -> bool:
-    """Whether target equals the wrap of the flat sum `sums` over d (as
-    `_legwise_sums` returns them), read without wrapping: every monomial
-    of target, times d, is popped from the sum, and what is left must have
-    cancelled to 0.  Empties `sums` of target's keys."""
+def _closed_terms(closed: tuple) -> tuple:
+    """A closed form of `CoproductLikeMap._closed` as `_tensor_terms` gives
+    a tensor: per split of a term's word, its monomials times its
+    multiplicity."""
+    d, terms = closed
+    return d, [(key, monomials if mult == 1 else {e: x * mult for e, x in monomials.items()})
+               for splits, monomials in terms for key, mult in splits]
+
+
+def _agrees(closed: tuple, sums: dict, d: int) -> bool:
+    """Whether the closed form (d_c, terms) of `CoproductLikeMap._closed`
+    equals the flat sum `sums` over d of `_form_sums`, neither built: each
+    key's x mult / d_c is cross-multiplied with the sum popped there, and
+    what is left must have cancelled to 0.  Empties `sums` of those keys."""
+    d_c, terms = closed
     pop = sums.pop
-    for ws, c in target.terms.items():
-        for e, x in c.terms.items():
-            if x.__class__ is int:
-                x *= d
-            else:
-                # d x is an int when x's denominator divides d, as it does
-                # whenever the sums are ints and target is equal
-                q, r = divmod(d, x.denominator)
-                x = x * d if r else x.numerator * q
-            if pop((ws, e), 0) != x:
-                return False
+    for splits, monomials in terms:
+        for key, mult in splits:
+            mult *= d
+            for e, x in monomials.items():
+                if pop((key, e), 0) * d_c != x * mult:
+                    return False
     return not any(sums.values())
 
 
@@ -400,19 +422,38 @@ class CoproductLikeMap:
             raise ValueError("argument in the wrong enveloping algebra")
         if not self.standard:
             return self.by_rewriting(u)
-        # a split's words concatenate to its word, so the splits of distinct
-        # words are distinct keys: nothing sums
+        d, closed = self._closed(u)
+        A2 = self.S.algebra.tensor_power(2)
+        # a split's words concatenate to its word, so nothing sums; the splits
+        # of one multiplicity share a LaurentPoly, which is never mutated
         terms: dict = {}
-        for w, a in u.terms.items():
-            # one scaling per distinct multiplicity; the scaled images are
-            # shared, as a LaurentPoly is never mutated
-            scaled = {1: self.delta_A(a)}
-            for key, mult in self._word_splits(w):
+        for splits, monomials in closed:
+            scaled = {}
+            for key, mult in splits:
                 image = scaled.get(mult)
                 if image is None:
-                    image = scaled[mult] = scaled[1] * mult
+                    q = monomials if mult == 1 else {e: x * mult for e, x in monomials.items()}
+                    if d != 1:
+                        q = {e: Fraction(x, d) if x % d else x // d for e, x in q.items()}
+                    image = scaled[mult] = LaurentPoly._trusted(A2, q)
                 terms[key] = image
         return TensorEnvElement._trusted(self.S, terms, 2)
+
+    def _closed(self, u: EnvElement) -> tuple:
+        """The standard coproduct of u unwrapped: the lcm d of u's
+        denominators and, per term a w, (w's splits with their
+        multiplicities, d coproduct_A(a) as exponents -> int).  Nothing
+        cancels: a primitive's exponent is the sum of its legs', a
+        group-like's that of either leg."""
+        d = _common_denominator(u.terms.values())
+        image = self.delta_A._monomial_image
+        closed = []
+        for w, a in u.terms.items():
+            monomials: dict = {}
+            for e, x in _cleared(a.terms, d).items():
+                _add_into(monomials, image(e).terms, x)
+            closed.append((self._word_splits(w), monomials))
+        return d, closed
 
     def _word_splits(self, w):
         """The closed-form coproduct of a normal word: every split into a
@@ -669,18 +710,23 @@ def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
             t = deltas[i] = dmap(cases[i])
         return t
 
-    # coproduct(uv) from the closed form against coproduct(u) coproduct(v)
-    # multiplied out legwise, compared without wrapping the product's sums
-    def multiplicative(u, v, du, dv):
-        if not _matches(dmap(u * v), *_legwise_sums(du, dv)):
+    # the closed form of the rewritten uv against coproduct(u) coproduct(v)
+    # multiplied out legwise, neither wrapped (see the module docstring)
+    def multiplicative(u, v, sums):
+        if not _agrees(dmap._closed(u * v), *sums):
             return f"at u={u}, v={v}"
+
+    def random_sums(u, v):
+        return _form_sums(_left_form(*_closed_terms(dmap._closed(u))),
+                          _right_form(S, 2, *_closed_terms(dmap._closed(v))), 2)
 
     report.law("coproduct-multiplicative-words",
                itertools.product(range(len(words)), repeat=2),
-               lambda ij: multiplicative(words[ij[0]], words[ij[1]], delta(ij[0]), delta(ij[1])))
+               lambda ij: multiplicative(words[ij[0]], words[ij[1]],
+                                         _legwise_sums(delta(ij[0]), delta(ij[1]))))
     report.law("coproduct-multiplicative-random",
                _random_pairs(S, rng, samples, max_word, max_degree),
-               lambda uv: multiplicative(*uv, dmap(uv[0]), dmap(uv[1])))
+               lambda uv: multiplicative(*uv, random_sums(*uv)))
 
     def coassociative(i):
         t = delta(i)

@@ -29,11 +29,12 @@ from lrhopf.algebra import spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_env_element, parse_structure_file
 from lrhopf.enveloping import _wrap
-from lrhopf.hopf import (_legwise_sums, _matches, _unit_words, antipode_convolution,
-                         counit_collapse, standard_coproduct, tensor_power_structure)
+from lrhopf.hopf import (_agrees, _closed_terms, _form_sums, _left_form, _legwise_sums,
+                         _right_form, _unit_words, antipode_convolution, counit_collapse,
+                         standard_coproduct, tensor_power_structure)
 from lrhopf.sampling import make_rng, random_env_element
 
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, FRACTIONAL, read_fixture
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat
 
 
@@ -220,6 +221,8 @@ def _legwise_inputs(S, seed):
 
 
 def _legwise_structure(name):
+    if name == "fractional":
+        return parse_structure_file(FRACTIONAL).build()[0]
     if name != "a-valued":
         return _load(name)
     # the structure of test_a_valued_bracket_coefficient_fails_hopf_battery
@@ -462,27 +465,27 @@ def test_coproduct_coefficients_live_in_the_memoized_tensor_square(gl2):
     assert all(c.algebra is A2 for c in (t * t).terms.values())
 
 
-def _near_misses(target):
-    """Elements one step away from target: one coefficient off by 1, one
-    term dropped, one extra term, and target over another denominator."""
-    S, A2 = target.structure, target.algebra
-    out = [target * Fraction(1, 7), target + tensor_pair(EnvElement.one(S), EnvElement.one(S))]
-    if target.terms:
-        key, c = next(iter(target.terms.items()))
-        off = dict(target.terms)
-        off[key] = c + A2.monomial(next(iter(c.terms)), 1)
-        out.append(TensorEnvElement(S, off))
-        out.append(TensorEnvElement(S, {k: v for k, v in target.terms.items() if k != key}))
-    words = max(sum(map(len, key)) for key in target.terms) if target.terms else 0
-    extra = ((0,) * (words + 1), ())
-    out.append(TensorEnvElement(S, {**target.terms, extra: A2.const(Fraction(2, 3))}))
+def _near_misses(u):
+    """Elements one step away from u: one coefficient off by 1/2, one term
+    dropped, one extra term, and u over another denominator."""
+    S, A = u.structure, u.structure.algebra
+    longest = max(map(len, u.terms), default=0)
+    extra = EnvElement(S, {(0,) * (longest + 1): A.const(Fraction(2, 3))})
+    out = [u * Fraction(1, 7), u + extra]
+    if u.terms:
+        word, a = next(iter(u.terms.items()))
+        off = dict(u.terms)
+        off[word] = a + A.monomial(next(iter(a.terms)), Fraction(1, 2))
+        out.append(EnvElement(S, off))
+        out.append(EnvElement(S, {w: c for w, c in u.terms.items() if w != word}))
     return out
 
 
-@pytest.mark.parametrize("name", _FIXTURE_FILES + ["a-valued"])
+@pytest.mark.parametrize("name", _FIXTURE_FILES + ["a-valued", "fractional"])
 def test_unwrapped_comparison_agrees_with_equality(name):
-    # the multiplicative laws compare coproduct(uv) with the unwrapped sums
-    # of coproduct(u) coproduct(v); that must decide what == decides
+    # the multiplicative laws compare the closed form of coproduct(uv), and
+    # of its near misses, with the unwrapped sums of coproduct(u)
+    # coproduct(v); that must decide what == decides
     S = _legwise_structure(name)
     dmap = standard_coproduct(S)
     rng = make_rng(61)
@@ -491,12 +494,38 @@ def test_unwrapped_comparison_agrees_with_equality(name):
     seen = set()
     for u, v in pairs:
         t, s = dmap(u), dmap(v)
-        for target in [dmap(u * v)] + _near_misses(dmap(u * v)):
-            want = target == t * s
+        product = t * s
+        for w in [u * v] + _near_misses(u * v):
+            want = dmap(w) == product
             seen.add(want)
-            assert _matches(target, *_legwise_sums(t, s)) is want, f"{name}: {u}, {v}"
+            assert _agrees(dmap._closed(w), *_legwise_sums(t, s)) is want, f"{name}: {u}, {v}, {w}"
     # a-valued fails multiplicativity, so its true targets differ as well
     assert False in seen and (True in seen or name == "a-valued")
+
+
+def _fractional_pairs(S, seed, count):
+    """Random pairs whose coefficients have denominators 2, 3 and 5."""
+    rng = make_rng(seed)
+    rand = lambda: random_env_element(rng, S, max_word=2, max_degree=2)
+    return [(rand() * Fraction(1, 2) + rand() * Fraction(-2, 3), rand() * Fraction(3, 5))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", _FIXTURE_FILES + ["gl3"])
+def test_closed_form_operands_give_the_tensor_product(name):
+    # the random law builds both operand forms from the closed form, never
+    # from a tensor; their product must wrap to coproduct(u) coproduct(v)
+    S = _gl3() if name == "gl3" else _load(name)
+    dmap = standard_coproduct(S)
+    A2 = S.algebra.tensor_power(2)
+    denominators = set()
+    for u, v in _fractional_pairs(S, 47, 4 if name == "gl3" else 10):
+        left = _left_form(*_closed_terms(dmap._closed(u)))
+        right = _right_form(S, 2, *_closed_terms(dmap._closed(v)))
+        denominators |= {left[0], right[0]}
+        got = TensorEnvElement(S, _wrap(A2, *_form_sums(left, right, 2)))
+        assert got.terms == (dmap(u) * dmap(v)).terms, f"{name}: {u}, {v}"
+    assert denominators - {1}
 
 
 @pytest.mark.parametrize("name, witness", [
@@ -513,6 +542,29 @@ def test_a_wrong_split_multiplicity_fails_the_multiplicative_law(monkeypatch, na
     failing = {c.name: c.witness for c in report.checks if c.verdict == "fail"}
     assert failing["coproduct-multiplicative-words"] == witness
     assert "coproduct-coassociative" in failing
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("euler.lra", "at u=2*y*x^2, v=-3*y*x^2"),
+    ("aff2.lra", "at u=2*y*x2^2, v=-3*y*x1^2"),
+])
+def test_a_corrupt_closed_form_image_fails_the_multiplicative_law(monkeypatch, name, witness):
+    # the closed form is read on both sides of the multiplicative laws, but
+    # uv comes from the rewriting product and coproduct(u) coproduct(v)
+    # from the leg products: doubling the coefficient image of every
+    # degree-2 monomial (with primitive generators, exactly the monomials
+    # of degree 2 in the tensor square) is caught
+    closed = CoproductLikeMap._closed
+
+    def corrupt(self, u):
+        d, terms = closed(self, u)
+        return d, [(splits, {e: 2 * x if sum(e) == 2 else x for e, x in monomials.items()})
+                   for splits, monomials in terms]
+
+    monkeypatch.setattr(CoproductLikeMap, "_closed", corrupt)
+    report = check_bialgebra(_load(name), seed=0, samples=8, max_word=2)
+    failing = {c.name: c.witness for c in report.checks if c.verdict == "fail"}
+    assert failing["coproduct-multiplicative-random"] == witness
 
 
 def _gl3():
@@ -651,8 +703,10 @@ def test_closed_form_shares_one_scaling_per_multiplicity(name, expr):
 
 
 def test_the_bialgebra_battery_computes_each_coproduct_once(monkeypatch, aff2):
-    # one coproduct per pair product and per random pair operand; the unit
-    # words' and the coassociative/counital randoms' coproducts are shared
+    # one coproduct per unit word and per coassociative/counital random,
+    # shared by the laws that read them; the multiplicative laws read the
+    # pair products and the random pairs' operands from the closed form
+    # unwrapped, without a call
     calls = []
     call = CoproductLikeMap.__call__
     monkeypatch.setattr(CoproductLikeMap, "__call__",
@@ -661,4 +715,4 @@ def test_the_bialgebra_battery_computes_each_coproduct_once(monkeypatch, aff2):
     assert check_bialgebra(aff2, seed=0, samples=samples, max_word=max_word).ok
     words = len(_unit_words(aff2, max_word))
     randoms = samples // 8
-    assert len(calls) == words ** 2 + words + 3 * samples + randoms
+    assert len(calls) == words + randoms
