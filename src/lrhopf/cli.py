@@ -9,8 +9,9 @@ reports can be compared byte for byte.
 Exit status: 0 when all checks pass (or the value was computed), 1 when a
 check fails, 2 on input errors (a file that cannot be read or is not
 UTF-8, a parse error, a command that needs declarations the file does
-not provide, a sample count below 1 or a negative bound, a battery
-larger than its ceiling: see MAX_SAMPLES and MAX_WORD_PAIRS), 3 on any
+not provide, a sample count below 1 or a negative bound, a battery or
+a coproduct larger than its ceiling: see MAX_SAMPLES, MAX_WORD_PAIRS,
+MAX_DEGREE and MAX_COPRODUCT_TERMS), 3 on any
 other exception, which is a fault of lrhopf itself: it prints the one
 line `error: internal error: <exception type>: <message>` and no
 traceback.
@@ -19,6 +20,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -93,15 +95,48 @@ _OPTIONS = {
 # any size.
 MAX_SAMPLES = 10_000
 MAX_WORD_PAIRS = 100_000
+# A --max-degree too, the degree bound of the random coefficients.  On
+# an x86_64 CPU, check-hopf took 19 s on gl3 (rank 9) at 10 and 29 s at
+# 12, and 2-5 s on gl2.lra at 10 (seeds 0-3) but up to 17 s at 16,
+# against a budget of 30 s per structure.
+MAX_DEGREE = 10
+# Ceilings on the argument of the coproduct command, checked before it is
+# computed: the number of monomials of its closed form, at most the sum
+# over terms a w of the splits of w (the product over the runs x^n of w
+# of n + 1) times the monomials of coproduct_A(a) (the sum over the
+# monomials of a of the product over their primitive generators y^e of
+# e + 1), and the degree of a coefficient's monomial, since
+# coproduct_A(y^n) takes about n^2 big-integer steps.
+MAX_COPRODUCT_TERMS = 20_000
+MAX_COPRODUCT_DEGREE = 200
 
 
 def _refuse_huge(args, S) -> None:
     if args.samples is not None and args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples {args.samples} is above the ceiling of {MAX_SAMPLES}")
+    max_degree = getattr(args, "max_degree", None)
+    if max_degree is not None and max_degree > MAX_DEGREE:
+        raise ValueError(f"--max-degree {max_degree} is above the ceiling of {MAX_DEGREE}")
     max_word = getattr(args, "max_word", None)
     if max_word is not None and math.comb(S.rank + max_word, S.rank) ** 2 > MAX_WORD_PAIRS:
         raise ValueError(f"--max-word {max_word} gives more pairs of normal words on this "
                          f"structure (rank {S.rank}) than the ceiling of {MAX_WORD_PAIRS}")
+
+
+def _refuse_huge_coproduct(u) -> None:
+    primitive = [g.hopf_kind == "primitive" for g in u.structure.algebra.gens]
+    size = degree = 0
+    for w, a in u.terms.items():
+        splits = math.prod(len(list(run)) + 1 for _, run in itertools.groupby(w))
+        for e in a.terms:
+            degree = max(degree, sum(map(abs, e)))
+            size += splits * math.prod(n + 1 for n, p in zip(e, primitive) if p)
+    if degree > MAX_COPRODUCT_DEGREE:
+        raise ValueError(f"a coefficient of degree {degree} is above the coproduct's "
+                         f"ceiling of {MAX_COPRODUCT_DEGREE}")
+    if size > MAX_COPRODUCT_TERMS:
+        raise ValueError(f"a coproduct of up to {size} terms is above the ceiling of "
+                         f"{MAX_COPRODUCT_TERMS}")
 
 
 def _int_at_least(low: int):
@@ -172,6 +207,7 @@ def _value(args, S) -> str:
     if args.command == "nf":
         return str(u)
     if args.command == "coproduct":
+        _refuse_huge_coproduct(u)
         return str(coproduct(u))
     if args.command == "counit":
         return str(counit(u))

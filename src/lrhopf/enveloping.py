@@ -39,9 +39,13 @@ products made) and dies with it; none is module-level.
 Products sum one flat accumulator, (word, exponents) -> rational, from
 the rewriting memos up: `_word_poly_word` follows each term y^g u of the
 `(w, e)` entry by the `(u, v)` entry with its exponents shifted by g,
-into a flat dict, and `_product_into` multiplies in the left
-coefficient's monomials as it sums, so no LaurentPoly and no nested
-dict is built for a partial term.  The sums run on integers: the product
+and sums each term it reaches straight into the caller's accumulator,
+once per monomial of a left coefficient and times a rational, so no
+LaurentPoly and no dict is built for a partial term.  It is the one
+implementation of w y^e v: `_product_into` passes it the left
+coefficient's monomials and the right monomial's rational, the bracket
+term of `_word_times_gen` a bracket coefficient's rational, and the leg
+memo of `hopf` neither.  The sums run on integers: the product
 clears each operand's denominators by their lcm (`_common_denominator`,
 `_cleared` of `algebra`, the helpers the legwise tensor product uses
 too) and `_wrap` divides once while it groups the sum by word into
@@ -130,27 +134,30 @@ def _wrap(A, acc: dict, d: int = 1) -> dict:
     return out
 
 
-def _word_poly_word(S: LieRinehartAlgebra, w, e, v) -> dict:
-    """Normal form of (w * y^e * v) for normal words w, v and an exponent
-    tuple e, as a fresh flat sum: (word, exponents) -> rational, some of
-    which may have cancelled to zero.  Each term y^g u of w * y^e (the
+def _word_poly_word(out: dict, S: LieRinehartAlgebra, w, e, v,
+                    left=((None, 1),), c=1) -> None:
+    """out += left * (w * y^e * v) * c, for normal words w, v, an exponent
+    tuple e, a rational c and left the monomials (exponents, or None when
+    all are 0; rational) of a coefficient, into the flat sum out:
+    (word, exponents) -> rational.  Each term y^g u of w * y^e (the
     `S._poly_cache` entry) is followed by u * v: the `_word_times_word`
     entry with its exponents shifted by g, or u v itself when the last
-    letter of u is not above the first letter of v."""
+    letter of u is not above the first letter of v; each term of it is
+    summed straight into out once per left monomial."""
     cur = _word_times_monomial(S, w, e) if w and any(e) else ((w, e, 1),)
-    if not v:
-        return {(u, g): x for u, g, x in cur}
-    first = v[0]
-    out: dict = {}
     for u, g, x in cur:
-        if u and u[-1] > first:
+        x *= c
+        if v and u and u[-1] > v[0]:
             for u2, h, y in _word_times_word(S, u, v):
-                key, y = (u2, tuple(map(add, g, h)) if any(h) else g), x * y
-                out[key] = out[key] + y if key in out else y
+                g2, y = tuple(map(add, g, h)) if any(h) else g, x * y
+                for f, a in left:
+                    key, a = (u2, g2) if f is None else (u2, tuple(map(add, f, g2))), a * y
+                    out[key] = out[key] + a if key in out else a
         else:
-            key = (u + v, g)
-            out[key] = out[key] + x if key in out else x
-    return out
+            u2 = u + v
+            for f, a in left:
+                key, a = (u2, g) if f is None else (u2, tuple(map(add, f, g))), a * x
+                out[key] = out[key] + a if key in out else a
 
 
 def _word_times_word(S: LieRinehartAlgebra, u, v):
@@ -207,11 +214,7 @@ def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict,
         a = [(f if any(f) else None, x) for f, x in _cleared(a.terms, d_left).items()]
         for v, b in right:
             for e, c in b:
-                for (u, g), p in _word_poly_word(S, w, e, v).items():
-                    p *= c
-                    for f, x in a:
-                        key, x = (u, g) if f is None else (u, tuple(map(add, f, g))), x * p
-                        out[key] = out[key] + x if key in out else x
+                _word_poly_word(out, S, w, e, v, a, c)
 
 
 def _is_one(u: "EnvElement") -> bool:
@@ -231,9 +234,9 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> tuple:
     A miss first finds the shortest prefix of the word whose entry is
     missing, then fills the entries from that prefix up to the word, so
     each swap finds (head, i) in the cache: no recursion along the word.
-    The bracket term is summed one monomial c y^e of each bracket
-    coefficient at a time, as c (head y^e e_letter) from `_word_poly_word`,
-    the path the product takes."""
+    The bracket term sums c (head y^e e_letter) for each monomial c y^e
+    of each bracket coefficient, by `_word_poly_word` straight into the
+    entry's sum, the path the product takes."""
     if not word or word[-1] <= i:
         return ((word + (i,), (0,) * S.algebra.ngens, 1),)
     cache = S._nf_cache
@@ -252,9 +255,7 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> tuple:
                 acc[key] = acc[key] + y if key in acc else y
         for letter, b in S.bracket_of_basis(j, i).terms.items():
             for e, c in b.terms.items():
-                for key, x in _word_poly_word(S, head, e, (letter,)).items():
-                    x *= c
-                    acc[key] = acc[key] + x if key in acc else x
+                _word_poly_word(acc, S, head, e, (letter,), c=c)
         cache[(word[:n], i)] = _frozen(acc)
     return cache[(word, i)]
 

@@ -169,7 +169,9 @@ class _LegRow(dict):
     """One row of the leg memo: w -> the normal form of w y^e v in the
     structure, for one (e, v), as ((word,), exponents, rational) triples,
     the word wrapped in a one-word tuple so that the entries of leg 0 are
-    already partial terms.  A miss rewrites with `_word_poly_word`."""
+    already partial terms.  A miss sums w y^e v with `_word_poly_word`
+    into a fresh flat sum, the kernel of the enveloping product, and
+    keeps it frozen."""
 
     __slots__ = ("S", "e", "v")
 
@@ -177,8 +179,9 @@ class _LegRow(dict):
         self.S, self.e, self.v = S, e, v
 
     def __missing__(self, w):
-        entry = self[w] = tuple(((u,), g, x) for u, g, x in
-                                _frozen(_word_poly_word(self.S, w, self.e, self.v)))
+        acc: dict = {}
+        _word_poly_word(acc, self.S, w, self.e, self.v)
+        entry = self[w] = tuple(((u,), g, x) for u, g, x in _frozen(acc))
         return entry
 
 

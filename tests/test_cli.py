@@ -11,7 +11,9 @@ import time
 
 import pytest
 
-from lrhopf.cli import MAX_SAMPLES, MAX_WORD_PAIRS, _refuse_huge, build_parser, main
+from lrhopf.cli import (MAX_COPRODUCT_DEGREE, MAX_COPRODUCT_TERMS, MAX_DEGREE, MAX_SAMPLES,
+                        MAX_WORD_PAIRS, _refuse_huge, _refuse_huge_coproduct, build_parser,
+                        main)
 from lrhopf.dsl import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
 from conftest import fixture_path
@@ -402,6 +404,58 @@ def test_the_ceilings_admit_the_largest_requests_in_use():
     _refuse_huge(build_parser().parse_args(["pbw", "gl3.lra", "--samples", str(MAX_SAMPLES)]), gl3)
     with pytest.raises(ValueError):
         _refuse_huge(build_parser().parse_args(["check-hopf", "gl3.lra", "--max-word", "4"]), gl3)
+    _refuse_huge(build_parser().parse_args(["check-hopf", "gl3.lra", "--max-degree", "2"]), gl3)
+
+
+def _parsed(name, expr):
+    from lrhopf.dsl import parse_env_element, parse_structure_file
+
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        S = parse_structure_file(fh.read()).build()[0]
+    return parse_env_element(expr, S)
+
+
+@pytest.mark.parametrize("name, expr", [
+    # the largest coproduct of the benchmark's CLI requests (102 monomials)
+    ("gl2.lra", "E22*E21*E12*E11*y1"),
+    # the golden value commands take the square of the sum of the basis
+    ("gl2.lra", "(E11 + E12 + E21 + E22)^2"),
+    ("sl2.lra", "(e + f + h)^2"),
+    # the packaged console script's coproducts in CI
+    ("aff2.lra", "y^2*x1^2"),
+    ("torus.lra", "t^-1*x"),
+    # at the ceilings: 200 * 100 monomials, and a monomial of degree 200
+    ("aff2.lra", "y^100*y^99*x1^99"),
+    ("gl2.lra", "y1^100*y2^100"),
+])
+def test_the_coproduct_ceilings_admit_the_arguments_in_use(name, expr):
+    _refuse_huge_coproduct(_parsed(name, expr))
+
+
+@pytest.mark.parametrize("name, expr, message", [
+    # coproduct_A(y^10000): the command was still running after 150 s
+    ("aff2.lra", "(y^100)^100",
+     f"a coefficient of degree 10000 is above the coproduct's ceiling of {MAX_COPRODUCT_DEGREE}"),
+    # 33^4 splits of one word of length 128: still running after 30 s
+    ("gl2.lra", "E11^32*E12^32*E21^32*E22^32",
+     f"a coproduct of up to {33 ** 4} terms is above the ceiling of {MAX_COPRODUCT_TERMS}"),
+    ("aff2.lra", "y^100*y^100*x1^99",
+     f"a coproduct of up to {201 * 100} terms is above the ceiling of {MAX_COPRODUCT_TERMS}"),
+])
+def test_a_coproduct_above_its_ceiling_is_refused_at_once(capsys, name, expr, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coproduct", fixture_path(name), expr)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_max_degree_above_its_ceiling_is_refused_at_once(capsys):
+    # without the ceiling, check-hopf on aff2 was still running after 20 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-hopf", fixture_path("aff2.lra"), "--max-degree", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-degree 100000 is above the ceiling of {MAX_DEGREE}\n"
 
 
 @pytest.mark.parametrize("command, expression, want", [

@@ -112,18 +112,25 @@ def test_word_times_word_matches_the_letter_by_letter_oracle(name):
 
 @pytest.mark.parametrize("name", _NAMES)
 def test_word_times_coefficient_times_word_matches_the_oracle(name):
-    # u * (b v): each term y^g w of u * b is followed by the memoized w * v
-    # with its exponents shifted by g
+    # (a u) * (b v): each term y^g w of u * b is followed by the memoized
+    # w * v with its exponents shifted by g, and each monomial of a shifts
+    # them again as the term is summed
     S = _fresh(name)
     A = S.algebra
     rng = make_rng(53)
     coefficients = [A.gen(g) for g in range(A.ngens)]
     coefficients += [random_poly(rng, A, 2, terms=3) for _ in range(2)]
+    # every monomial of degree 2 or less (Laurent on a unit), rationals
+    # 1/2, -2/3, 3/4, ...
+    a = sum((m * Fraction((-1) ** k * (k + 1), k + 2)
+             for k, m in enumerate(A.monomials_up_to(2))), A.zero())
+    assert A.ngens == 0 or len(a.terms) > 2
     for u, v in _descents(S, 3):
-        for b in coefficients:
-            left, right = EnvElement(S, {u: A.one()}), EnvElement(S, {v: b})
-            assert (left * right).terms == oracle.product(left, right).terms, (
-                f"{name}: {u} times {b} {v}")
+        for c in (A.one(), a):
+            for b in coefficients:
+                left, right = EnvElement(S, {u: c}), EnvElement(S, {v: b})
+                assert (left * right).terms == oracle.product(left, right).terms, (
+                    f"{name}: {c} {u} times {b} {v}")
 
 
 @pytest.mark.parametrize("name", _NAMES)
