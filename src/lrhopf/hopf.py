@@ -388,6 +388,15 @@ def tensor_pair(u1: EnvElement, u2: EnvElement) -> TensorEnvElement:
     })
 
 
+def _enveloping(u) -> EnvElement:
+    """u, which the Hopf maps take only as an element of the enveloping
+    algebra: a tensor-square element would hang the antipode's memo walk,
+    and the coproduct would read its word pairs as words."""
+    if not isinstance(u, EnvElement):
+        raise TypeError(f"expected an EnvElement, got {type(u).__name__}")
+    return u
+
+
 class CoproductLikeMap:
     """A candidate comultiplication on the enveloping algebra determined by
     the coefficient comultiplication and a tensor-square image per basis
@@ -421,7 +430,7 @@ class CoproductLikeMap:
         self._products = _image_products(S, 1, 2)
 
     def __call__(self, u: EnvElement) -> TensorEnvElement:
-        if u.structure != self.S:
+        if _enveloping(u).structure != self.S:
             raise ValueError("argument in the wrong enveloping algebra")
         if not self.standard:
             return self.by_rewriting(u)
@@ -574,11 +583,11 @@ def standard_coproduct(S: LieRinehartAlgebra) -> CoproductLikeMap:
 
 
 def coproduct(u: EnvElement) -> TensorEnvElement:
-    return standard_coproduct(u.structure)(u)
+    return standard_coproduct(_enveloping(u).structure)(u)
 
 
 def counit(u: EnvElement) -> Fraction:
-    return u.counit()
+    return _enveloping(u).counit()
 
 
 def _antipode_entry(S: LieRinehartAlgebra, memo: dict, w, e) -> EnvElement:
@@ -605,7 +614,7 @@ def antipode(u: EnvElement) -> EnvElement:
     """The sum of c S(y^e w) over the monomials c y^e of each term of u,
     read from the memo, in one flat sum wrapped once; a single monomial
     with c = 1 is the memo entry itself."""
-    S = u.structure
+    S = _enveloping(u).structure
     memo = S._tensor_cache.get("antipode")
     if memo is None:
         antipode_morphism(S.algebra)  # refuses an A with an unmarked generator

@@ -6,6 +6,8 @@ against these as references.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +23,17 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+def run_python(*args, **kwargs):
+    """Run a Python subprocess that imports this checkout's lrhopf."""
+    import lrhopf
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lrhopf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 def read_fixture(name):

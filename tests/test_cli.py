@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import time
 
@@ -16,7 +15,7 @@ from lrhopf.cli import (MAX_COPRODUCT_DEGREE, MAX_COPRODUCT_TERMS, MAX_DEGREE, M
                         main)
 from lrhopf.dsl import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
-from conftest import fixture_path
+from conftest import fixture_path, run_python
 
 
 def run(capsys, *argv):
@@ -350,23 +349,12 @@ def test_an_expression_starting_with_a_minus_goes_after_a_double_dash(capsys):
     assert run(capsys, "nf", fixture_path("aff2.lra"), "--", "-x1") == (0, "-x1\n", "")
 
 
-def _python(*args, **kwargs):
-    """Run a Python subprocess that imports this checkout's lrhopf."""
-    import lrhopf
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lrhopf.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
-
-
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # both cost start-up time on every command; compare with what a bare
     # interpreter (site and all) has already loaded
     code = ("import sys; before = set(sys.modules); import lrhopf.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    added = _python("-c", code, check=True).stdout.split()
+    added = run_python("-c", code, check=True).stdout.split()
     assert "lrhopf.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)
 
@@ -381,7 +369,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_a_battery_above_its_ceiling_is_refused_at_once(argv, flag):
     cmd, name, *flags = argv
     # without the ceilings, the first, second and fourth were still running after 20 s
-    done = _python("-m", "lrhopf.cli", cmd, fixture_path(name), *flags, "--json", timeout=10)
+    done = run_python("-m", "lrhopf.cli", cmd, fixture_path(name), *flags, "--json", timeout=10)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1

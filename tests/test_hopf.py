@@ -34,7 +34,7 @@ from lrhopf.hopf import (_agrees, _closed_terms, _form_sums, _left_form, _legwis
                          standard_coproduct, tensor_power_structure)
 from lrhopf.sampling import make_rng, random_env_element
 
-from conftest import FIXTURES, FRACTIONAL, read_fixture
+from conftest import FIXTURES, FRACTIONAL, read_fixture, run_python
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat
 
 
@@ -104,6 +104,30 @@ def test_antipode_squares_to_identity_on_samples(aff2):
     for _ in range(20):
         u = random_env_element(rng, aff2, max_word=3, max_degree=2)
         assert antipode(antipode(u)) == u
+
+
+@pytest.mark.parametrize("apply", [coproduct, counit, lambda t: standard_coproduct(t.structure)(t)],
+                         ids=["coproduct", "counit", "coproduct-map"])
+def test_coproduct_and_counit_refuse_a_tensor_square_element(aff2, apply):
+    t = coproduct(EnvElement.generator(aff2, 0))
+    with pytest.raises(TypeError, match="expected an EnvElement, got TensorEnvElement"):
+        apply(t)
+
+
+def test_antipode_refuses_a_tensor_square_element():
+    # its memo walk never ended on one, so it runs in a child process that a
+    # timeout ends
+    code = (
+        "import sys\n"
+        "from lrhopf import EnvElement, antipode, coproduct, parse_structure_file\n"
+        "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+        "    S = parse_structure_file(fh.read()).build()[0]\n"
+        "antipode(coproduct(EnvElement.generator(S, 0)))\n"
+    )
+    done = run_python("-c", code, os.path.join(FIXTURES, "aff2.lra"), timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.rstrip().endswith(
+        "TypeError: expected an EnvElement, got TensorEnvElement")
 
 
 def test_convolution_laws_random(euler):

@@ -23,6 +23,10 @@ STRUCTURES = {
     name[:-4]: parse_structure_file(read_fixture(name)).build()[0]
     for name in sorted(os.listdir(FIXTURES)) if name.endswith(".lra")
 }
+# rank 9: letters drawn with four bits, seven of sixteen values refused
+with open(os.path.join(FIXTURES, os.pardir, "fixtures_large", "gl3.lra"),
+          encoding="utf-8") as _fh:
+    STRUCTURES["gl3"] = parse_structure_file(_fh.read()).build()[0]
 DRAWS = 500
 
 
@@ -70,6 +74,8 @@ def samplers(S):
         "lr-element": lambda m, rng: m.random_lr_element(rng, S),
         "word": lambda m, rng: m.random_word(rng, rank),
         "word-long": lambda m, rng: m.random_word(rng, rank, 7),
+        # length 0 leaves no letter to draw, so rank 0 is no empty range
+        "word-empty": lambda m, rng: m.random_word(rng, 0, 0),
         "env-element": lambda m, rng: m.random_env_element(rng, S),
         "env-element-wide": lambda m, rng: m.random_env_element(rng, S, 2, 1, 4),
     }

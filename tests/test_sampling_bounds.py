@@ -1,7 +1,7 @@
-"""Bounds that leave a sampler nothing to draw from.  Each sampler writes
-its rejection loop inline, and that loop never ends below an empty range,
-so every such bound must be refused with the ValueError `_below` raises,
-as the randint/randrange forms refuse it."""
+"""Bounds that leave a sampler nothing to draw from.  A rejection loop,
+in `_below` or in one of the draw helpers the samplers compose, never
+ends below an empty range, so every such bound must be refused with the
+"empty range" ValueError, as the randint/randrange forms refuse it."""
 
 import random
 
