@@ -373,11 +373,14 @@ class EnvElement(Combination):
         return out
 
     def counit(self) -> Fraction:
-        """Coefficient counit of the empty-word part; words die."""
+        """Coefficient counit of the empty-word part; words die.  Each
+        monomial's counit is read from the counit morphism's memo (an
+        image in Q is {(): value} or 0) and summed with its coefficient."""
         empty = self.terms.get(())
         if empty is None:
             return Fraction(0)
-        return counit_morphism(self.structure.algebra)(empty).as_constant()
+        image = counit_morphism(self.structure.algebra)._monomial_image
+        return Fraction(sum(c * image(e).terms.get((), 0) for e, c in empty.terms.items()))
 
     # -- printing --------------------------------------------------------------
 

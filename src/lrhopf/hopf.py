@@ -131,7 +131,7 @@ from .enveloping import (EnvElement, _frozen, _normal_word, _product_into, _word
                          _wrap)
 from .lie_rinehart import (Combination, LieRinehartAlgebra, _add_term, check_bi_lr,
                            signed_sum)
-from .report import Report
+from .report import Report, shared
 
 
 def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
@@ -377,7 +377,7 @@ def _split_term(S: LieRinehartAlgebra, words, exps, q) -> list:
 
 def tensor_pair(u1: EnvElement, u2: EnvElement) -> TensorEnvElement:
     """The elementary tensor of two enveloping algebra elements."""
-    if u1.structure != u2.structure:
+    if _enveloping(u1).structure != _enveloping(u2).structure:
         raise ValueError("tensor factors over different structures")
     S = u1.structure
     alg2 = S.algebra.tensor_power(2)
@@ -714,13 +714,7 @@ def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
     # the unit words, then the random elements: their coproducts are
     # computed once, on first use, and shared by the laws below
     cases = words + randoms
-    deltas = [None] * len(cases)
-
-    def delta(i):
-        t = deltas[i]
-        if t is None:
-            t = deltas[i] = dmap(cases[i])
-        return t
+    delta = shared(dmap, cases)
 
     # the closed form of the rewritten uv against coproduct(u) coproduct(v)
     # multiplied out legwise, neither wrapped (see the module docstring)

@@ -18,6 +18,20 @@ class CheckResult(namedtuple("CheckResult", "name verdict witness", defaults=(No
         return d
 
 
+def shared(f, cases):
+    """k -> f(cases[k]), computed on first use and kept: a value that
+    several laws of one battery read is computed once per case (f must not
+    return None).  Each law still reads the value of the code it checks."""
+    values = [None] * len(cases)
+
+    def value(k):
+        v = values[k]
+        if v is None:
+            v = values[k] = f(cases[k])
+        return v
+    return value
+
+
 class Report:
     """An ordered list of named checks with an overall verdict."""
 

@@ -15,8 +15,11 @@ from lrhopf import (
     counit_morphism,
     antipode_morphism,
 )
-from lrhopf.algebra import LaurentPoly, multiplication_morphism, on_leg
+from lrhopf.algebra import AlgebraMorphism, LaurentPoly, multiplication_morphism, on_leg
+from lrhopf.dsl import parse_structure_file
 from lrhopf.sampling import make_rng, random_poly
+
+from conftest import read_fixture
 
 
 def poly_line():
@@ -357,3 +360,69 @@ def test_public_scalar_returns_stay_fractions():
 def test_validating_constructors_refuse_floats(build):
     with pytest.raises(TypeError, match="not an int or a Fraction"):
         build(_line_and_circle())
+
+
+def _hopf_maps(name):
+    """The Hopf maps of a fixture's algebra and their one-leg extensions
+    (two-generator sources), each as a fresh morphism with an empty memo."""
+    A = parse_structure_file(read_fixture(name)).build()[0].algebra
+    maps = [comultiplication(A), counit_morphism(A), antipode_morphism(A)]
+    maps += [on_leg(f, leg) for f in maps for leg in (0, 1)]
+    return [AlgebraMorphism(f.source, f.target, f.images) for f in maps]
+
+
+def _product_of_powers(f, exps):
+    image = f.target.one()
+    for img, e in zip(f.images, exps):
+        image = image * img**e
+    return image
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+@pytest.mark.parametrize("name", ["euler.lra", "aff2.lra", "torus.lra"])
+def test_monomial_images_build_on_their_predecessor(monkeypatch, name, order):
+    products = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__",
+                        lambda p, q: products.append(1) or mul(p, q))
+    for f in _hopf_maps(name):
+        wanted = sorted((next(iter(m.terms)) for m in f.source.monomials_up_to(4)),
+                        key=lambda exps: (sum(map(abs, exps)), exps))
+        if order == "decreasing":
+            wanted.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(wanted)
+        for exps in wanted:
+            memo = f._monomial_images
+            warm = any(exps[:i] + (e - 1 if e > 0 else e + 1,) + exps[i + 1:] in memo
+                       for i, e in enumerate(exps) if e)
+            del products[:]
+            image = f._monomial_image(exps)
+            if warm:
+                assert len(products) == 1, (f, exps)
+            assert image == _product_of_powers(f, exps), (f, exps)
+        # the memo holds the requested monomials and nothing else
+        assert set(f._monomial_images) == set(wanted)
+
+
+def test_a_high_monomial_image_needs_no_recursion():
+    A = poly_line()
+    f = AlgebraMorphism(A, A, antipode_morphism(A).images)
+    y = A.gen(0)
+    assert f(y**3000) == y**3000
+    assert f._monomial_image((2999,)) == -(y**2999)
+    assert set(f._monomial_images) == {(3000,), (2999,)}
+
+
+def test_the_hopf_battery_applies_the_coproduct_once_per_element(monkeypatch):
+    for A in (poly_line(), laurent_line()):
+        delta = comultiplication(A)
+        # the one-leg maps apply delta to the generators when first built
+        on_leg(delta, 0), on_leg(delta, 1)
+        calls = []
+        call = AlgebraMorphism.__call__
+        monkeypatch.setattr(AlgebraMorphism, "__call__",
+                            lambda f, p: (f is delta and calls.append(p)) or call(f, p))
+        assert check_hopf_axioms(A, max_degree=3, seed=0, samples=10).ok
+        assert len(calls) == len(list(A.monomials_up_to(3))) + 10
+        monkeypatch.undo()

@@ -25,14 +25,14 @@ from lrhopf import (
     tensor_pair,
 )
 from lrhopf import hopf
-from lrhopf.algebra import spread_copies, tensor_embed
+from lrhopf.algebra import counit_morphism, spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_env_element, parse_structure_file
 from lrhopf.enveloping import _wrap
 from lrhopf.hopf import (_agrees, _closed_terms, _form_sums, _left_form, _legwise_sums,
                          _right_form, _unit_words, antipode_convolution, counit_collapse,
                          standard_coproduct, tensor_power_structure)
-from lrhopf.sampling import make_rng, random_env_element
+from lrhopf.sampling import make_rng, random_env_element, random_poly
 
 from conftest import FIXTURES, FRACTIONAL, read_fixture, run_python
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat
@@ -87,6 +87,20 @@ def test_counit_returns_a_fraction_on_integral_values(euler, aff2):
     assert counit(EnvElement.one(euler) * 7) == 7
 
 
+@pytest.mark.parametrize("name", ["aff2.lra", "torus.lra", "gl2.lra"])
+def test_counit_matches_the_counit_morphism_on_the_empty_word(name):
+    S = parse_structure_file(read_fixture(name)).build()[0]
+    A = S.algebra
+    eps = counit_morphism(A)
+    rng = make_rng(17)
+    for _ in range(40):
+        u = random_env_element(rng, S, max_word=2, max_degree=3)
+        u = u + EnvElement.from_poly(S, random_poly(rng, A, max_degree=3, terms=3))
+        empty = u.terms.get((), A.zero())
+        assert u.counit() == eps(empty).as_constant()
+        assert type(u.counit()) is Fraction
+
+
 def test_antipode_frozen_values(euler, aff2):
     A = euler.algebra
     y = A.gen(0)
@@ -106,12 +120,21 @@ def test_antipode_squares_to_identity_on_samples(aff2):
         assert antipode(antipode(u)) == u
 
 
-@pytest.mark.parametrize("apply", [coproduct, counit, lambda t: standard_coproduct(t.structure)(t)],
-                         ids=["coproduct", "counit", "coproduct-map"])
+@pytest.mark.parametrize("apply", [coproduct, counit, lambda t: standard_coproduct(t.structure)(t),
+                                   lambda t: tensor_pair(t, t)],
+                         ids=["coproduct", "counit", "coproduct-map", "tensor-pair"])
 def test_coproduct_and_counit_refuse_a_tensor_square_element(aff2, apply):
     t = coproduct(EnvElement.generator(aff2, 0))
     with pytest.raises(TypeError, match="expected an EnvElement, got TensorEnvElement"):
         apply(t)
+
+
+def test_tensor_pair_refuses_a_scalar_factor(aff2):
+    x1 = EnvElement.generator(aff2, 0)
+    with pytest.raises(TypeError, match="expected an EnvElement, got int"):
+        tensor_pair(x1, 3)
+    with pytest.raises(TypeError, match="expected an EnvElement, got int"):
+        tensor_pair(3, x1)
 
 
 def test_antipode_refuses_a_tensor_square_element():

@@ -15,10 +15,11 @@ from lrhopf import (
     make_opposite,
     tensor_square,
 )
+from lrhopf import sampling
 from lrhopf.dsl import parse_structure_file
 from lrhopf.sampling import make_rng, random_lr_element, random_poly
 
-from conftest import build_euler
+from conftest import build_aff2, build_euler
 
 
 def test_lie_algebra_table_and_jacobi():
@@ -43,6 +44,47 @@ def test_axioms_pass_for_core_structures(euler, aff2, gl2):
     for S in (euler, aff2, gl2):
         report = check_lr_axioms(S, seed=0, samples=50)
         assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["gl2", "tensor-square-aff2"])
+def test_the_lr_battery_brackets_each_triple_once(monkeypatch, gl2, aff2, square):
+    # [x, y] of a random triple is computed once and read by the
+    # antisymmetry, Jacobi, Leibniz and anchor-homomorphism laws
+    S = tensor_square(aff2) if square else gl2
+    drawn, pairs = [], []
+    draw, bracket = sampling.random_lr_element, LRElement.bracket
+    monkeypatch.setattr(sampling, "random_lr_element",
+                        lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    monkeypatch.setattr(LRElement, "bracket", lambda x, y: pairs.append((x, y)) or bracket(x, y))
+    assert check_lr_axioms(S, seed=0, samples=12).ok
+    assert len(drawn) == 3 * 12
+    for x, y in zip(drawn[0::3], drawn[1::3]):
+        assert sum(a is x and b is y for a, b in pairs) == 1
+
+
+def test_the_lr_battery_builds_each_anchor_once(monkeypatch, gl2):
+    built = {}  # id(x) -> (x, {id(d): d} for every derivation returned for x)
+    anchor_of = LieRinehartAlgebra.anchor_of
+
+    def spy(S, x):
+        d = anchor_of(S, x)
+        built.setdefault(id(x), (x, {}))[1][id(d)] = d
+        return d
+
+    monkeypatch.setattr(LieRinehartAlgebra, "anchor_of", spy)
+    assert check_lr_axioms(gl2, seed=0, samples=12).ok
+    assert built and all(len(ds) == 1 for _, ds in built.values())
+
+
+def test_the_anchor_is_kept_only_on_an_element_of_the_structure_itself(aff2):
+    twin = build_aff2()
+    assert twin == aff2 and twin is not aff2
+    x = LRElement(aff2, [aff2.algebra.gen(0), 1])
+    d = twin.anchor_of(x)
+    assert d.algebra is twin.algebra
+    assert not hasattr(x, "_anchor")
+    assert d == aff2.anchor_of(x)
+    assert x._anchor is aff2.anchor_of(x)
 
 
 def test_bracket_general_elements(aff2):
