@@ -91,9 +91,13 @@ element of its coassociative and counital laws once, on first use, and
 shares it between those laws and the multiplicative one on words.
 
 Multiplying out (by_rewriting, and apply_to_leg for coassociativity)
-memoizes, per map and per leg, the legwise product of the letter images
-of each word tuple, and sums coefficient(a) times that product for each
-term a (word tuple) of the argument, into the same flat sum.  This
+reads one memo per map: a word -> the legwise product of its letter
+images, a two-leg tensor multiplied out from 1 on a miss.  by_rewriting
+sums coproduct_A(a) times the image of w over the terms a w of its
+argument; as (Delta (x) id)(w0 (x) w1) = Delta(w0) (x) w1, apply_to_leg
+sums, over the terms c (w0 (x) w1), coproduct_A on that leg of c times
+the image of w_leg on legs leg and leg + 1, the other word alone on the
+remaining leg.  Both sum into one flat sum.  This
 regroups the same product by associativity and moves a coefficient on
 the left into the coefficients, nothing else: it never uses the closed
 form, so both stay independent of the coproduct they check, and the
@@ -123,7 +127,6 @@ from .algebra import (
     counit_morphism,
     on_leg,
     split_exponents,
-    spread_copies,
     tensor_embed,
     check_hopf_axioms,
 )
@@ -419,15 +422,14 @@ class CoproductLikeMap:
         if len(images) != S.rank:
             raise ValueError("need one image per basis letter")
         self.images = images
-        self._lifted = {}
         one = S.algebra.tensor_power(2).one()
         self.standard = all(
             img.terms == {((i,), ()): one, ((), (i,)): one}
             for i, img in enumerate(images)
         )
         self._splits = {}
-        # (word,) -> the product of its letter images, for by_rewriting
-        self._products = _image_products(S, 1, 2)
+        # word -> the legwise product of its letter images (see _word_image)
+        self._products = {(): TensorEnvElement._trusted(S, {((), ()): one}, 2)}
 
     def __call__(self, u: EnvElement) -> TensorEnvElement:
         if _enveloping(u).structure != self.S:
@@ -490,41 +492,33 @@ class CoproductLikeMap:
         """Multiply the letter images out with the legwise product.  Valid
         for any letter images; for the standard ones it is the oracle of
         the closed form in __call__."""
-        if u.structure != self.S:
+        if _enveloping(u).structure != self.S:
             raise ValueError("argument in the wrong enveloping algebra")
-        terms = (((w,), a) for w, a in u.terms.items())
-        return _multiply_out(self.S, 2, terms, self.delta_A, [self.images], self._products)
-
-    # -- one-leg application, for coassociativity ---------------------------
-
-    def _leg_data(self, leg: int):
-        """The coefficient map from the tensor square of A to its cube, the
-        three-leg images of the letters of legs 0 and 1 when the map is
-        applied to `leg` (that leg's letters go to their images on two
-        adjacent legs, the other leg's letters stay as they are) and the
-        memo of their products per word pair."""
-        cached = self._lifted.get(leg)
-        if cached is not None:
-            return cached
-        S, A = self.S, self.S.algebra
-        A3 = A.tensor_power(3)
-        copies = (0, 1) if leg == 0 else (1, 2)
-        place = (lambda pair, w: pair + (w,)) if leg == 0 else (lambda pair, w: (w,) + pair)
-        mapped = [
-            TensorEnvElement(S, {place(ws, ()): spread_copies(c, A, copies, A3)
-                                 for ws, c in img.terms.items()}, 3)
-            for img in self.images
-        ]
-        plain = [TensorEnvElement(S, {place(((), ()), (i,)): 1}, 3) for i in range(S.rank)]
-        images = [mapped, plain] if leg == 0 else [plain, mapped]
-        self._lifted[leg] = (on_leg(self.delta_A, leg), images, _image_products(S, 2, 3))
-        return self._lifted[leg]
+        return _multiply_out(self.S, 2, ((self.delta_A(a), (), self._word_image(w), ())
+                                         for w, a in u.terms.items()))
 
     def apply_to_leg(self, t: TensorEnvElement, leg: int) -> TensorEnvElement:
         """Apply the map to one leg of a tensor-square element, producing a
-        three-leg element."""
+        three-leg element: (Delta (x) id)(c w0 (x) w1) is Delta_A on leg 0
+        of c times Delta(w0) (x) w1, and likewise on leg 1."""
         _check_leg(t, leg)
-        return _multiply_out(self.S, 3, t.terms.items(), *self._leg_data(leg))
+        if t.structure != self.S:
+            raise ValueError("argument in the wrong enveloping algebra")
+        coefficient = on_leg(self.delta_A, leg)
+        return _multiply_out(self.S, 3, ((coefficient(c), ws[:leg], self._word_image(ws[leg]),
+                                          ws[leg + 1:]) for ws, c in t.terms.items()))
+
+    def _word_image(self, w) -> TensorEnvElement:
+        """The legwise product of the letter images of the word w, memoized
+        per map for by_rewriting and both legs of apply_to_leg; a miss
+        multiplies the images out from 1."""
+        product = self._products.get(w)
+        if product is None:
+            product = self._products[()]
+            for i in w:
+                product = product * self.images[i]
+            self._products[w] = product
+        return product
 
 
 def _check_leg(t: TensorEnvElement, leg) -> None:
@@ -536,35 +530,21 @@ def _check_leg(t: TensorEnvElement, leg) -> None:
         raise ValueError(f"leg {leg!r} is not 0 or 1")
 
 
-def _image_products(S, words: int, legs: int) -> dict:
-    """A memo for _multiply_out: tuples of `words` words -> the product
-    of their letter images, which have `legs` legs; it starts with the
-    empty words, whose product is 1."""
-    one = S.algebra.tensor_power(legs).one()
-    return {((),) * words: TensorEnvElement._trusted(S, {((),) * legs: one}, legs)}
-
-
-def _multiply_out(S, legs: int, terms, coefficient, letter_images, products) -> TensorEnvElement:
-    """The sum over `terms` (word tuple, a) of coefficient(a) times the
-    product of the images of the letters of each word in turn, legwise;
-    letter_images[l][i] is the image of letter i of word l.
-
-    The product of a word tuple's images is memoized in `products` (see
-    _image_products); a miss multiplies the images out from 1.  The
-    monomials of coefficient(a) multiply in on the left as the product's
-    terms are summed, into one flat sum wrapped once."""
+def _multiply_out(S, legs: int, parts) -> TensorEnvElement:
+    """The sum over `parts` (coefficient c, words before, two-leg tensor p,
+    words after) of c times p with the words before and after alone on
+    the legs either side of p's two, their exponents padded with zeros.
+    The monomials of c multiply in on the left as p's terms are summed,
+    into one flat sum wrapped once."""
+    n = S.algebra.ngens
     sums: dict = {}  # (word tuple, exponents) -> rational
-    for words, a in terms:
-        product = products.get(words)
-        if product is None:
-            product = products[((),) * len(words)]
-            for images, w in zip(letter_images, words):
-                for i in w:
-                    product = product * images[i]
-            products[words] = product
-        c = [(f if any(f) else None, x) for f, x in coefficient(a).terms.items()]
-        for ws, p in product.terms.items():
-            for g, y in p.terms.items():
+    for c, before, p, after in parts:
+        pad_before, pad_after = (0,) * (n * len(before)), (0,) * (n * len(after))
+        c = [(f if any(f) else None, x) for f, x in c.terms.items()]
+        for ws, q in p.terms.items():
+            ws = before + ws + after
+            for g, y in q.terms.items():
+                g = pad_before + g + pad_after
                 for f, x in c:
                     key, x = (ws, g) if f is None else (ws, tuple(map(add, f, g))), x * y
                     sums[key] = sums[key] + x if key in sums else x

@@ -121,8 +121,9 @@ def test_antipode_squares_to_identity_on_samples(aff2):
 
 
 @pytest.mark.parametrize("apply", [coproduct, counit, lambda t: standard_coproduct(t.structure)(t),
-                                   lambda t: tensor_pair(t, t)],
-                         ids=["coproduct", "counit", "coproduct-map", "tensor-pair"])
+                                   lambda t: tensor_pair(t, t),
+                                   lambda t: standard_coproduct(t.structure).by_rewriting(t)],
+                         ids=["coproduct", "counit", "coproduct-map", "tensor-pair", "by-rewriting"])
 def test_coproduct_and_counit_refuse_a_tensor_square_element(aff2, apply):
     t = coproduct(EnvElement.generator(aff2, 0))
     with pytest.raises(TypeError, match="expected an EnvElement, got TensorEnvElement"):
@@ -135,6 +136,11 @@ def test_tensor_pair_refuses_a_scalar_factor(aff2):
         tensor_pair(x1, 3)
     with pytest.raises(TypeError, match="expected an EnvElement, got int"):
         tensor_pair(3, x1)
+
+
+def test_by_rewriting_refuses_a_scalar(aff2):
+    with pytest.raises(TypeError, match="expected an EnvElement, got int"):
+        standard_coproduct(aff2).by_rewriting(3)
 
 
 def test_antipode_refuses_a_tensor_square_element():
@@ -365,7 +371,8 @@ def test_apply_to_leg_matches_the_tripled_structure(name):
 @pytest.mark.parametrize("base", ["euler_dual.lra", "heis_dual.lra", "a-valued"])
 def test_image_products_are_memoized_per_map_and_per_leg(base):
     # two maps on one structure, called in turn on both legs, twice over:
-    # a memo shared between maps or legs would hand one the other's products
+    # each map's word-image memo is shared by both legs and by_rewriting, so
+    # a memo shared between maps would hand one the other's products
     perturbed = _perturbed_map(base)
     S = perturbed.S
     standard = standard_coproduct(S)
@@ -389,6 +396,24 @@ def test_image_products_are_memoized_per_map_and_per_leg(base):
     differ = any(want[(0, i, leg)] != want[(1, i, leg)]
                  for i in range(len(tensors)) for leg in (0, 1))
     assert differ == (base != "euler_dual.lra")
+
+
+def test_word_images_are_multiplied_out_once_per_map(monkeypatch):
+    # both legs of the coproduct of every gl2 unit word up to length 3, then
+    # by_rewriting on those words: one legwise product per letter of each
+    # word the map meets, as both legs and by_rewriting read one memo
+    S = parse_structure_file(read_fixture("gl2.lra")).build()[0]
+    dmap = standard_coproduct(S)
+    words = _unit_words(S, 3)
+    deltas = [dmap(u) for u in words]
+    products = []
+    mul = TensorEnvElement.__mul__
+    monkeypatch.setattr(TensorEnvElement, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for u, t in zip(words, deltas):
+        assert dmap.apply_to_leg(t, 0) == dmap.apply_to_leg(t, 1), f"at {u}"
+        assert dmap.by_rewriting(u) == t, f"at {u}"
+    assert 0 < len(products) <= sum(len(w) for u in words for w in u.terms) == 84
 
 
 def _repeated_coefficient_operands(S):
@@ -448,6 +473,8 @@ def test_separately_parsed_copies_are_one_structure_and_mix():
             op(x1, y2)
     with pytest.raises(ValueError):
         standard_coproduct(S1)(y2)
+    with pytest.raises(ValueError, match="^argument in the wrong enveloping algebra$"):
+        standard_coproduct(S1).apply_to_leg(coproduct(y2), 0)
     with pytest.raises(ValueError):
         coproduct(x1) * coproduct(y2)
 

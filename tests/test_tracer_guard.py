@@ -2,8 +2,9 @@
 derivations, batteries and calculus by name and reads the per-structure
 rewriting memo: a rename on either side would silently zero its per-layer
 counters.  It is imported read-only, installed around one gl2 product and
-one coproduct, or around one gl2 module battery and one Gerstenhaber
-battery, and uninstalled."""
+one coproduct, around one gl2 module battery and one Gerstenhaber
+battery, or around the one-leg application of a gl2 coproduct, and
+uninstalled."""
 
 import os
 import sys
@@ -69,3 +70,22 @@ def test_tracer_counts_derivations_batteries_and_calculus():
     assert agg["battery.check_gerstenhaber"][0] == 1
     assert agg["calculus.schouten_bracket"][0] > 0
     assert agg["calculus.ce_differential"][0] > 0
+
+
+def test_tracer_counts_the_one_leg_application_and_its_products():
+    S = parse_structure_file(read_fixture("gl2.lra")).build()[0]
+    dmap = lrhopf.standard_coproduct(S)
+    t = coproduct(EnvElement.generator(S, 1) * EnvElement.generator(S, 2))
+    apply_to_leg = lrhopf.CoproductLikeMap.apply_to_leg
+    tracer = _tracer_class()()
+    tracer.install([S])
+    try:
+        # a cold map multiplies its letter images out legwise
+        assert dmap.apply_to_leg(t, 0) == dmap.apply_to_leg(t, 1)
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert lrhopf.CoproductLikeMap.apply_to_leg is apply_to_leg
+    agg = summary["agg"]
+    assert agg["hopf.apply_to_leg"][0] == 2
+    assert agg["hopf.tensor_mul"][0] > 0
