@@ -25,7 +25,7 @@ a new one on its memoized predecessor where it can (`_monomial_image`);
 the memo is sound because values are never mutated in place: no
 LaurentPoly, and no morphism's images, change after they are built.  The
 enveloping product and the tensor layer do not use this kernel:
-they sum one flat (word, exponents) -> rational dict (see `enveloping`).
+they sum word -> packed exponents -> rational dicts (see `enveloping`).
 This module also owns the one set of clearing helpers,
 `_common_denominator` and `_cleared`, with which the enveloping product
 and the legwise tensor product sum on integers over one denominator per

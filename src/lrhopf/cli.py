@@ -11,7 +11,7 @@ check fails, 2 on input errors (a file that cannot be read or is not
 UTF-8, a parse error, a command that needs declarations the file does
 not provide, a sample count below 1 or a negative bound, a battery or
 a coproduct larger than its ceiling: see MAX_SAMPLES, MAX_WORD_PAIRS,
-MAX_DEGREE and MAX_COPRODUCT_TERMS), 3 on any
+MAX_PBW_WORD, MAX_PBW_LAYER_WORDS, MAX_DEGREE and MAX_COPRODUCT_TERMS), 3 on any
 other exception, which is a fault of lrhopf itself: it prints the one
 line `error: internal error: <exception type>: <message>` and no
 traceback.
@@ -60,7 +60,7 @@ _COMMANDS = {
     ),
     "pbw": (
         "normal-form confluence, layers, module action", {"max_degree": 2, "max_word": 3},
-        [(500, lambda S, dual, **kw: check_pbw(S, **kw)),
+        [(500, lambda S, dual, **kw: check_pbw(S, max_layer=PBW_LAYERS, **kw)),
          (200, lambda S, dual, **kw: check_action(S, **kw))],
     ),
     "gerstenhaber": (
@@ -90,11 +90,22 @@ _OPTIONS = {
 # Ceilings on the size of a battery request, so that a huge one ends at once
 # with exit 2 instead of running for hours: a --samples count, and the
 # number of pairs of normal words up to --max-word, C(rank + max_word,
-# rank)^2, which check-hopf's exhaustive multiplicativity law runs over
-# (gl3, rank 9, at --max-word 3 has 48,400).  The library batteries take
-# any size.
+# rank)^2, which the exhaustive word x word laws of check-hopf
+# (multiplicativity) and probe-conjecture run over (gl3, rank 9, at
+# --max-word 3 has 48,400).  The library batteries take any size.
 MAX_SAMPLES = 10_000
 MAX_WORD_PAIRS = 100_000
+# pbw runs no word x word law: its --max-word bounds the random words of
+# its random laws, and its cost grows with the rank through its layer law,
+# which multiplies out the reversed product of each of the C(rank +
+# PBW_LAYERS, rank) - 1 normal words of length 1 to PBW_LAYERS.  In one
+# process on an x86_64 CPU the pbw battery took 2.0 s on gl4 (rank 16,
+# 20,348 words), 13.4 s on gl5 (rank 25, 142,505 words) and 71 s on gl6,
+# against a budget of 10 s; and at --max-word 5 it took 7.2 s on gl4 and
+# 3.5 s on gl3, at 6 14.9 s on gl3, at 40 61 s on aff2.
+PBW_LAYERS = 5
+MAX_PBW_LAYER_WORDS = 50_000
+MAX_PBW_WORD = 5
 # A --max-degree too, the degree bound of the random coefficients.  On
 # an x86_64 CPU, check-hopf took 19 s on gl3 (rank 9) at 10 and 29 s at
 # 12, and 2-5 s on gl2.lra at 10 (seeds 0-3) but up to 17 s at 16,
@@ -118,7 +129,15 @@ def _refuse_huge(args, S) -> None:
     if max_degree is not None and max_degree > MAX_DEGREE:
         raise ValueError(f"--max-degree {max_degree} is above the ceiling of {MAX_DEGREE}")
     max_word = getattr(args, "max_word", None)
-    if max_word is not None and math.comb(S.rank + max_word, S.rank) ** 2 > MAX_WORD_PAIRS:
+    if args.command == "pbw":
+        if max_word > MAX_PBW_WORD:
+            raise ValueError(f"--max-word {max_word} is above pbw's ceiling of {MAX_PBW_WORD}")
+        words = math.comb(S.rank + PBW_LAYERS, S.rank) - 1
+        if words > MAX_PBW_LAYER_WORDS:
+            raise ValueError(f"pbw's layer law would multiply out {words} normal words on this "
+                             f"structure (rank {S.rank}), above the ceiling of "
+                             f"{MAX_PBW_LAYER_WORDS}")
+    elif max_word is not None and math.comb(S.rank + max_word, S.rank) ** 2 > MAX_WORD_PAIRS:
         raise ValueError(f"--max-word {max_word} gives more pairs of normal words on this "
                          f"structure (rank {S.rank}) than the ceiling of {MAX_WORD_PAIRS}")
 

@@ -16,44 +16,57 @@ minimal ambiguities, which is what makes the monomial basis free.  A
 coefficient moves past a whole run of one letter at once, by the first
 rule's closed form  x^n a = sum over k of C(n, k) x^k(a) x^(n-k).
 
+Inside the rewriting kernel an exponent vector is one int, packed: a
+signed field of `_FIELD` bits per generator, e packed as the sum of
+e_i 2^(_FIELD i) (`_Packing`).  Packing is linear, so adding two packed
+ints adds the vectors, the zero vector packs to 0, and the vector of a
+tensor leg l lands in its place of the concatenated vector by a shift of
+n _FIELD l bits, n the number of generators.  Each algebra keeps its
+pack memo (exponent tuple -> int) and unpack memo (int -> exponent
+tuple) in `A._memo` (`_packing`).  Public values keep exponent tuples:
+an operand's monomials are packed where they enter the kernel and a
+result's are unpacked where `_wrap` builds its LaurentPolys.
+
 Rewriting is memoized per structure, in four memos that fill lazily and
 are never evicted: each grows without bound while its structure lives
 (a library caller that keeps one structure keeps every entry its
 products made) and dies with it; none is module-level.
 
   * `S._poly_cache`, the coefficient push (`_word_times_monomial`):
-    (word, e) -> word * y^e as a tuple of (word, exponents, rational)
-    triples, one entry per push, pushed through the word run by run;
+    (word, e) -> word * y^e as a tuple of (word, packed exponents,
+    rational) triples, one entry per push, pushed through the word run by
+    run;
   * `S._nf_cache`, the letter swap (`_word_times_gen`): (word, i) ->
     word * e_i as the same triples;
   * `S._word_cache`, word times word (`_word_times_word`): (u, v) -> u * v
     for u[-1] > v[0] and v of two letters or more, as one flat tuple
-    (u0, e0, x0, u1, e1, x1, ...) whose words and exponent tuples are
+    (u0, p0, x0, u1, p1, x1, ...) whose words and packed exponents are
     interned through `S._word_pool`; a one-letter v reads `_nf_cache`;
   * `S._tensor_cache["legs"]`, the leg memo of the legwise tensor
     product (`hopf`): (e, v) -> a row w -> w * y^e * v as triples whose
-    words are wrapped in one-word tuples, ((word,), exponents, rational);
+    words are wrapped in one-word tuples, ((word,), packed, rational);
   the antipode memo (`hopf`) sits on top: `S._tensor_cache["antipode"]`,
-  (w, e) -> S(y^e w) as an EnvElement.
+  (w, e) -> S(y^e w) as an EnvElement, with its packed rows beside it.
 
-Products sum one flat accumulator, (word, exponents) -> rational, from
-the rewriting memos up: `_word_poly_word` follows each term y^g u of the
-`(w, e)` entry by the `(u, v)` entry with its exponents shifted by g,
-and sums each term it reaches straight into the caller's accumulator,
-once per monomial of a left coefficient and times a rational, so no
-LaurentPoly and no dict is built for a partial term.  It is the one
-implementation of w y^e v: `_product_into` passes it the left
-coefficient's monomials and the right monomial's rational, the bracket
-term of `_word_times_gen` a bracket coefficient's rational, and the leg
-memo of `hopf` neither.  The sums run on integers: the product
-clears each operand's denominators by their lcm (`_common_denominator`,
-`_cleared` of `algebra`, the helpers the legwise tensor product uses
-too) and `_wrap` divides once while it groups the sum by word into
-word -> LaurentPoly, dropping what cancelled and putting each
-coefficient back in canonical form (an `int` when integral).  The
-legwise tensor product of `hopf` sums the same way, its key a tuple of
-words: its leg memo holds the same triples, each word wrapped in a
-one-word tuple, and `_wrap` wraps its sum.
+Products sum one accumulator grouped by word as it goes, word -> packed
+exponents -> rational, from the rewriting memos up: `_word_poly_word`
+follows each term y^g u of the `(w, e)` entry by the `(u, v)` entry with
+its exponents shifted by g, and sums each term it reaches straight into
+the caller's accumulator, once per monomial of a left coefficient and
+times a rational, so no LaurentPoly and no dict is built for a partial
+term.  It is the one implementation of w y^e v: `_product_into` passes
+it the left coefficient's packed monomials and the right monomial's
+rational, the bracket term of `_word_times_gen` a bracket coefficient's
+rational, and the leg memo of `hopf` neither.  The sums run on integers:
+the product clears each operand's denominators by their lcm
+(`_common_denominator`, `_cleared` of `algebra`, the helpers the legwise
+tensor product uses too) and `_wrap` divides once per summed value,
+dropping what cancelled, unpacking the exponents and putting each
+coefficient back in canonical form (an `int` when integral), one
+LaurentPoly per word.  The legwise tensor product of `hopf` sums the
+same way, its key a tuple of words: its leg memo holds the same
+triples, each word wrapped in a one-word tuple, and `_wrap` wraps its
+sum.
 """
 
 from __future__ import annotations
@@ -61,7 +74,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 
 from . import sampling
 from .algebra import (LaurentPoly, _cleared, _common_denominator, coeff_str,
@@ -70,10 +82,108 @@ from .lie_rinehart import (Combination, LieRinehartAlgebra, LRElement, _add_term
                            signed_sum)
 from .report import Report
 
+# bits per generator in a packed exponent vector; an exponent the kernel
+# stores lies in [-_SPAN, _SPAN), an eighth of the field's range
+_FIELD = 32
+_SPAN = 1 << (_FIELD - 3)
+
+
+class _Packing(dict):
+    """The pack memo of one algebra with n generators: exponent tuple ->
+    packed int, filled on a miss; `unpack` is the inverse memo.
+
+    Why a field cannot overflow: every packed value the kernel stores,
+    an operand's monomial or a memo entry's term, has each exponent in
+    [-_SPAN, _SPAN).  A miss here refuses a tuple outside that range with
+    a ValueError, and a memo entry summed from packed values is checked
+    (`checked`) as it is frozen.  A kernel sum adds at most three stored
+    values per field (a left monomial, a push term and a word product
+    term; the tensor layer adds two, its legs lying in disjoint fields),
+    so each field of a sum stays in [-3 _SPAN, 3 _SPAN), inside the
+    field's [-4 _SPAN, 4 _SPAN), and the packed sum is the exact sum of
+    the vectors.  A product's exponents may thus reach beyond _SPAN; such
+    a value is refused when it is packed again as an operand."""
+
+    __slots__ = ("unpack", "_bias", "_spill")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.unpack = _Unpack(n)
+        ones = sum(1 << (_FIELD * i) for i in range(n))
+        # a vector lies in range when adding _SPAN to each field leaves
+        # every field below 2 _SPAN: no bit of _spill set, none above
+        self._bias = _SPAN * ones
+        self._spill = ~((2 * _SPAN - 1) * ones)
+
+    def __missing__(self, e) -> int:
+        p = 0
+        for x in reversed(e):
+            if not -_SPAN <= x < _SPAN:
+                raise ValueError(f"exponent {x} is outside the packable range "
+                                 f"[-2^{_FIELD - 3}, 2^{_FIELD - 3})")
+            p = (p << _FIELD) + x
+        self[e] = p
+        return p
+
+    def checked(self, p: int) -> int:
+        """p, a packed sum of at most three values in range, once each of
+        its exponents is found in range."""
+        if (p + self._bias) & self._spill:
+            raise ValueError(f"exponents {self.unpack[p]} are outside the packable range "
+                             f"[-2^{_FIELD - 3}, 2^{_FIELD - 3})")
+        return p
+
+
+class _Unpack(dict):
+    """The unpack memo of one algebra with n generators: packed int ->
+    exponent tuple, filled on a miss, which reads the fields from the
+    lowest up; a field whose top bit is set is negative."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, p: int) -> tuple:
+        e, q, mask, sign = [], p, (1 << _FIELD) - 1, 1 << (_FIELD - 1)
+        for _ in range(self.n):
+            x = q & mask
+            if x & sign:
+                x -= 1 << _FIELD
+            e.append(x)
+            q = (q - x) >> _FIELD
+        e = self[p] = tuple(e)
+        return e
+
+
+def _packing(A) -> _Packing:
+    """The pack memo of the algebra A, kept in `A._memo`."""
+    memo = A._memo.get("packing")
+    if memo is None:
+        memo = A._memo["packing"] = _Packing(A.ngens)
+    return memo
+
+
+def _leg_shift(A, leg: int) -> int:
+    """The shift that moves a packed exponent vector of A to leg `leg` of
+    a packed vector of a tensor power of A, whose slots are copy-major."""
+    return A.ngens * _FIELD * leg
+
+
+def _sum_into(acc: dict, u, g: int, x) -> None:
+    """acc += x y^g u, for a sum grouped by word: word -> packed exponents
+    -> rational."""
+    sums = acc.get(u)
+    if sums is None:
+        acc[u] = {g: x}
+    else:
+        sums[g] = sums[g] + x if g in sums else x
+
 
 def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> tuple:
-    """Normal form of (word * y^e) for a normal word and an exponent tuple
-    e, as (word, exponents, rational) triples.
+    """Normal form of (word * y^e) for a nonempty normal word and a
+    nonzero exponent tuple e, as (word, packed exponents, rational) triples.
 
     Memo key: (word, e) in `S._poly_cache`.  The coefficient of the
     monomial is not part of the key, since rewriting is linear over the
@@ -103,100 +213,103 @@ def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> tuple:
                         break
                 nxt[(x,) * (n - k) + tail] = c * math.comb(n, k), b
         pushed = nxt
-    hit = memo[(word, e)] = _frozen(
-        {(u, g): c * x for u, (c, b) in pushed.items() for g, x in b.terms.items()})
+    pack = _packing(S.algebra)
+    hit = memo[(word, e)] = _frozen(pack, {
+        u: {pack[g]: c * x for g, x in b.terms.items()} for u, (c, b) in pushed.items()})
     return hit
 
 
-def _frozen(acc: dict) -> tuple:
-    """A finished flat sum as a memo entry: (word, exponents, rational)
-    triples, without what cancelled, each rational canonical."""
-    return tuple((u, e, x.numerator if x.denominator == 1 else x)
-                 for (u, e), x in acc.items() if x)
+def _frozen(pack: _Packing, acc: dict) -> tuple:
+    """A finished sum grouped by word as a memo entry: (word, packed
+    exponents, rational) triples, without what cancelled, each rational
+    canonical and each exponent checked to be in range (see `_Packing`)."""
+    checked = pack.checked
+    return tuple((u, checked(g), x.numerator if x.denominator == 1 else x)
+                 for u, sums in acc.items() for g, x in sums.items() if x)
 
 
 def _wrap(A, acc: dict, d: int = 1) -> dict:
-    """Group a flat sum (word, exponents) -> rational by word (or by
-    word tuple, for a tensor), dividing each rational by d, into word ->
-    LaurentPoly: what cancelled is dropped and integral values become
-    ints."""
+    """A sum grouped by word (or by word tuple, for a tensor), word ->
+    packed exponents -> rational, as word -> LaurentPoly over A: each
+    rational divided by d, what cancelled dropped, exponents unpacked and
+    integral values made ints."""
+    unpack = _packing(A).unpack
     out = {}
-    for (u, e), x in acc.items():
-        if x:
-            if d != 1:
-                x = Fraction(x, d) if x % d else x // d
-            terms = out.get(u)
-            if terms is None:
-                terms = out[u] = {}
-            terms[e] = x.numerator if x.denominator == 1 else x
-    for u, terms in out.items():
-        out[u] = LaurentPoly._trusted(A, terms)
+    for u, sums in acc.items():
+        # a loop, not a comprehension: most words have one or two monomials
+        terms = {}
+        for g, x in sums.items():
+            if x:
+                if d != 1:
+                    x = Fraction(x, d) if x % d else x // d
+                terms[unpack[g]] = x.numerator if x.denominator == 1 else x
+        if terms:
+            out[u] = LaurentPoly._trusted(A, terms)
     return out
 
 
-def _word_poly_word(out: dict, S: LieRinehartAlgebra, w, e, v,
-                    left=((None, 1),), c=1) -> None:
+def _word_poly_word(out: dict, S: LieRinehartAlgebra, w, e, p: int, v,
+                    left=((0, 1),), c=1) -> None:
     """out += left * (w * y^e * v) * c, for normal words w, v, an exponent
-    tuple e, a rational c and left the monomials (exponents, or None when
-    all are 0; rational) of a coefficient, into the flat sum out:
-    (word, exponents) -> rational.  Each term y^g u of w * y^e (the
-    `S._poly_cache` entry) is followed by u * v: the `_word_times_word`
-    entry with its exponents shifted by g, or u v itself when the last
-    letter of u is not above the first letter of v; each term of it is
-    summed straight into out once per left monomial."""
-    cur = _word_times_monomial(S, w, e) if w and any(e) else ((w, e, 1),)
+    tuple e and its packed exponents p, a rational c and left the
+    monomials (packed exponents, rational) of a coefficient, into the sum
+    out grouped by word: word -> packed exponents -> rational.  Each term
+    y^g u of w * y^e (the `S._poly_cache` entry) is followed by u * v:
+    the `_word_times_word` entry with its exponents shifted by g, or u v
+    itself when the last letter of u is not above the first letter of v;
+    each term of it is summed straight into out once per left monomial."""
+    cur = _word_times_monomial(S, w, e) if w and p else ((w, p, 1),)
     for u, g, x in cur:
         x *= c
         if v and u and u[-1] > v[0]:
             for u2, h, y in _word_times_word(S, u, v):
-                g2, y = tuple(map(add, g, h)) if any(h) else g, x * y
+                g2, y = g + h, x * y
+                sums = out.setdefault(u2, {})
                 for f, a in left:
-                    key, a = (u2, g2) if f is None else (u2, tuple(map(add, f, g2))), a * y
-                    out[key] = out[key] + a if key in out else a
+                    key, a = f + g2, a * y
+                    sums[key] = sums[key] + a if key in sums else a
         else:
-            u2 = u + v
+            sums = out.setdefault(u + v, {})
             for f, a in left:
-                key, a = (u2, g) if f is None else (u2, tuple(map(add, f, g))), a * x
-                out[key] = out[key] + a if key in out else a
+                key, a = f + g, a * x
+                sums[key] = sums[key] + a if key in sums else a
 
 
 def _word_times_word(S: LieRinehartAlgebra, u, v):
     """Normal form of (u * v) for normal words u, v with u[-1] > v[0], as
-    an iterable of (word, exponents, rational) triples.
+    an iterable of (word, packed exponents, rational) triples.
 
     A one-letter v reads `_word_times_gen`'s entry (u, v[0]).  A longer v
     is memoized per structure in `S._word_cache` under (u, v), as one flat
-    tuple (u0, e0, x0, u1, e1, x1, ...) whose words and exponent tuples
+    tuple (u0, p0, x0, u1, p1, x1, ...) whose words and packed exponents
     are interned through `S._word_pool`, so equal ones in different
     entries are one object.  A miss walks v into u one letter at a time
-    by `_word_times_gen`; once a word's last letter is not above the next
-    letter of v, the rest of v is appended without rewriting."""
+    by `_word_times_gen`, checking each summed exponent (see `_Packing`);
+    once a word's last letter is not above the next letter of v, the
+    rest of v is appended without rewriting."""
     if len(v) == 1:
         return _word_times_gen(S, u, v[0])
     memo = S._word_cache
     hit = memo.get((u, v))
     if hit is None:
-        cur = (((u, (0,) * S.algebra.ngens), 1),)
-        done: dict = {}
+        pack = _packing(S.algebra)
+        cur = ((u, 0, 1),)
+        done: dict = {}  # word -> packed exponents -> rational
         for t, letter in enumerate(v):
             nxt: dict = {}
-            for (w, g), x in cur:
+            for w, g, x in cur:
                 if w and w[-1] > letter:
                     for w2, h, y in _word_times_gen(S, w, letter):
-                        key, y = (w2, tuple(map(add, g, h)) if any(h) else g), x * y
-                        nxt[key] = nxt[key] + y if key in nxt else y
+                        _sum_into(nxt, w2, pack.checked(g + h), x * y)
                 else:
-                    key = (w + v[t:], g)
-                    done[key] = done[key] + x if key in done else x
-            cur = nxt.items()
-        for key, x in cur:
-            done[key] = done[key] + x if key in done else x
+                    _sum_into(done, w + v[t:], g, x)
+            cur = [(w, g, x) for w, sums in nxt.items() for g, x in sums.items() if x]
+        for w, g, x in cur:
+            _sum_into(done, w, g, x)
         pool = S._word_pool
         flat = []
-        for (w, g), x in done.items():
-            if x:
-                flat += (pool.setdefault(w, w), pool.setdefault(g, g),
-                         x.numerator if x.denominator == 1 else x)
+        for w, g, x in _frozen(pack, done):
+            flat += (pool.setdefault(w, w), pool.setdefault(g, g), x)
         hit = memo[(u, v)] = tuple(flat)
     it = iter(hit)
     return zip(it, it, it)
@@ -205,16 +318,18 @@ def _word_times_word(S: LieRinehartAlgebra, u, v):
 def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict,
                   d_left: int = 1, d_right: int = 1) -> None:
     """out += d_left d_right times the product of two sums of terms (word
-    -> LaurentPoly), as a flat sum (see the module docstring), for d_left
-    and d_right common denominators of their coefficients:
+    -> LaurentPoly), as a sum grouped by word (see the module docstring),
+    for d_left and d_right common denominators of their coefficients:
     (a w)(c y^e v) = c a (w y^e v) for each monomial c y^e of the right
     coefficient; coefficients stay on the left."""
-    right = [(v, _cleared(b.terms, d_right).items()) for v, b in right.items()]
+    pack = _packing(S.algebra)
+    right = [(v, [(e, pack[e], c) for e, c in _cleared(b.terms, d_right).items()])
+             for v, b in right.items()]
     for w, a in left.items():
-        a = [(f if any(f) else None, x) for f, x in _cleared(a.terms, d_left).items()]
+        a = [(pack[f], x) for f, x in _cleared(a.terms, d_left).items()]
         for v, b in right:
-            for e, c in b:
-                _word_poly_word(out, S, w, e, v, a, c)
+            for e, p, c in b:
+                _word_poly_word(out, S, w, e, p, v, a, c)
 
 
 def _is_one(u: "EnvElement") -> bool:
@@ -224,7 +339,7 @@ def _is_one(u: "EnvElement") -> bool:
 
 
 def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> tuple:
-    """Normal form of (word * e_i), as (word, exponents, rational)
+    """Normal form of (word * e_i), as (word, packed exponents, rational)
     triples.  Cached per structure under (word, i).
 
     With j the last letter of the word and head the rest (j > i),
@@ -238,7 +353,7 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> tuple:
     of each bracket coefficient, by `_word_poly_word` straight into the
     entry's sum, the path the product takes."""
     if not word or word[-1] <= i:
-        return ((word + (i,), (0,) * S.algebra.ngens, 1),)
+        return ((word + (i,), 0, 1),)
     cache = S._nf_cache
     hit = cache.get((word, i))
     if hit is not None:
@@ -246,17 +361,17 @@ def _word_times_gen(S: LieRinehartAlgebra, word, i: int) -> tuple:
     k = len(word) - 1
     while k and word[k - 1] > i and (word[:k], i) not in cache:
         k -= 1
+    pack = _packing(S.algebra)
     for n in range(k + 1, len(word) + 1):
         head, j = word[:n - 1], word[n - 1]
-        acc: dict = {}  # (word, exponents) -> rational
+        acc: dict = {}  # word -> packed exponents -> rational
         for u, g, x in _word_times_gen(S, head, i):
             for v, h, y in _word_times_gen(S, u, j):
-                key, y = (v, tuple(map(add, g, h)) if any(h) else g), x * y
-                acc[key] = acc[key] + y if key in acc else y
+                _sum_into(acc, v, g + h, x * y)
         for letter, b in S.bracket_of_basis(j, i).terms.items():
             for e, c in b.terms.items():
-                _word_poly_word(acc, S, head, e, (letter,), c=c)
-        cache[(word[:n], i)] = _frozen(acc)
+                _word_poly_word(acc, S, head, e, pack[e], (letter,), c=c)
+        cache[(word[:n], i)] = _frozen(pack, acc)
     return cache[(word, i)]
 
 

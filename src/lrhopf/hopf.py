@@ -13,20 +13,24 @@ leg w y^e v is a product in the enveloping algebra itself.  The tensor
 layer sums exactly as the enveloping product does (see `enveloping`),
 at a cost that follows the terms it sums.  The leg products are
 memoized per structure, for every number of legs, in rows: (e, v) -> w
--> the (word, exponents, rational) triples that the rewriting memos
-hold, each word wrapped in a one-word tuple, so that the entry of leg 0
-is already a list of partial terms (word tuple, concatenated exponents,
-rational).  A later leg extends a partial term by zs + z, g + h, the
-last leg is summed straight into the sum, and the monomials of c
-multiply in there.  The kernel `_form_sums` multiplies two operand
-forms built from a denominator and (word tuple, cleared monomials)
-pairs: on the left (`_left_form`) the terms' monomials, on the right
-(`_right_form`) per monomial the leg memo's rows for its exponents cut
-into legs, so that a leg is one word looked up in a row.  A tensor keeps
+-> the (word, packed exponents, rational) triples that the rewriting
+memos hold, each word wrapped in a one-word tuple, so that the entry of
+leg 0 is already a list of partial terms (word tuple, packed exponents
+of the concatenated legs, rational).  A later leg l extends a partial
+term by zs + z, g + (h << s_l), s_l the shift that moves leg l's
+exponents into their fields (`_leg_shift`, see `enveloping`); the last
+leg is summed straight into the sum,
+and the monomials of c multiply in there.  The kernel `_form_sums`
+multiplies two operand forms built from a denominator and (word tuple,
+cleared monomials by packed exponents) pairs: on the left
+(`_left_form`) the terms' monomials, on the right (`_right_form`) per
+monomial the leg memo's rows for its exponents unpacked and cut into
+legs, so that a leg is one word looked up in a row.  A tensor keeps
 both forms on first use (`_as_left`, `_as_right`), which
-`_legwise_sums(t, s)` multiplies.  The kernel returns the one flat sum
-(word tuple, exponents) -> rational on integers, each operand's
-coefficients multiplied first by the lcm of their denominators (as
+`_legwise_sums(t, s)` multiplies.  The kernel returns one sum grouped
+by word tuple, word tuple -> packed exponents -> rational, on integers,
+each operand's coefficients multiplied first by the lcm of their
+denominators (as
 FLINT's fmpq_poly keeps an integer polynomial over one denominator), and
 the product of the two lcms; `_wrap` turns the sum into terms once,
 dividing each coefficient by it.  `TensorEnvElement.__mul__` wraps; the
@@ -55,7 +59,9 @@ a product in the enveloping algebra.  S(y^e w) is memoized per structure
 under (w, e) in `S._tensor_cache["antipode"]`: the entries S(w) = S(y^0 w)
 fill along prefixes by S(w l) = -e_l S(w), one product per new word, an
 entry with e != 0 costs one product S(w) S_A(y^e) when first missed, and
-an argument then costs one lookup per monomial.  These identities only
+an argument then costs one lookup per monomial, in the entry's terms
+with packed exponents, which `S._tensor_cache["antipode rows"]` keeps
+beside it.  These identities only
 regroup a product of letters and a coefficient and move a rational
 scalar out of it, so they hold by linearity and associativity alone:
 the antipode's Hopf properties (anti-multiplicativity, the convolution
@@ -72,12 +78,14 @@ complement w2, where mult is the product over letters l of
 binomial(count of l in w, count of l in w1).  `CoproductLikeMap._closed`
 gives it unwrapped: the lcm d of the argument's denominators and, per
 term a w, the splits of w with their multiplicities and the integer
-monomials of d coproduct_A(a); `__call__` wraps it, one LaurentPoly per
-distinct multiplicity of w, shared by its splits (a LaurentPoly is never
-mutated).  The multiplicative laws build no tensor: `_agrees` pops each
-monomial of the closed form of uv from the unwrapped sum of coproduct(u)
-coproduct(v), cross-multiplying the denominators, and requires every sum
-left to be 0; a random pair's coproducts go from the closed form
+monomials of d coproduct_A(a) by packed exponents, read from a per-map
+memo of each monomial's packed image; `__call__` unpacks and wraps it,
+one LaurentPoly per distinct multiplicity of w, shared by its splits (a
+LaurentPoly is never mutated).  The multiplicative laws build no tensor
+and pack nothing: `_agrees` pops, per word pair, the inner sum of the
+unwrapped coproduct(u) coproduct(v) and each monomial of the closed form
+of uv from it, cross-multiplying the denominators, and requires every
+sum left to be 0; a random pair's coproducts go from the closed form
 straight into the operand forms (`_closed_terms`).  The closed form is
 read on both sides, which stay independent: coproduct(uv) is read at the
 rewritten product uv, and coproduct(u) coproduct(v) comes from the
@@ -97,7 +105,8 @@ sums coproduct_A(a) times the image of w over the terms a w of its
 argument; as (Delta (x) id)(w0 (x) w1) = Delta(w0) (x) w1, apply_to_leg
 sums, over the terms c (w0 (x) w1), coproduct_A on that leg of c times
 the image of w_leg on legs leg and leg + 1, the other word alone on the
-remaining leg.  Both sum into one flat sum.  This
+remaining leg.  Both sum into one sum grouped by word tuple, p's
+packed exponents shifted past the legs before it.  This
 regroups the same product by associativity and moves a coefficient on
 the left into the coefficients, nothing else: it never uses the closed
 form, so both stay independent of the coproduct they check, and the
@@ -114,12 +123,10 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import add
 
 from . import sampling
 from .algebra import (
     LaurentPoly,
-    _add_into,
     _cleared,
     _common_denominator,
     antipode_morphism,
@@ -130,8 +137,8 @@ from .algebra import (
     tensor_embed,
     check_hopf_axioms,
 )
-from .enveloping import (EnvElement, _frozen, _normal_word, _product_into, _word_poly_word,
-                         _wrap)
+from .enveloping import (EnvElement, _frozen, _leg_shift, _normal_word, _packing,
+                         _product_into, _word_poly_word, _wrap)
 from .lie_rinehart import (Combination, LieRinehartAlgebra, _add_term, check_bi_lr,
                            signed_sum)
 from .report import Report, shared
@@ -170,11 +177,11 @@ def tensor_power_structure(S: LieRinehartAlgebra, k: int) -> LieRinehartAlgebra:
 
 class _LegRow(dict):
     """One row of the leg memo: w -> the normal form of w y^e v in the
-    structure, for one (e, v), as ((word,), exponents, rational) triples,
-    the word wrapped in a one-word tuple so that the entries of leg 0 are
-    already partial terms.  A miss sums w y^e v with `_word_poly_word`
-    into a fresh flat sum, the kernel of the enveloping product, and
-    keeps it frozen."""
+    structure, for one (e, v), as ((word,), packed exponents, rational)
+    triples, the word wrapped in a one-word tuple so that the entries of
+    leg 0 are already partial terms.  A miss sums w y^e v with
+    `_word_poly_word` into a fresh sum, the kernel of the enveloping
+    product, and keeps it frozen."""
 
     __slots__ = ("S", "e", "v")
 
@@ -183,32 +190,33 @@ class _LegRow(dict):
 
     def __missing__(self, w):
         acc: dict = {}
-        _word_poly_word(acc, self.S, w, self.e, self.v)
-        entry = self[w] = tuple(((u,), g, x) for u, g, x in _frozen(acc))
+        _word_poly_word(acc, self.S, w, self.e, _packing(self.S.algebra)[self.e], self.v)
+        entry = self[w] = tuple(((u,), g, x) for u, g, x in _frozen(_packing(self.S.algebra), acc))
         return entry
 
 
 def _left_form(d: int, terms) -> tuple:
     """The left operand of `_form_sums` from the lcm d of its denominators
-    and its (word tuple, d times the coefficient's terms) pairs: per term,
-    (word tuple, [(exponents, or None when all are 0; rational)])."""
-    return d, [(ws, [(e if any(e) else None, x) for e, x in monomials.items()])
-               for ws, monomials in terms]
+    and its (word tuple, d times the coefficient's terms, packed exponents
+    -> int) pairs: per term, (word tuple, [(packed exponents, int)])."""
+    return d, [(ws, list(monomials.items())) for ws, monomials in terms]
 
 
 def _right_form(S: LieRinehartAlgebra, legs: int, d: int, terms) -> tuple:
     """The right operand of `_form_sums` from the pairs `_left_form` takes:
-    d and, per monomial of every term, (its rational, the leg memo's rows
-    for its exponents cut into legs and the words of the term)."""
+    d, per monomial of every term (its rational, the leg memo's rows for
+    its exponents unpacked and cut into legs and the words of the term),
+    and each leg's shift."""
     memo = S._tensor_cache.get("legs")
     if memo is None:
         memo = S._tensor_cache["legs"] = {}
     n = S.algebra.ngens
+    unpack = _packing(S.algebra.tensor_power(legs)).unpack
     cuts = [slice(l * n, (l + 1) * n) for l in range(legs)]
     monomials = []
     for ws, cleared in terms:
-        for e, x in cleared.items():
-            rows = []
+        for p, x in cleared.items():
+            e, rows = unpack[p], []
             for cut, v in zip(cuts, ws):
                 key = (e[cut], v)
                 row = memo.get(key)
@@ -216,14 +224,16 @@ def _right_form(S: LieRinehartAlgebra, legs: int, d: int, terms) -> tuple:
                     row = memo[key] = _LegRow(S, *key)
                 rows.append(row)
             monomials.append((x, rows))
-    return d, monomials
+    return d, monomials, [_leg_shift(S.algebra, l) for l in range(legs)]
 
 
 def _tensor_terms(t: TensorEnvElement) -> tuple:
     """The lcm d of t's denominators and t's (word tuple, cleared
-    monomials) pairs."""
+    monomials by packed exponents) pairs."""
     d = _common_denominator(t.terms.values())
-    return d, ((ws, _cleared(c.terms, d)) for ws, c in t.terms.items())
+    pack = _packing(t.algebra)
+    return d, ((ws, {pack[e]: x for e, x in _cleared(c.terms, d).items()})
+               for ws, c in t.terms.items())
 
 
 def _as_left(t: TensorEnvElement) -> tuple:
@@ -252,31 +262,34 @@ def _legwise_sums(t: TensorEnvElement, s: TensorEnvElement) -> tuple:
 
 def _form_sums(left: tuple, right: tuple, legs: int) -> tuple:
     """The product of two operand forms with `legs` legs (see the module
-    docstring): the flat sum (word tuple, exponents) -> rational and the
-    denominator that divides it.  Each leg's entry is one lookup in a row
-    the right monomial prepared; a partial term (word tuple, concatenated
-    exponents, rational) extends leg by leg, and the last leg is summed
-    straight into the sum with the left monomials, as in `_product_into`."""
+    docstring): the sum grouped by word tuple, word tuple -> packed
+    exponents -> rational, and the denominator that divides it.  Each
+    leg's entry is one lookup in a row the right monomial prepared; a
+    partial term (word tuple, packed exponents, rational) extends leg by
+    leg, the exponents of leg l shifted into its fields, and the last leg
+    is summed straight into the sum with the left monomials, as in
+    `_product_into`."""
     d_t, left = left
-    d_s, right = right
+    d_s, right, shifts = right
     middle = tuple(range(1, legs - 1))  # the legs between the first and the last
-    sums: dict = {}  # (word tuple, exponents) -> rational
+    shift = shifts[-1]
+    sums: dict = {}
     for ws, a in left:
         w0, wl = ws[0], ws[-1]
         for q, rows in right:
             # distinct terms of each leg give distinct partial terms
             partial = rows[0][w0]
             for l in middle:
-                partial = [(zs + z, g + h, x * y) for zs, g, x in partial
+                partial = [(zs + z, g + (h << shifts[l]), x * y) for zs, g, x in partial
                            for z, h, y in rows[l][ws[l]]]
             last = rows[-1][wl]
             for zs, g, x in partial:
                 x *= q
                 for z, h, y in last:
-                    zs2, gh, y = zs + z, g + h, x * y
+                    terms, gh, y = sums.setdefault(zs + z, {}), g + (h << shift), x * y
                     for f, c in a:
-                        key, c = (zs2, gh) if f is None else (zs2, tuple(map(add, f, gh))), c * y
-                        sums[key] = sums[key] + c if key in sums else c
+                        key, c = f + gh, c * y
+                        terms[key] = terms[key] + c if key in terms else c
     return sums, d_t * d_s
 
 
@@ -291,18 +304,25 @@ def _closed_terms(closed: tuple) -> tuple:
 
 def _agrees(closed: tuple, sums: dict, d: int) -> bool:
     """Whether the closed form (d_c, terms) of `CoproductLikeMap._closed`
-    equals the flat sum `sums` over d of `_form_sums`, neither built: each
-    key's x mult / d_c is cross-multiplied with the sum popped there, and
-    what is left must have cancelled to 0.  Empties `sums` of those keys."""
+    equals the grouped sum `sums` over d of `_form_sums`, neither built:
+    per word pair, its inner sum is popped, each monomial's x mult / d_c
+    is cross-multiplied with the value popped from it, and what is left
+    must have cancelled to 0.  Empties `sums` of those word pairs."""
     d_c, terms = closed
     pop = sums.pop
     for splits, monomials in terms:
         for key, mult in splits:
+            # a closed-form term has a nonzero monomial on every split
+            got = pop(key, None)
+            if got is None:
+                return False
             mult *= d
             for e, x in monomials.items():
-                if pop((key, e), 0) * d_c != x * mult:
+                if got.pop(e, 0) * d_c != x * mult:
                     return False
-    return not any(sums.values())
+            if got and any(got.values()):
+                return False
+    return not any(any(got.values()) for got in sums.values())
 
 
 class TensorEnvElement(Combination):
@@ -428,6 +448,8 @@ class CoproductLikeMap:
             for i, img in enumerate(images)
         )
         self._splits = {}
+        # exponents e -> coproduct_A(y^e) as (packed exponents, int) pairs
+        self._images = {}
         # word -> the legwise product of its letter images (see _word_image)
         self._products = {(): TensorEnvElement._trusted(S, {((), ()): one}, 2)}
 
@@ -438,6 +460,7 @@ class CoproductLikeMap:
             return self.by_rewriting(u)
         d, closed = self._closed(u)
         A2 = self.S.algebra.tensor_power(2)
+        unpack = _packing(A2).unpack
         # a split's words concatenate to its word, so nothing sums; the splits
         # of one multiplicity share a LaurentPoly, which is never mutated
         terms: dict = {}
@@ -446,9 +469,10 @@ class CoproductLikeMap:
             for key, mult in splits:
                 image = scaled.get(mult)
                 if image is None:
-                    q = monomials if mult == 1 else {e: x * mult for e, x in monomials.items()}
-                    if d != 1:
-                        q = {e: Fraction(x, d) if x % d else x // d for e, x in q.items()}
+                    q = {}
+                    for e, x in monomials.items():
+                        x *= mult
+                        q[unpack[e]] = x if d == 1 else Fraction(x, d) if x % d else x // d
                     image = scaled[mult] = LaurentPoly._trusted(A2, q)
                 terms[key] = image
         return TensorEnvElement._trusted(self.S, terms, 2)
@@ -456,18 +480,25 @@ class CoproductLikeMap:
     def _closed(self, u: EnvElement) -> tuple:
         """The standard coproduct of u unwrapped: the lcm d of u's
         denominators and, per term a w, (w's splits with their
-        multiplicities, d coproduct_A(a) as exponents -> int).  Nothing
-        cancels: a primitive's exponent is the sum of its legs', a
-        group-like's that of either leg."""
+        multiplicities, d coproduct_A(a) as packed exponents -> int).
+        Nothing sums: the images of distinct monomials are disjoint, as a
+        primitive's exponent is the sum of its legs', a group-like's that
+        of either leg."""
         d = _common_denominator(u.terms.values())
-        image = self.delta_A._monomial_image
+        images = self._images
         closed = []
         for w, a in u.terms.items():
-            monomials: dict = {}
-            for e, x in _cleared(a.terms, d).items():
-                _add_into(monomials, image(e).terms, x)
+            monomials = {g: x * y for e, x in _cleared(a.terms, d).items()
+                         for g, y in images.get(e) or self._image(e)}
             closed.append((self._word_splits(w), monomials))
         return d, closed
+
+    def _image(self, e) -> tuple:
+        """coproduct_A(y^e) as (packed exponents, int) pairs, kept per map."""
+        pack = _packing(self.S.algebra.tensor_power(2))
+        image = self._images[e] = tuple(
+            (pack[g], y) for g, y in self.delta_A._monomial_image(e).terms.items())
+        return image
 
     def _word_splits(self, w):
         """The closed-form coproduct of a normal word: every split into a
@@ -533,22 +564,23 @@ def _check_leg(t: TensorEnvElement, leg) -> None:
 def _multiply_out(S, legs: int, parts) -> TensorEnvElement:
     """The sum over `parts` (coefficient c, words before, two-leg tensor p,
     words after) of c times p with the words before and after alone on
-    the legs either side of p's two, their exponents padded with zeros.
-    The monomials of c multiply in on the left as p's terms are summed,
-    into one flat sum wrapped once."""
-    n = S.algebra.ngens
-    sums: dict = {}  # (word tuple, exponents) -> rational
+    the legs either side of p's two, p's packed exponents shifted past
+    the legs before.  The monomials of c multiply in on the left as p's
+    terms are summed, into one sum grouped by word tuple wrapped once."""
+    A = S.algebra
+    pack, pack2 = _packing(A.tensor_power(legs)), _packing(A.tensor_power(2))
+    sums: dict = {}  # word tuple -> packed exponents -> rational
     for c, before, p, after in parts:
-        pad_before, pad_after = (0,) * (n * len(before)), (0,) * (n * len(after))
-        c = [(f if any(f) else None, x) for f, x in c.terms.items()]
+        shift = _leg_shift(A, len(before))
+        c = [(pack[f], x) for f, x in c.terms.items()]
         for ws, q in p.terms.items():
-            ws = before + ws + after
+            terms = sums.setdefault(before + ws + after, {})
             for g, y in q.terms.items():
-                g = pad_before + g + pad_after
+                g = pack2[g] << shift
                 for f, x in c:
-                    key, x = (ws, g) if f is None else (ws, tuple(map(add, f, g))), x * y
-                    sums[key] = sums[key] + x if key in sums else x
-    return TensorEnvElement._trusted(S, _wrap(S.algebra.tensor_power(legs), sums), legs)
+                    key, x = f + g, x * y
+                    terms[key] = terms[key] + x if key in terms else x
+    return TensorEnvElement._trusted(S, _wrap(A.tensor_power(legs), sums), legs)
 
 
 def standard_coproduct(S: LieRinehartAlgebra) -> CoproductLikeMap:
@@ -592,13 +624,14 @@ def _antipode_entry(S: LieRinehartAlgebra, memo: dict, w, e) -> EnvElement:
 
 def antipode(u: EnvElement) -> EnvElement:
     """The sum of c S(y^e w) over the monomials c y^e of each term of u,
-    read from the memo, in one flat sum wrapped once; a single monomial
-    with c = 1 is the memo entry itself."""
+    read from the memo's packed rows, in one sum grouped by word wrapped
+    once; a single monomial with c = 1 is the memo entry itself."""
     S = _enveloping(u).structure
     memo = S._tensor_cache.get("antipode")
     if memo is None:
         antipode_morphism(S.algebra)  # refuses an A with an unmarked generator
         memo = S._tensor_cache["antipode"] = {((), (0,) * S.algebra.ngens): EnvElement.one(S)}
+        S._tensor_cache["antipode rows"] = {}
     terms = u.terms
     if len(terms) == 1:
         (w, a), = terms.items()
@@ -606,14 +639,23 @@ def antipode(u: EnvElement) -> EnvElement:
             (e, c), = a.terms.items()
             if c == 1:
                 return _antipode_entry(S, memo, w, e)
+    # (w, e) -> the terms of S(y^e w) as (word, ((packed exponents, rational), ...))
+    rows = S._tensor_cache["antipode rows"]
     d = _common_denominator(terms.values())
-    sums: dict = {}  # (word, exponents) -> rational
+    sums: dict = {}  # word -> packed exponents -> rational
     for w, a in terms.items():
         for e, c in _cleared(a.terms, d).items():
-            for v, p in _antipode_entry(S, memo, w, e).terms.items():
-                for g, x in p.terms.items():
-                    key, x = (v, g), x * c
-                    sums[key] = sums[key] + x if key in sums else x
+            row = rows.get((w, e))
+            if row is None:
+                pack = _packing(S.algebra)
+                row = rows[(w, e)] = tuple(
+                    (v, tuple((pack[g], x) for g, x in p.terms.items()))
+                    for v, p in _antipode_entry(S, memo, w, e).terms.items())
+            for v, monomials in row:
+                got = sums.setdefault(v, {})
+                for g, x in monomials:
+                    x *= c
+                    got[g] = got[g] + x if g in got else x
     return EnvElement._trusted(S, _wrap(S.algebra, sums, d))
 
 
@@ -640,7 +682,7 @@ def antipode_convolution(t: TensorEnvElement, leg: int) -> EnvElement:
     A = S.algebra
     n = A.ngens
     d = _common_denominator(t.terms.values())
-    sums: dict = {}  # (word, exponents) -> rational
+    sums: dict = {}  # word -> packed exponents -> rational
     for (w1, w2), c in t.terms.items():
         for exps, q in _cleared(c.terms, d).items():
             # q rides on the leg the antipode leaves, so the other is a memo entry

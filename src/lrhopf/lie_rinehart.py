@@ -80,8 +80,9 @@ class Combination:
     zeros.  Arithmetic builds its results with `_trusted`, which stores a
     dict that already satisfies the invariant without looking at it again;
     `terms` is never mutated once wrapped.  A product sums its partial
-    terms flat (see the `enveloping` module docstring) and wraps the sum
-    once, with `_wrap` and then `_trusted`.
+    terms grouped by word, with packed exponents (see the `enveloping`
+    module docstring), and wraps the sum once, with `_wrap` and then
+    `_trusted`.
 
     A subclass may add one slot, named by `_shape` and fixed at
     construction.  Operands must agree on it (tensors with different
@@ -312,9 +313,9 @@ class LieRinehartAlgebra:
         self.anchor = anchor
         # the rewriting memos of the enveloping algebra, filled lazily (see
         # lrhopf.enveloping): (word, letter) -> word * e_letter and (word,
-        # exponents) -> word * y^e as (word, exponents, rational) triples,
-        # (u, v) -> u * v as one flat tuple, its words and exponents
-        # interned through the pool
+        # exponents) -> word * y^e as (word, packed exponents, rational)
+        # triples, (u, v) -> u * v as one flat tuple, its words and packed
+        # exponents interned through the pool
         self._nf_cache = {}
         self._poly_cache = {}
         self._word_cache = {}

@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from lrhopf.cli import (MAX_COPRODUCT_DEGREE, MAX_COPRODUCT_TERMS, MAX_DEGREE, MAX_SAMPLES,
-                        MAX_WORD_PAIRS, _refuse_huge, _refuse_huge_coproduct, build_parser,
-                        main)
+from lrhopf.cli import (MAX_COPRODUCT_DEGREE, MAX_COPRODUCT_TERMS, MAX_DEGREE,
+                        MAX_PBW_LAYER_WORDS, MAX_SAMPLES, MAX_WORD_PAIRS, PBW_LAYERS,
+                        _refuse_huge, _refuse_huge_coproduct, build_parser, main)
 from lrhopf.dsl import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
 from conftest import fixture_path, run_python
@@ -393,6 +393,31 @@ def test_the_ceilings_admit_the_largest_requests_in_use():
     with pytest.raises(ValueError):
         _refuse_huge(build_parser().parse_args(["check-hopf", "gl3.lra", "--max-word", "4"]), gl3)
     _refuse_huge(build_parser().parse_args(["check-hopf", "gl3.lra", "--max-degree", "2"]), gl3)
+
+
+def test_pbw_is_bounded_by_its_layer_law_not_by_word_pairs(tmp_path):
+    # pbw runs no word x word law: the word-pair ceiling, which refused it
+    # at its defaults from gl4 on, bounds check-hopf and probe-conjecture
+    # alone; pbw's own ceiling counts the words its layer law multiplies out
+    from lrhopf.dsl import parse_structure_file
+    from make_gln import gln_text
+
+    parse = build_parser().parse_args
+    gl4 = parse_structure_file(gln_text(4)).build()[0]
+    assert math.comb(16 + PBW_LAYERS, 16) - 1 <= MAX_PBW_LAYER_WORDS
+    _refuse_huge(parse(["pbw", "gl4.lra"]), gl4)
+    _refuse_huge(parse(["pbw", "gl3.lra"]), _gl3())
+    for command in ("check-hopf", "probe-conjecture"):
+        with pytest.raises(ValueError, match="pairs of normal words"):
+            _refuse_huge(parse([command, "gl4.lra", "--max-word", "3"]), gl4)
+    # gl6: 749,397 words, refused before the battery starts, in one line
+    path = tmp_path / "gl6.lra"
+    path.write_text(gln_text(6), encoding="utf-8")
+    done = run_python("-m", "lrhopf.cli", "pbw", str(path), timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: pbw's layer law would multiply out 749397 normal words on "
+                           f"this structure (rank 36), above the ceiling of "
+                           f"{MAX_PBW_LAYER_WORDS}\n")
 
 
 def _parsed(name, expr):

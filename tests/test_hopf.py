@@ -28,7 +28,7 @@ from lrhopf import hopf
 from lrhopf.algebra import counit_morphism, spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_env_element, parse_structure_file
-from lrhopf.enveloping import _wrap
+from lrhopf.enveloping import _packing, _wrap
 from lrhopf.hopf import (_agrees, _closed_terms, _form_sums, _left_form, _legwise_sums,
                          _right_form, _unit_words, antipode_convolution, counit_collapse,
                          standard_coproduct, tensor_power_structure)
@@ -632,7 +632,10 @@ def test_a_corrupt_closed_form_image_fails_the_multiplicative_law(monkeypatch, n
 
     def corrupt(self, u):
         d, terms = closed(self, u)
-        return d, [(splits, {e: 2 * x if sum(e) == 2 else x for e, x in monomials.items()})
+        # the closed form's monomials are keyed by packed exponents
+        unpack = _packing(self.S.algebra.tensor_power(2)).unpack
+        return d, [(splits, {e: 2 * x if sum(unpack[e]) == 2 else x
+                             for e, x in monomials.items()})
                    for splits, monomials in terms]
 
     monkeypatch.setattr(CoproductLikeMap, "_closed", corrupt)

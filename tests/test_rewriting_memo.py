@@ -23,7 +23,7 @@ from lrhopf import (
     check_hopf_lr,
 )
 from lrhopf.dsl import parse_structure_file
-from lrhopf.enveloping import _word_times_word
+from lrhopf.enveloping import _packing, _word_times_word
 from lrhopf.sampling import make_rng, random_env_element, random_poly
 
 from conftest import FIXTURES, FRACTIONAL, build_a_valued, read_fixture
@@ -99,9 +99,11 @@ def _flat(terms: dict) -> dict:
 def test_word_times_word_matches_the_letter_by_letter_oracle(name):
     S = _fresh(name)
     one = S.algebra.one()
+    unpack = _packing(S.algebra).unpack
     for u, v in _descents(S):
         got: dict = {}
-        for w, e, x in _word_times_word(S, u, v):
+        for w, p, x in _word_times_word(S, u, v):
+            e = unpack[p]
             assert (w, e) not in got, f"{name}: {u} times {v} repeats {(w, e)}"
             got[(w, e)] = x
         want = oracle.product(EnvElement(S, {u: one}), EnvElement(S, {v: one}))
@@ -147,18 +149,21 @@ def test_word_memo_entries_are_flat_canonical_and_interned(name):
     memo = S._word_cache
     assert memo or S.rank == 1
     n = S.algebra.ngens
+    pack = _packing(S.algebra)
     interned: dict = {}
     for (u, v), entry in memo.items():
         assert len(v) > 1 and u[-1] > v[0]
         assert type(entry) is tuple and len(entry) % 3 == 0
         triples = list(zip(*[iter(entry)] * 3))
-        assert len({(w, e) for w, e, _ in triples}) == len(triples)
-        for w, e, x in triples:
+        assert len({(w, p) for w, p, _ in triples}) == len(triples)
+        for w, p, x in triples:
             assert type(w) is tuple and w == tuple(sorted(w))
-            assert type(e) is tuple and len(e) == n
+            # a packed exponent vector: an int whose unpacked tuple packs back to it
+            e = pack.unpack[p]
+            assert type(p) is int and type(e) is tuple and len(e) == n and pack[e] == p
             assert (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
-            # equal words (and exponent tuples) anywhere in the memo are one object
-            assert interned.setdefault(w, w) is w and interned.setdefault(e, e) is e
+            # equal words (and packed exponents) anywhere in the memo are one object
+            assert interned.setdefault(w, w) is w and interned.setdefault(p, p) is p
 
 
 def test_a_long_word_times_a_letter_stays_out_of_the_word_memo():

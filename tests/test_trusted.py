@@ -40,6 +40,7 @@ from lrhopf.algebra import (  # noqa: E402
     tensor_embed,
 )
 from lrhopf.dsl import parse_env_element, parse_structure_file  # noqa: E402
+from lrhopf.enveloping import _packing  # noqa: E402
 from lrhopf.hopf import antipode_convolution, counit_collapse, standard_coproduct  # noqa: E402
 from lrhopf.sampling import make_rng, random_env_element  # noqa: E402
 
@@ -524,11 +525,15 @@ def test_rewriting_memos_hold_only_nonzero_canonical_triples(name):
             leg_entries.append(tuple((z[0], g, x) for z, g, x in entry))
     entries = list(S._nf_cache.values()) + list(S._poly_cache.values()) + leg_entries
     assert entries
+    # exponents are packed: an int whose unpacked tuple packs back to it
+    pack = _packing(S.algebra)
     for entry in entries:
         assert type(entry) is tuple and entry
-        assert len({(u, e) for u, e, _ in entry}) == len(entry)
-        for u, e, x in entry:
+        assert len({(u, p) for u, p, _ in entry}) == len(entry)
+        for u, p, x in entry:
+            e = pack.unpack[p]
             assert type(u) is tuple and u == tuple(sorted(u)) and len(e) == n
+            assert type(p) is int and pack[e] == p
             assert (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
 
 
