@@ -174,11 +174,8 @@ def _leg_shift(A, leg: int) -> int:
 def _sum_into(acc: dict, u, g: int, x) -> None:
     """acc += x y^g u, for a sum grouped by word: word -> packed exponents
     -> rational."""
-    sums = acc.get(u)
-    if sums is None:
-        acc[u] = {g: x}
-    else:
-        sums[g] = sums[g] + x if g in sums else x
+    sums = acc.setdefault(u, {})
+    sums[g] = sums[g] + x if g in sums else x
 
 
 def _word_times_monomial(S: LieRinehartAlgebra, word, e) -> tuple:
@@ -323,13 +320,12 @@ def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict,
     (a w)(c y^e v) = c a (w y^e v) for each monomial c y^e of the right
     coefficient; coefficients stay on the left."""
     pack = _packing(S.algebra)
-    right = [(v, [(e, pack[e], c) for e, c in _cleared(b.terms, d_right).items()])
-             for v, b in right.items()]
+    right = [(v, _cleared(b.terms, d_right).items()) for v, b in right.items()]
     for w, a in left.items():
         a = [(pack[f], x) for f, x in _cleared(a.terms, d_left).items()]
         for v, b in right:
-            for e, p, c in b:
-                _word_poly_word(out, S, w, e, p, v, a, c)
+            for e, c in b:
+                _word_poly_word(out, S, w, e, pack[e], v, a, c)
 
 
 def _is_one(u: "EnvElement") -> bool:

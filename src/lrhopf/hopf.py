@@ -189,9 +189,9 @@ class _LegRow(dict):
         self.S, self.e, self.v = S, e, v
 
     def __missing__(self, w):
-        acc: dict = {}
-        _word_poly_word(acc, self.S, w, self.e, _packing(self.S.algebra)[self.e], self.v)
-        entry = self[w] = tuple(((u,), g, x) for u, g, x in _frozen(_packing(self.S.algebra), acc))
+        pack, acc = _packing(self.S.algebra), {}
+        _word_poly_word(acc, self.S, w, self.e, pack[self.e], self.v)
+        entry = self[w] = tuple(((u,), g, x) for u, g, x in _frozen(pack, acc))
         return entry
 
 
@@ -317,6 +317,8 @@ def _agrees(closed: tuple, sums: dict, d: int) -> bool:
             if got is None:
                 return False
             mult *= d
+            if mult == d_c and got == monomials:  # equal over equal denominators
+                continue
             for e, x in monomials.items():
                 if got.pop(e, 0) * d_c != x * mult:
                     return False
@@ -569,9 +571,10 @@ def _multiply_out(S, legs: int, parts) -> TensorEnvElement:
     terms are summed, into one sum grouped by word tuple wrapped once."""
     A = S.algebra
     pack, pack2 = _packing(A.tensor_power(legs)), _packing(A.tensor_power(2))
+    shifts = [_leg_shift(A, l) for l in range(legs - 1)]
     sums: dict = {}  # word tuple -> packed exponents -> rational
     for c, before, p, after in parts:
-        shift = _leg_shift(A, len(before))
+        shift = shifts[len(before)]
         c = [(pack[f], x) for f, x in c.terms.items()]
         for ws, q in p.terms.items():
             terms = sums.setdefault(before + ws + after, {})
