@@ -8,40 +8,38 @@ product is computed one leg at a time with the structure's own rewriting:
     (c; w_0, .., w_{k-1})(q y^e_0 .. y^e_{k-1}; v_0, .., v_{k-1})
         = c q (w_0 y^e_0 v_0) (x) .. (x) (w_{k-1} y^e_{k-1} v_{k-1})
 
-for each monomial q y^e_0 .. y^e_{k-1} of the right coefficient, where each
-leg w y^e v is a product in the enveloping algebra itself.  The tensor
-layer sums exactly as the enveloping product does (see `enveloping`),
-at a cost that follows the terms it sums.  The leg products are
-memoized per structure, for every number of legs, in rows: (e, v) -> w
--> the (word, packed exponents, rational) triples that the rewriting
-memos hold, each word wrapped in a one-word tuple, so that the entry of
-leg 0 is already a list of partial terms (word tuple, packed exponents
-of the concatenated legs, rational).  A later leg l extends a partial
-term by zs + z, g + (h << s_l), s_l the shift that moves leg l's
+for each monomial q y^e_0 .. y^e_{k-1} of the right coefficient, where
+each leg w y^e v is a product in the enveloping algebra itself.  The
+tensor layer sums exactly as the enveloping product does (see
+`enveloping`), at a cost that follows the terms it sums.  The leg
+products are memoized per structure, for every number of legs, in rows:
+(e, v) -> w -> the (word, packed exponents, rational) triples that the
+rewriting memos hold, each word wrapped in a one-word tuple, so that the
+entry of leg 0 is already a list of partial terms (word tuple, packed
+exponents of the concatenated legs, rational).  A later leg l extends a
+partial term by zs + z, g + (h << s_l), s_l the shift that moves leg l's
 exponents into their fields (`_leg_shift`, see `enveloping`); the last
-leg is summed straight into the sum,
-and the monomials of c multiply in there.  The kernel `_form_sums`
-multiplies two operand forms built from a denominator and (word tuple,
-cleared monomials by packed exponents) pairs: on the left
-(`_left_form`) the terms' monomials, on the right (`_right_form`) per
-monomial the leg memo's rows for its exponents unpacked and cut into
-legs, so that a leg is one word looked up in a row.  A tensor keeps
-both forms on first use (`_as_left`, `_as_right`), which
-`_legwise_sums(t, s)` multiplies.  The kernel returns one sum grouped
-by word tuple, word tuple -> packed exponents -> rational, on integers,
-each operand's coefficients multiplied first by the lcm of their
-denominators (as
-FLINT's fmpq_poly keeps an integer polynomial over one denominator), and
-the product of the two lcms; `_wrap` turns the sum into terms once,
-dividing each coefficient by it.  `TensorEnvElement.__mul__` wraps; the
-multiplicative laws do not (see below).  The leg memo keeps its
-own rationals, so fractional structure constants still work; a Fraction
-then only reaches the sums through a leg.  Coefficients live in
-`A.tensor_power(k)`, which A builds once and keeps.  The same space is
-the enveloping algebra of `tensor_power_structure` (k commuting copies
-of the basis, copy c acting on leg c); nothing here uses it: it serves
-only the tests' flat oracle of the legwise product and of the one-leg
-application.
+leg is summed straight into the sum, and the monomials of c multiply in
+there.  The kernel `_form_sums` multiplies two operand forms built from
+a denominator and (word tuple, cleared monomials by packed exponents)
+pairs: on the left (`_left_form`) the terms' monomials, on the right
+(`_right_form`) per monomial the leg memo's rows for its exponents
+unpacked and cut into legs, so that a leg is one word looked up in a
+row.  A tensor keeps both forms on first use (`_as_left`, `_as_right`),
+which `_legwise_sums(t, s)` multiplies.  The kernel returns one sum
+grouped by word tuple, word tuple -> packed exponents -> rational, on
+integers, each operand's coefficients multiplied first by the lcm of
+their denominators (as FLINT's fmpq_poly keeps an integer polynomial
+over one denominator), and the product of the two lcms; `_wrap` turns
+the sum into terms once, dividing each coefficient by it.
+`TensorEnvElement.__mul__` wraps; the multiplicative laws do not (see
+below).  The leg memo keeps its own rationals, so fractional structure
+constants still work; a Fraction then only reaches the sums through a
+leg.  Coefficients live in `A.tensor_power(k)`, which A builds once and
+keeps.  The same space is the enveloping algebra of
+`tensor_power_structure` (k commuting copies of the basis, copy c acting
+on leg c); nothing here uses it: it serves only the tests' flat oracle
+of the legwise product and of the one-leg application.
 
 The structure maps:
   * a coefficient comultiplies through the generator markers of A;
