@@ -10,11 +10,12 @@ Exit status: 0 when all checks pass (or the value was computed), 1 when a
 check fails, 2 on input errors (a file that cannot be read or is not
 UTF-8, a parse error, a command that needs declarations the file does
 not provide, a sample count below 1 or a negative bound, a battery or
-a coproduct larger than its ceiling: see MAX_SAMPLES, MAX_WORD_PAIRS,
-MAX_PBW_WORD, MAX_PBW_LAYER_WORDS, MAX_DEGREE and MAX_COPRODUCT_TERMS), 3 on any
-other exception, which is a fault of lrhopf itself: it prints the one
-line `error: internal error: <exception type>: <message>` and no
-traceback.
+a coproduct or an antipode larger than its ceiling: see MAX_SAMPLES,
+MAX_WORD_PAIRS, MAX_PBW_WORD, MAX_PBW_LAYER_WORDS, MAX_DEGREE,
+MAX_COPRODUCT_TERMS and MAX_ANTIPODE_INVERSIONS, and an expression over the
+limits of `dsl`, MAX_INVERSIONS among them), 3 on any other exception,
+which is a fault of lrhopf itself: it prints the one line `error:
+internal error: <exception type>: <message>` and no traceback.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ MAX_WORD_PAIRS = 100_000
 # process on an x86_64 CPU the pbw battery took 2.0 s on gl4 (rank 16,
 # 20,348 words), 13.4 s on gl5 (rank 25, 142,505 words) and 71 s on gl6,
 # against a budget of 10 s; and at --max-word 5 it took 7.2 s on gl4 and
-# 3.5 s on gl3, at 6 14.9 s on gl3, at 40 61 s on aff2.
+# 3.5 s on gl3, at 6 14.9 s on gl3, at 40 61 s on aff2.  Since the layer
+# law builds each reversed product on the layer before's, gl5 took 8.0 s
+# where it had taken 16.7 s on the same host.
 PBW_LAYERS = 5
 MAX_PBW_LAYER_WORDS = 50_000
 MAX_PBW_WORD = 5
@@ -120,6 +123,16 @@ MAX_DEGREE = 10
 # coproduct_A(y^n) takes about n^2 big-integer steps.
 MAX_COPRODUCT_TERMS = 20_000
 MAX_COPRODUCT_DEGREE = 200
+# A ceiling on the argument of the antipode command, checked before it is
+# computed: the inversions of its words reversed (the pairs of letters out
+# of order), summed over the monomials c y^e of each term a w.  S(w)
+# reverses w and rewrites it back to normal form, at a cost that grows
+# steeply with the inversions, and each monomial of a costs one more
+# product S(w) S_A(y^e): on an x86_64 CPU, 400 took 0.26 s (e^20*f^20 on
+# sl2), 600 took 1.1 s and 1,536 took 12.9 s (E11^k*E12^k*E21^k*E22^k on
+# gl2, k = 10 and 16), and the 61 monomials of (1+y1)^60 on gl2's word of
+# 600 took 19 s.
+MAX_ANTIPODE_INVERSIONS = 800
 
 
 def _refuse_huge(args, S) -> None:
@@ -156,6 +169,17 @@ def _refuse_huge_coproduct(u) -> None:
     if size > MAX_COPRODUCT_TERMS:
         raise ValueError(f"a coproduct of up to {size} terms is above the ceiling of "
                          f"{MAX_COPRODUCT_TERMS}")
+
+
+def _refuse_huge_antipode(u) -> None:
+    inversions = 0
+    for w, a in u.terms.items():
+        runs = [len(list(run)) for _, run in itertools.groupby(w)]
+        pairs = math.comb(len(w), 2) - sum(math.comb(n, 2) for n in runs)
+        inversions += pairs * len(a.terms)
+    if inversions > MAX_ANTIPODE_INVERSIONS:
+        raise ValueError(f"an antipode with {inversions} letter pairs to reorder is above the "
+                         f"ceiling of {MAX_ANTIPODE_INVERSIONS}")
 
 
 def _int_at_least(low: int):
@@ -231,6 +255,7 @@ def _value(args, S) -> str:
     if args.command == "counit":
         return str(counit(u))
     if args.command == "antipode":
+        _refuse_huge_antipode(u)
         return str(antipode(u))
     raise AssertionError(args.command)
 

@@ -60,6 +60,21 @@ factor at a time, and the pairs of every factor so far count, so
 limits above, are refused at the operator (line:col) before the power's
 total work grows past the budget."""
 
+MAX_INVERSIONS = 5000
+"""Most letter pairs one product of enveloping algebra elements may have to
+reorder: summed over each pair of a term of the left factor and a term of
+the right one (a normal word with its coefficient), the pairs of a letter
+of the left word and a letter of the right word below it.  Rewriting
+swaps each such pair at least once, and a swap adds bracket terms that
+are rewritten in turn, so a product of reversed words can cost far more
+than its number of terms: on gl2 the second product of
+`E22^16*E21^16*E12^16*E11^16` has 6,528 such pairs and took 4.5 s, and
+its last 426,176; `h^40*f^40*e^40` on sl2 ran for 50 s, its last product
+having 98,400.  `x2^64*x1^64` on aff2 (4,096, 0.13 s) stays within the
+limit, and the products that MAX_TERMS refuses reach it first (2,300 for
+`(x1+x2)^100`).  Checked after MAX_TERMS, and refused at the operator
+(line:col)."""
+
 MAX_NESTING = 100
 """Deepest nesting of parentheses an expression may use.  The parser and
 the evaluator recurse once per level (long flat sums and products, and
@@ -274,6 +289,27 @@ def _count_pairs(left, right, where, used=0) -> int:
     return total
 
 
+def _count_inversions(left, right, where) -> None:
+    """Refuse at `where` the product `left * right` of enveloping algebra
+    elements when it has more than MAX_INVERSIONS letter pairs to reorder.
+    The count is bilinear in the letters, so it sums per letter: each
+    letter of the left words times the right words' letters below it."""
+    counts = []
+    for u in (left, right):
+        c = [0] * u.structure.rank
+        for w in u.terms:
+            for letter in w:
+                c[letter] += 1
+        counts.append(c)
+    total = below = 0
+    for above, under in zip(*counts):
+        total += above * below
+        below += under
+    if total > MAX_INVERSIONS:
+        _refuse(where, f"a product with {total} pairs of letters to reorder is above "
+                f"the limit of {MAX_INVERSIONS}")
+
+
 def _combine(op, left, right, where=None):
     if where is not None:
         length = _word_length_after(op, left, right)
@@ -288,6 +324,7 @@ def _combine(op, left, right, where=None):
         elif op == "mul":
             if isinstance(left, EnvElement) and isinstance(right, EnvElement):
                 _count_pairs(left, right, where)
+                _count_inversions(left, right, where)
             result = left * right
         elif isinstance(left, EnvElement) and right < 0 and not any(left.terms):
             # a pure coefficient (the empty word only): a unit has negative powers
@@ -298,6 +335,7 @@ def _combine(op, left, right, where=None):
             used = 0  # the factors share one budget
             for _ in range(right):
                 used = _count_pairs(result, left, where, used)
+                _count_inversions(result, left, where)
                 result = result * left
         else:
             result = left ** right

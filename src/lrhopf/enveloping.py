@@ -46,7 +46,7 @@ products made) and dies with it; none is module-level.
     product (`hopf`): (e, v) -> a row w -> w * y^e * v as triples whose
     words are wrapped in one-word tuples, ((word,), packed, rational);
   the antipode memo (`hopf`) sits on top: `S._tensor_cache["antipode"]`,
-  (w, e) -> S(y^e w) as an EnvElement, with its packed rows beside it.
+  (w, e) -> S(y^e w) as (word, packed exponents, rational) triples.
 
 Products sum one accumulator grouped by word as it goes, word -> packed
 exponents -> rational, from the rewriting memos up: `_word_poly_word`
@@ -57,7 +57,8 @@ times a rational, so no LaurentPoly and no dict is built for a partial
 term.  It is the one implementation of w y^e v: `_product_into` passes
 it the left coefficient's packed monomials and the right monomial's
 rational, the bracket term of `_word_times_gen` a bracket coefficient's
-rational, and the leg memo of `hopf` neither.  The sums run on integers:
+rational, the antipode memo and convolution of `hopf` a memo entry's
+terms, and the leg memo of `hopf` neither.  The sums run on integers:
 the product clears each operand's denominators by their lcm
 (`_common_denominator`, `_cleared` of `algebra`, the helpers the legwise
 tensor product uses too) and `_wrap` divides once per summed value,
@@ -313,7 +314,7 @@ def _word_times_word(S: LieRinehartAlgebra, u, v):
 
 
 def _product_into(out: dict, S: LieRinehartAlgebra, left: dict, right: dict,
-                  d_left: int = 1, d_right: int = 1) -> None:
+                  d_left: int, d_right: int) -> None:
     """out += d_left d_right times the product of two sums of terms (word
     -> LaurentPoly), as a sum grouped by word (see the module docstring),
     for d_left and d_right common denominators of their coefficients:
@@ -584,15 +585,22 @@ def check_pbw(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 500,
 
     report.law("random-associativity", range(samples), associative)
 
+    # the reversed products of the layer before: the reversed product of w
+    # is that of w[1:] times E(w[0]), associated as if multiplied out from
+    # 1; the last layer's are not kept
+    reversed_products = {(): EnvElement.one(S)}
+
     def layer(p):
+        nonlocal reversed_products
         words = list(itertools.combinations_with_replacement(range(m), p))
         expected = math.comb(p + m - 1, p)
         if len(words) != expected:
             return f"layer {p} has {len(words)} words, expected {expected}"
+        previous, reversed_products = reversed_products, {}
         for w in words:
-            product = EnvElement.one(S)
-            for letter in reversed(w):
-                product = product * E(letter)
+            product = previous[w[1:]] * E(w[0])
+            if p < max_layer:
+                reversed_products[w] = product
             top = product.filtration_layer(p)
             if top != EnvElement(S, {w: S.algebra.one()}):
                 return (

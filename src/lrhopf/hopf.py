@@ -20,18 +20,20 @@ exponents of the concatenated legs, rational).  A later leg l extends a
 partial term by zs + z, g + (h << s_l), s_l the shift that moves leg l's
 exponents into their fields (`_leg_shift`, see `enveloping`); the last
 leg is summed straight into the sum, and the monomials of c multiply in
-there.  The kernel `_form_sums` multiplies two operand forms built from
-a denominator and (word tuple, cleared monomials by packed exponents)
-pairs: on the left (`_left_form`) the terms' monomials, on the right
-(`_right_form`) per monomial the leg memo's rows for its exponents
-unpacked and cut into legs, so that a leg is one word looked up in a
-row.  A tensor keeps both forms on first use (`_as_left`, `_as_right`),
-which `_legwise_sums(t, s)` multiplies.  The kernel returns one sum
-grouped by word tuple, word tuple -> packed exponents -> rational, on
-integers, each operand's coefficients multiplied first by the lcm of
-their denominators (as FLINT's fmpq_poly keeps an integer polynomial
-over one denominator), and the product of the two lcms; `_wrap` turns
-the sum into terms once, dividing each coefficient by it.
+there.  The kernel `_form_sums` multiplies a left operand, a denominator
+and (word tuple, cleared monomials by packed exponents) pairs as
+`_tensor_terms` gives them for a tensor and `_closed_terms` for a closed
+form, by a right operand that `_right_form` builds from such pairs: per
+monomial, the leg memo's rows for its exponents unpacked and cut into
+legs, so that a leg is one word looked up in a row.  Nothing keeps an
+operand: `TensorEnvElement.__mul__` builds both per call, and the
+multiplicative law on words builds each unit word's two once (see
+below).  The kernel returns one sum grouped by word tuple, word tuple ->
+packed exponents -> rational, on integers, each operand's coefficients
+multiplied first by the lcm of their denominators (as FLINT's fmpq_poly
+keeps an integer polynomial over one denominator), and the product of
+the two lcms; `_wrap` turns the sum into terms once, dividing each
+coefficient by it.
 `TensorEnvElement.__mul__` wraps; the multiplicative laws do not (see
 below).  The leg memo keeps its own rationals, so fractional structure
 constants still work; a Fraction then only reaches the sums through a
@@ -54,16 +56,20 @@ The antipode of c y^e w, for a normal word w = e_{w_1} .. e_{w_L}, is
     S(c y^e w) = c S(w) S_A(y^e),   S(w) = (-1)^L e_{w_L} .. e_{w_1},
 
 a product in the enveloping algebra.  S(y^e w) is memoized per structure
-under (w, e) in `S._tensor_cache["antipode"]`: the entries S(w) = S(y^0 w)
-fill along prefixes by S(w l) = -e_l S(w), one product per new word, an
-entry with e != 0 costs one product S(w) S_A(y^e) when first missed, and
-an argument then costs one lookup per monomial, in the entry's terms
-with packed exponents, which `S._tensor_cache["antipode rows"]` keeps
-beside it.  These identities only
-regroup a product of letters and a coefficient and move a rational
-scalar out of it, so they hold by linearity and associativity alone:
-the antipode's Hopf properties (anti-multiplicativity, the convolution
-laws) are not used to compute it, and the battery still measures them.
+under (w, e) in `S._tensor_cache["antipode"]`, each entry a tuple of
+(word, packed exponents, rational) triples frozen as the rewriting memos
+are (`_frozen`, see `enveloping`), and each filled by `_word_poly_word`:
+the entries S(w) = S(y^0 w) along prefixes by S(w l) = -e_l S(w), one
+product per new word, and an entry with e != 0 by one product S(w)
+S_A(y^e) when first missed.  `antipode` then costs one lookup per
+monomial c y^e of its argument, summing c times the entry into one sum
+grouped by word wrapped once, and `antipode_convolution` multiplies each
+monomial's entry by the other leg through `_word_poly_word`, building no
+element per monomial.  These identities only regroup a product of
+letters and a coefficient and move a rational scalar out of it, so they
+hold by linearity and associativity alone: the antipode's Hopf
+properties (anti-multiplicativity, the convolution laws) are not used to
+compute it, and the battery still measures them.
 
 The standard coproduct is computed in closed form.  The two legs
 commute and the letter images carry no coefficients, so for a normal word
@@ -83,18 +89,19 @@ LaurentPoly is never mutated).  The multiplicative laws build no tensor
 and pack nothing: `_agrees` pops, per word pair, the inner sum of the
 unwrapped coproduct(u) coproduct(v) and each monomial of the closed form
 of uv from it, cross-multiplying the denominators, and requires every
-sum left to be 0; a random pair's coproducts go from the closed form
-straight into the operand forms (`_closed_terms`).  The closed form is
-read on both sides, which stay independent: coproduct(uv) is read at the
-rewritten product uv, and coproduct(u) coproduct(v) comes from the
-legwise leg products.
+sum left to be 0.  The operands of both laws come from the closed form
+(`_closed_terms`): a random pair's per pair, and each unit word's left
+and right operand once, kept by `report.shared` for the law on words.
+The closed form is read on both sides, which stay independent:
+coproduct(uv) is read at the rewritten product uv, and coproduct(u)
+coproduct(v) comes from the legwise leg products.
 Multiplying the letter images out with the legwise product
 (CoproductLikeMap.by_rewriting) gives the same element; it stays as the
 engine for any other letter images and as the independent oracle the
 leading-split check and the tests compare against.  The bialgebra
 battery computes the coproduct of each unit word and of each random
 element of its coassociative and counital laws once, on first use, and
-shares it between those laws and the multiplicative one on words.
+shares it between those laws.
 
 Multiplying out (by_rewriting, and apply_to_leg for coassociativity)
 reads one memo per map: a word -> the legwise product of its letter
@@ -136,7 +143,7 @@ from .algebra import (
     check_hopf_axioms,
 )
 from .enveloping import (EnvElement, _frozen, _leg_shift, _normal_word, _packing,
-                         _product_into, _word_poly_word, _wrap)
+                         _word_poly_word, _wrap)
 from .lie_rinehart import (Combination, LieRinehartAlgebra, _add_term, check_bi_lr,
                            signed_sum)
 from .report import Report, shared
@@ -193,18 +200,12 @@ class _LegRow(dict):
         return entry
 
 
-def _left_form(d: int, terms) -> tuple:
-    """The left operand of `_form_sums` from the lcm d of its denominators
-    and its (word tuple, d times the coefficient's terms, packed exponents
-    -> int) pairs: per term, (word tuple, [(packed exponents, int)])."""
-    return d, [(ws, list(monomials.items())) for ws, monomials in terms]
-
-
 def _right_form(S: LieRinehartAlgebra, legs: int, d: int, terms) -> tuple:
-    """The right operand of `_form_sums` from the pairs `_left_form` takes:
-    d, per monomial of every term (its rational, the leg memo's rows for
-    its exponents unpacked and cut into legs and the words of the term),
-    and each leg's shift."""
+    """The right operand of `_form_sums` from the lcm d of its denominators
+    and its (word tuple, cleared monomials by packed exponents) pairs: d,
+    per monomial of every term (its rational, the leg memo's rows for its
+    exponents unpacked and cut into legs and the words of the term), and
+    each leg's shift."""
     memo = S._tensor_cache.get("legs")
     if memo is None:
         memo = S._tensor_cache["legs"] = {}
@@ -234,46 +235,23 @@ def _tensor_terms(t: TensorEnvElement) -> tuple:
                for ws, c in t.terms.items())
 
 
-def _as_left(t: TensorEnvElement) -> tuple:
-    """t's left operand form, kept in its `_left` slot on first use: a
-    tensor is never mutated once wrapped."""
-    try:
-        return t._left
-    except AttributeError:
-        t._left = _left_form(*_tensor_terms(t))
-        return t._left
-
-
-def _as_right(t: TensorEnvElement) -> tuple:
-    """t's right operand form, kept in its `_right` slot, as `_as_left`."""
-    try:
-        return t._right
-    except AttributeError:
-        t._right = _right_form(t.structure, t.legs, *_tensor_terms(t))
-        return t._right
-
-
-def _legwise_sums(t: TensorEnvElement, s: TensorEnvElement) -> tuple:
-    """The sums of t * s, from the operand forms t and s keep."""
-    return _form_sums(_as_left(t), _as_right(s), t.legs)
-
-
 def _form_sums(left: tuple, right: tuple, legs: int) -> tuple:
-    """The product of two operand forms with `legs` legs (see the module
-    docstring): the sum grouped by word tuple, word tuple -> packed
-    exponents -> rational, and the denominator that divides it.  Each
-    leg's entry is one lookup in a row the right monomial prepared; a
-    partial term (word tuple, packed exponents, rational) extends leg by
-    leg, the exponents of leg l shifted into its fields, and the last leg
-    is summed straight into the sum with the left monomials, as in
-    `_product_into`."""
+    """The product of two operands with `legs` legs (see the module
+    docstring), the left one as `_tensor_terms` or `_closed_terms` gives
+    it, the right one a `_right_form`: the sum grouped by word tuple, word
+    tuple -> packed exponents -> rational, and the denominator that
+    divides it.  Each leg's entry is one lookup in a row the right
+    monomial prepared; a partial term (word tuple, packed exponents,
+    rational) extends leg by leg, the exponents of leg l shifted into its
+    fields, and the last leg is summed straight into the sum with the
+    left monomials, as in `_product_into`."""
     d_t, left = left
     d_s, right, shifts = right
     middle = tuple(range(1, legs - 1))  # the legs between the first and the last
     shift = shifts[-1]
     sums: dict = {}
     for ws, a in left:
-        w0, wl = ws[0], ws[-1]
+        w0, wl, a = ws[0], ws[-1], a.items()
         for q, rows in right:
             # distinct terms of each leg give distinct partial terms
             partial = rows[0][w0]
@@ -332,8 +310,7 @@ class TensorEnvElement(Combination):
     Elements with different numbers of legs neither add nor multiply, and
     never compare equal."""
 
-    # _left, _right: the operand forms of `_legwise_sums`, kept on first use
-    __slots__ = ("legs", "_left", "_right")
+    __slots__ = ("legs",)
     _shape = "legs"
 
     def __init__(self, structure: LieRinehartAlgebra, terms: dict, legs: int = 2):
@@ -366,9 +343,9 @@ class TensorEnvElement(Combination):
             elif not isinstance(other, TensorEnvElement):
                 return NotImplemented
         self._check(other)
-        return TensorEnvElement._trusted(
-            self.structure, _wrap(self.algebra, *_legwise_sums(self, other)), self.legs
-        )
+        S, legs = self.structure, self.legs
+        sums = _form_sums(_tensor_terms(self), _right_form(S, legs, *_tensor_terms(other)), legs)
+        return TensorEnvElement._trusted(S, _wrap(self.algebra, *sums), legs)
 
     def __str__(self):
         S = self.structure
@@ -603,60 +580,55 @@ def counit(u: EnvElement) -> Fraction:
     return _enveloping(u).counit()
 
 
-def _antipode_entry(S: LieRinehartAlgebra, memo: dict, w, e) -> EnvElement:
-    """S(y^e w) = S(w) S_A(y^e), from the memo (see the module docstring).
-    A miss of S(w) = S(y^0 w) extends the longest prefix known a letter l
-    at a time by S(w l) = -e_l S(w)."""
-    hit = memo.get((w, e))
-    if hit is not None:
-        return hit
+def _antipode_memo(S: LieRinehartAlgebra) -> dict:
+    """The antipode memo of S, (w, e) -> S(y^e w) as (word, packed
+    exponents, rational) triples, made on first use with S(1) = 1."""
+    memo = S._tensor_cache.get("antipode")
+    if memo is None:
+        antipode_morphism(S.algebra)  # refuses an A with an unmarked generator
+        memo = S._tensor_cache["antipode"] = {((), (0,) * S.algebra.ngens): (((), 0, 1),)}
+    return memo
+
+
+def _antipode_entry(S: LieRinehartAlgebra, memo: dict, w, e) -> tuple:
+    """The entry S(y^e w) = S(w) S_A(y^e) that the memo misses, summed by
+    `_word_poly_word` and frozen (see the module docstring).  A missing
+    S(w) = S(y^0 w) extends the longest prefix known a letter l at a time
+    by S(w l) = -e_l S(w)."""
+    pack = _packing(S.algebra)
     if any(e):
-        image = EnvElement._trusted(S, {(): antipode_morphism(S.algebra)._monomial_image(e)})
-        hit = memo[(w, e)] = _antipode_entry(S, memo, w, (0,) * len(e)) * image
+        zero, acc = (0,) * len(e), {}
+        image = antipode_morphism(S.algebra)._monomial_image(e).terms.items()
+        for u, g, x in memo.get((w, zero)) or _antipode_entry(S, memo, w, zero):
+            for f, c in image:
+                _word_poly_word(acc, S, u, f, pack[f], (), ((g, x),), c)
+        hit = memo[(w, e)] = _frozen(pack, acc)
         return hit
     k = len(w) - 1
     while (w[:k], e) not in memo:
         k -= 1
     hit = memo[(w[:k], e)]
     for k in range(k, len(w)):
-        hit = memo[(w[:k + 1], e)] = -(EnvElement.generator(S, w[k]) * hit)
+        acc = {}
+        for u, g, x in hit:
+            _word_poly_word(acc, S, (w[k],), pack.unpack[g], g, u, c=-x)
+        hit = memo[(w[:k + 1], e)] = _frozen(pack, acc)
     return hit
 
 
 def antipode(u: EnvElement) -> EnvElement:
     """The sum of c S(y^e w) over the monomials c y^e of each term of u,
-    read from the memo's packed rows, in one sum grouped by word wrapped
-    once; a single monomial with c = 1 is the memo entry itself."""
+    read from the memo, in one sum grouped by word wrapped once."""
     S = _enveloping(u).structure
-    memo = S._tensor_cache.get("antipode")
-    if memo is None:
-        antipode_morphism(S.algebra)  # refuses an A with an unmarked generator
-        memo = S._tensor_cache["antipode"] = {((), (0,) * S.algebra.ngens): EnvElement.one(S)}
-        S._tensor_cache["antipode rows"] = {}
-    terms = u.terms
-    if len(terms) == 1:
-        (w, a), = terms.items()
-        if len(a.terms) == 1:
-            (e, c), = a.terms.items()
-            if c == 1:
-                return _antipode_entry(S, memo, w, e)
-    # (w, e) -> the terms of S(y^e w) as (word, ((packed exponents, rational), ...))
-    rows = S._tensor_cache["antipode rows"]
-    d = _common_denominator(terms.values())
+    memo = _antipode_memo(S)
+    d = _common_denominator(u.terms.values())
     sums: dict = {}  # word -> packed exponents -> rational
-    for w, a in terms.items():
+    for w, a in u.terms.items():
         for e, c in _cleared(a.terms, d).items():
-            row = rows.get((w, e))
-            if row is None:
-                pack = _packing(S.algebra)
-                row = rows[(w, e)] = tuple(
-                    (v, tuple((pack[g], x) for g, x in p.terms.items()))
-                    for v, p in _antipode_entry(S, memo, w, e).terms.items())
-            for v, monomials in row:
+            for v, g, x in memo.get((w, e)) or _antipode_entry(S, memo, w, e):
                 got = sums.setdefault(v, {})
-                for g, x in monomials:
-                    x *= c
-                    got[g] = got[g] + x if g in got else x
+                x *= c
+                got[g] = got[g] + x if g in got else x
     return EnvElement._trusted(S, _wrap(S.algebra, sums, d))
 
 
@@ -676,24 +648,28 @@ def counit_collapse(t: TensorEnvElement, leg: int) -> EnvElement:
 
 def antipode_convolution(t: TensorEnvElement, leg: int) -> EnvElement:
     """Multiply the two legs together after applying the antipode to one:
-    the convolution products appearing in the antipode axioms.  The
-    products of the terms are summed raw and wrapped once."""
+    the convolution products appearing in the antipode axioms.  Per
+    monomial q y^e1 (x) y^e2 of a term, each term of the memo entry on the
+    antipode's leg multiplies the other leg by `_word_poly_word`, q riding
+    on the other leg, into one sum grouped by word wrapped once."""
     _check_leg(t, leg)
     S = t.structure
     A = S.algebra
     n = A.ngens
+    memo, pack = _antipode_memo(S), _packing(A)
     d = _common_denominator(t.terms.values())
     sums: dict = {}  # word -> packed exponents -> rational
     for (w1, w2), c in t.terms.items():
         for exps, q in _cleared(c.terms, d).items():
-            # q rides on the leg the antipode leaves, so the other is a memo entry
-            left = {w1: LaurentPoly._trusted(A, {exps[:n]: 1 if leg == 0 else q})}
-            right = {w2: LaurentPoly._trusted(A, {exps[n:]: q if leg == 0 else 1})}
-            if leg == 0:
-                left = antipode(EnvElement._trusted(S, left)).terms
-            else:
-                right = antipode(EnvElement._trusted(S, right)).terms
-            _product_into(sums, S, left, right)
+            e1, e2 = exps[:n], exps[n:]
+            if leg == 0:  # S(y^e1 w1) (q y^e2 w2)
+                p = pack[e2]
+                for u, g, x in memo.get((w1, e1)) or _antipode_entry(S, memo, w1, e1):
+                    _word_poly_word(sums, S, u, e2, p, w2, ((g, x),), q)
+            else:  # (q y^e1 w1) S(y^e2 w2)
+                left = ((pack[e1], q),)
+                for u, g, x in memo.get((w2, e2)) or _antipode_entry(S, memo, w2, e2):
+                    _word_poly_word(sums, S, w1, pack.unpack[g], g, u, left, x)
     return EnvElement._trusted(S, _wrap(A, sums, d))
 
 
@@ -740,22 +716,24 @@ def check_bialgebra(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 200,
     delta = shared(dmap, cases)
 
     # the closed form of the rewritten uv against coproduct(u) coproduct(v)
-    # multiplied out legwise, neither wrapped (see the module docstring)
-    def multiplicative(u, v, sums):
-        if not _agrees(dmap._closed(u * v), *sums):
+    # multiplied out legwise from the operands of u and v, neither wrapped
+    # (see the module docstring)
+    def multiplicative(u, v, left, right):
+        if not _agrees(dmap._closed(u * v), *_form_sums(left, right, 2)):
             return f"at u={u}, v={v}"
 
-    def random_sums(u, v):
-        return _form_sums(_left_form(*_closed_terms(dmap._closed(u))),
-                          _right_form(S, 2, *_closed_terms(dmap._closed(v))), 2)
+    def operand(u):
+        return _closed_terms(dmap._closed(u))
 
+    # each unit word's two operands, built once and kept
+    left = shared(operand, words)
+    right = shared(lambda i: _right_form(S, 2, *left(i)), range(len(words)))
     report.law("coproduct-multiplicative-words",
                itertools.product(range(len(words)), repeat=2),
-               lambda ij: multiplicative(words[ij[0]], words[ij[1]],
-                                         _legwise_sums(delta(ij[0]), delta(ij[1]))))
+               lambda ij: multiplicative(words[ij[0]], words[ij[1]], left(ij[0]), right(ij[1])))
     report.law("coproduct-multiplicative-random",
                _random_pairs(S, rng, samples, max_word, max_degree),
-               lambda uv: multiplicative(*uv, random_sums(*uv)))
+               lambda uv: multiplicative(*uv, operand(uv[0]), _right_form(S, 2, *operand(uv[1]))))
 
     def coassociative(i):
         t = delta(i)

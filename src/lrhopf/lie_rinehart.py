@@ -320,7 +320,10 @@ class LieRinehartAlgebra:
         self._poly_cache = {}
         self._word_cache = {}
         self._word_pool = {}
-        # the coalgebra layer's per-structure caches, built on demand
+        # the coalgebra layer's per-structure caches, built on demand (see
+        # lrhopf.hopf): the leg memo "legs", the antipode memo "antipode",
+        # (w, e) -> S(y^e w) as the triples above, the standard coproduct
+        # "std" and the flat tensor power structures by number of legs
         self._tensor_cache = {}
         if validate:
             _require_basis_laws(check_lr_axioms(self, samples=0))

@@ -1,6 +1,7 @@
 """The command line front end: verdicts, exit codes, report formats,
 and byte-stable JSON output."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,10 +11,11 @@ import time
 
 import pytest
 
-from lrhopf.cli import (MAX_COPRODUCT_DEGREE, MAX_COPRODUCT_TERMS, MAX_DEGREE,
-                        MAX_PBW_LAYER_WORDS, MAX_SAMPLES, MAX_WORD_PAIRS, PBW_LAYERS,
-                        _refuse_huge, _refuse_huge_coproduct, build_parser, main)
-from lrhopf.dsl import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
+from lrhopf.cli import (MAX_ANTIPODE_INVERSIONS, MAX_COPRODUCT_DEGREE, MAX_COPRODUCT_TERMS,
+                        MAX_DEGREE, MAX_PBW_LAYER_WORDS, MAX_SAMPLES, MAX_WORD_PAIRS,
+                        PBW_LAYERS, _refuse_huge, _refuse_huge_antipode,
+                        _refuse_huge_coproduct, build_parser, main)
+from lrhopf.dsl import MAX_EXPONENT, MAX_INVERSIONS, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
 from conftest import fixture_path, run_python
 
@@ -469,6 +471,95 @@ def test_a_max_degree_above_its_ceiling_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == f"error: --max-degree 100000 is above the ceiling of {MAX_DEGREE}\n"
+
+
+@pytest.mark.parametrize("name, expr, col, pairs", [
+    # each ran for seconds to minutes before the limit: 4.8 s, killed at
+    # 20 s, 0.74 s and 50 s
+    ("gl2.lra", "E22^16*E21^16*E12^16*E11^16", 14, 6_528),
+    ("gl2.lra", "E22^32*E21^32*E12^32*E11^32", 14, 50_688),
+    ("gl2.lra", "E22^10*E21^10*E12^10*E11^10", 21, 48_150),
+    ("sl2.lra", "h^40*f^40*e^40", 10, 98_400),
+    # just above the limit: 101 letters of the left words above 50
+    ("aff2.lra", "(x2^60 + x2^40 + x2)*x1^50", 21, MAX_INVERSIONS + 50),
+])
+def test_products_above_the_inversion_limit_are_input_errors(capsys, name, expr, col, pairs):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", fixture_path(name), expr)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 1:{col}: a product with {pairs} pairs of letters to reorder "
+                   f"is above the limit of {MAX_INVERSIONS}\n")
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_a_product_at_the_inversion_limit_normalizes(capsys):
+    # 100 letters of the left words above 50 of the right word: exactly the
+    # limit, admitted with the value it had before the limit
+    code, out, err = run(capsys, "nf", fixture_path("aff2.lra"), "(x2^60 + x2^40)*x1^50")
+    assert (code, err, _digest(out)) == (0, "", "1858716aa4b2137a")
+
+
+@pytest.mark.parametrize("name, expr, inversions", [
+    # 12.9 s, 52 s and 5.7 s before the ceiling
+    ("gl2.lra", "E11^16*E12^16*E21^16*E22^16", 1536),
+    ("gl2.lra", "E11^20*E12^20*E21^20*E22^20", 2400),
+    ("aff2.lra", "x1^64*x2^64", 4096),
+    ("gl2.lra", "E11^32*E12^32*E21^32*E22^32", 6144),
+    # each monomial of a costs a product S(w) S_A(y^e): 19 s before
+    ("gl2.lra", "(1+y1)^60*E11^10*E12^10*E21^10*E22^10", 61 * 600),
+    ("sl2.lra", "e^20*f^40 + e*f", MAX_ANTIPODE_INVERSIONS + 1),
+])
+def test_an_antipode_above_its_ceiling_is_refused_at_once(capsys, name, expr, inversions):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "antipode", fixture_path(name), expr)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: an antipode with {inversions} letter pairs to reorder is above "
+                   f"the ceiling of {MAX_ANTIPODE_INVERSIONS}\n")
+
+
+def test_an_antipode_at_its_ceiling_is_computed(capsys):
+    # 20 * 40 pairs of e and f out of order: exactly the ceiling, admitted
+    # with the value it had before the ceiling
+    code, out, err = run(capsys, "antipode", fixture_path("sl2.lra"), "e^20*f^40")
+    assert (code, err, _digest(out)) == (0, "", "ce9fcbf3c932c2d1")
+
+
+def _value_inputs():
+    """(fixture, expression) of every value command the goldens, the
+    benchmark and CI run."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    inputs = []
+    for name in sorted(os.listdir(os.path.join(here, "goldens"))):
+        with open(os.path.join(here, "goldens", name), encoding="utf-8") as fh:
+            record = json.load(fh)
+        inputs += [(record[cmd]["argv"][1], record[cmd]["argv"][2])
+                   for cmd in ("nf", "coproduct", "counit", "antipode")]
+    # read-only: no bytecode is written next to the benchmark
+    bench = os.path.join(os.path.dirname(here), "perfbench")
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, bench)
+    try:
+        from workloads import EXPRESSIONS
+    finally:
+        sys.path.remove(bench)
+        sys.dont_write_bytecode = dont_write
+    inputs += [(f"{name}.lra", expr) for name, expr in EXPRESSIONS.items()]
+    inputs += [("aff2.lra", "x2*x1"), ("torus.lra", "t^-1*x"), ("torus.lra", "x^2*t^-1"),
+               ("aff2.lra", "y^2*x1^2")]
+    return inputs
+
+
+def test_the_inversion_ceilings_admit_every_value_request_in_use():
+    inputs = _value_inputs()
+    assert len(inputs) == 4 * 11 + 11 + 4
+    for name, expr in inputs:
+        # parsing applies the expression limits
+        _refuse_huge_antipode(_parsed(name, expr))
 
 
 @pytest.mark.parametrize("command, expression, want", [

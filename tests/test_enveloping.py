@@ -100,6 +100,28 @@ def test_pbw_battery_core_structures(euler, aff2, gl2):
         assert report.ok, str(report)
 
 
+def test_the_layer_law_makes_one_product_per_layer_word(monkeypatch, gl2):
+    # the reversed product of each word is the layer before's product of
+    # its tail times its first letter: one product per word, where
+    # multiplying each out from 1 took p products for a word of length p
+    products = []
+    mul = EnvElement.__mul__
+    monkeypatch.setattr(EnvElement, "__mul__",
+                        lambda self, other: products.append(other) or mul(self, other))
+
+    def products_of(max_layer):
+        products.clear()
+        report = check_pbw(gl2, seed=0, samples=20, max_word=2, max_layer=max_layer)
+        assert report.ok
+        return len(products)
+
+    # the other laws draw the same elements whatever the layers, so the
+    # difference is the layer law's
+    m = gl2.rank
+    words = sum(math.comb(p + m - 1, p) for p in range(1, 5))
+    assert products_of(4) - products_of(0) == words
+
+
 def test_action_battery_core_structures(euler, aff2):
     for S in (euler, aff2):
         report = check_action(S, seed=0, samples=80)

@@ -29,8 +29,8 @@ from lrhopf.algebra import counit_morphism, spread_copies, tensor_embed
 from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_env_element, parse_structure_file
 from lrhopf.enveloping import _packing, _wrap
-from lrhopf.hopf import (_agrees, _closed_terms, _form_sums, _left_form, _legwise_sums,
-                         _right_form, _unit_words, antipode_convolution, counit_collapse,
+from lrhopf.hopf import (_agrees, _closed_terms, _form_sums, _right_form, _tensor_terms,
+                         _unit_words, antipode_convolution, counit_collapse,
                          standard_coproduct, tensor_power_structure)
 from lrhopf.sampling import make_rng, random_env_element, random_poly
 
@@ -539,6 +539,13 @@ def test_coproduct_coefficients_live_in_the_memoized_tensor_square(gl2):
     assert all(c.algebra is A2 for c in (t * t).terms.values())
 
 
+def _tensor_sums(t, s):
+    """The unwrapped sums of t * s, from both tensors' terms, as
+    TensorEnvElement.__mul__ builds its operands."""
+    return _form_sums(_tensor_terms(t), _right_form(t.structure, t.legs, *_tensor_terms(s)),
+                      t.legs)
+
+
 def _near_misses(u):
     """Elements one step away from u: one coefficient off by 1/2, one term
     dropped, one extra term, and u over another denominator."""
@@ -572,7 +579,7 @@ def test_unwrapped_comparison_agrees_with_equality(name):
         for w in [u * v] + _near_misses(u * v):
             want = dmap(w) == product
             seen.add(want)
-            assert _agrees(dmap._closed(w), *_legwise_sums(t, s)) is want, f"{name}: {u}, {v}, {w}"
+            assert _agrees(dmap._closed(w), *_tensor_sums(t, s)) is want, f"{name}: {u}, {v}, {w}"
     # a-valued fails multiplicativity, so its true targets differ as well
     assert False in seen and (True in seen or name == "a-valued")
 
@@ -594,7 +601,7 @@ def test_closed_form_operands_give_the_tensor_product(name):
     A2 = S.algebra.tensor_power(2)
     denominators = set()
     for u, v in _fractional_pairs(S, 47, 4 if name == "gl3" else 10):
-        left = _left_form(*_closed_terms(dmap._closed(u)))
+        left = _closed_terms(dmap._closed(u))
         right = _right_form(S, 2, *_closed_terms(dmap._closed(v)))
         denominators |= {left[0], right[0]}
         got = TensorEnvElement(S, _wrap(A2, *_form_sums(left, right, 2)))
@@ -658,7 +665,7 @@ def test_the_legwise_sums_match_the_flat_oracle_on_gl3_unit_word_pairs():
     deltas = [dmap(w) for w in words]
     for t in deltas[::3]:
         for s in deltas[1::4]:
-            got = TensorEnvElement(S, _wrap(A2, *_legwise_sums(t, s)))
+            got = TensorEnvElement(S, _wrap(A2, *_tensor_sums(t, s)))
             assert got.terms == flat_product(t, s).terms, f"{t} times {s}"
 
 
@@ -677,7 +684,7 @@ def test_the_legwise_sums_match_the_flat_oracle_on_gl3_three_leg_fractions():
                          for x in map(Fraction, c.terms.values())}
     assert any(any(e) for t in operands for c in t.terms.values() for e in c.terms)
     for t, s in zip(operands, operands[1:] + operands[:1]):
-        got = TensorEnvElement(S, _wrap(A3, *_legwise_sums(t, s)), 3)
+        got = TensorEnvElement(S, _wrap(A3, *_tensor_sums(t, s)), 3)
         assert got.terms == flat_product(t, s).terms, f"{t} times {s}"
         assert got.terms == (t * s).terms
 
@@ -699,43 +706,42 @@ def test_four_leg_products_match_the_flat_oracle(aff2):
 
 def test_each_coproduct_is_prepared_once_per_words_law(monkeypatch):
     # the words law multiplies each unit word's coproduct 2 |words| times,
-    # |words| times on each side, and prepares it once as either operand
+    # |words| times on each side, and builds each of its two operands once:
+    # the left one from the closed form, the right one from the left
     S = _load("gl2.lra")
-    calls, prepared = [], {}
-    kernel = hopf._legwise_sums
+    log = []
+    originals = {name: getattr(hopf, name)
+                for name in ("_closed_terms", "_right_form", "_form_sums")}
 
-    def spy_kernel(t, s):
-        calls.append((t, s))
-        return kernel(t, s)
+    def spy(name):
+        def call(*args):
+            out = originals[name](*args)
+            log.append((name, args, out))
+            return out
+        return call
 
-    def spy(form, slot):
-        def prepare(t):
-            if not hasattr(t, slot):
-                prepared[id(t), slot] = prepared.get((id(t), slot), 0) + 1
-            return form(t)
-        return prepare
-
-    monkeypatch.setattr(hopf, "_legwise_sums", spy_kernel)
-    monkeypatch.setattr(hopf, "_as_left", spy(hopf._as_left, "_left"))
-    monkeypatch.setattr(hopf, "_as_right", spy(hopf._as_right, "_right"))
+    for name in originals:
+        monkeypatch.setattr(hopf, name, spy(name))
     max_word = 2
     assert check_bialgebra(S, seed=0, samples=8, max_word=max_word).ok
     words = _unit_words(S, max_word)
-    # the words law is the first law, and nothing before it reaches the
-    # kernel (its coproducts come from the closed form), so its pairs are
-    # the first |words|^2 calls
-    law = calls[:len(words) ** 2]
+    # the words law is the first law, and nothing before it builds an
+    # operand, so its pairs are the first |words|^2 calls of the kernel
+    kernel = [k for k, (name, _, _) in enumerate(log) if name == "_form_sums"]
+    law = log[:kernel[len(words) ** 2 - 1] + 1]
+    built = {name: [out for n, _, out in law if n == name]
+             for name in ("_closed_terms", "_right_form")}
+    assert all(len(forms) == len(words) for forms in built.values())
+    pairs = [args for name, args, _ in law if name == "_form_sums"]
+    assert {id(left) for left, _, _ in pairs} == {id(x) for x in built["_closed_terms"]}
+    assert {id(right) for _, right, _ in pairs} == {id(x) for x in built["_right_form"]}
+    # pair (i, j) reads word i's closed form on the left and word j's on the right
     dmap = standard_coproduct(S)
-    assert [t.terms for t, _ in law[::len(words)]] == [dmap(w).terms for w in words]
-    operands = {id(x) for pair in law for x in pair}
-    assert len(operands) == len(words)
-    assert all(prepared[i, slot] == 1 for i in operands for slot in ("_left", "_right"))
-    # every operand that reached the kernel was prepared once per side it
-    # took, and only for that side
-    assert all(prepared[id(t), "_left"] == 1 and prepared[id(s), "_right"] == 1
-               for t, s in calls)
-    sides = {(id(t), "_left") for t, _ in calls} | {(id(s), "_right") for _, s in calls}
-    assert set(prepared) == sides and set(prepared.values()) == {1}
+    closed = [originals["_closed_terms"](dmap._closed(w)) for w in words]
+    for k, (left, right, legs) in enumerate(pairs):
+        i, j = divmod(k, len(words))
+        assert legs == 2 and left == closed[i], f"pair {k}"
+        assert right == originals["_right_form"](S, 2, *closed[j]), f"pair {k}"
 
 
 @pytest.mark.parametrize("name", ["sl2.lra", "gl2.lra"])
@@ -754,6 +760,38 @@ def test_a_corrupt_leg_memo_entry_fails_the_multiplicative_words_law(name):
     report = check_bialgebra(S, seed=0, samples=8, max_word=2)
     failing = {c.name for c in report.checks if c.verdict == "fail"}
     assert "coproduct-multiplicative-words" in failing
+
+
+@pytest.mark.parametrize("name", ["aff2.lra", "torus.lra", "gl2.lra"])
+def test_the_antipode_convolution_never_calls_the_antipode(monkeypatch, name):
+    # each monomial's antipode is read from the memo and multiplied by the
+    # other leg in the kernel, with no element built per monomial
+    S = _load(name)
+    calls = []
+    spy = lambda u: calls.append(u) or antipode(u)
+    monkeypatch.setattr(hopf, "antipode", spy)
+    rng = make_rng(89)
+    for u in [random_env_element(rng, S, max_word=3, max_degree=2, terms=3) for _ in range(6)]:
+        t = coproduct(u)
+        target = EnvElement.from_poly(S, S.algebra.const(u.counit()))
+        for leg in (0, 1):
+            assert antipode_convolution(t, leg) == target
+    assert not calls
+
+
+@pytest.mark.parametrize("name", ["sl2.lra", "aff2.lra", "gl2.lra"])
+def test_a_corrupt_antipode_memo_entry_fails_the_convolution_law(name):
+    # the convolution reads S(y^e w) from the memo; one doubled rational in
+    # the entry of a one-letter word is caught at that unit word
+    S = _load(name)
+    assert check_antipode(S, seed=0, samples=8, max_word=2).ok
+    memo = S._tensor_cache["antipode"]
+    key = min(key for key in memo if len(key[0]) == 1 and not any(key[1]))
+    (v, g, x), *rest = memo[key]
+    memo[key] = ((v, g, 2 * x), *rest)
+    report = check_antipode(S, seed=0, samples=8, max_word=2)
+    failing = {c.name for c in report.checks if c.verdict == "fail"}
+    assert "antipode-convolution" in failing
 
 
 @pytest.mark.parametrize("name, expr", [

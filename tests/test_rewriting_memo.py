@@ -22,6 +22,7 @@ from lrhopf import (
     antipode,
     check_hopf_lr,
 )
+from lrhopf import hopf
 from lrhopf.dsl import parse_structure_file
 from lrhopf.enveloping import _packing, _word_times_word
 from lrhopf.sampling import make_rng, random_env_element, random_poly
@@ -222,9 +223,15 @@ def test_every_antipode_memo_entry_is_the_antipode_of_its_monomial(name):
         antipode(random_env_element(rng, S, max_word=3, max_degree=3, terms=3))
     memo = S._tensor_cache["antipode"]
     assert any(any(e) for _, e in memo) or A.ngens == 0
+    unpack = _packing(A).unpack
     for (w, e), entry in memo.items():
+        # (word, packed exponents, rational) triples, unpacked per word
+        got: dict = {}
+        for v, p, x in entry:
+            got.setdefault(v, {})[unpack[p]] = x
         monomial = EnvElement(S, {w: A.monomial(e)})
-        assert entry.terms == oracle.antipode(monomial).terms, f"{name}: entry {(w, e)}"
+        want = {v: c.terms for v, c in oracle.antipode(monomial).terms.items()}
+        assert got == want, f"{name}: entry {(w, e)}"
 
 
 def test_the_antipode_refuses_a_generator_without_a_hopf_marker():
@@ -240,16 +247,23 @@ def test_the_antipode_refuses_a_generator_without_a_hopf_marker():
             antipode(u)
 
 
-def test_a_product_by_one_and_the_antipode_of_a_unit_word_copy_nothing():
+def test_a_product_by_one_and_the_antipode_of_a_unit_word_copy_nothing(monkeypatch):
     S = _fresh("gl2.lra")
     one = EnvElement.one(S)
     u = random_env_element(make_rng(47), S, max_word=3, max_degree=2, terms=3)
     assert u * one is u
     assert one * u is u
-    # S(w) * S_A(1) is the memoized S(w) itself
+    # a second antipode of w reads S(w) from the memo: no entry is added and
+    # nothing is multiplied
     w = EnvElement(S, {(0, 1, 3): S.algebra.one()})
-    assert antipode(w) is antipode(w)
-    assert antipode(w).terms == oracle.antipode(w).terms
+    first = antipode(w)
+    memo = dict(S._tensor_cache["antipode"])
+    calls = []
+    kernel = hopf._word_poly_word
+    monkeypatch.setattr(hopf, "_word_poly_word",
+                        lambda *args, **kw: calls.append(args) or kernel(*args, **kw))
+    assert antipode(w).terms == first.terms == oracle.antipode(w).terms
+    assert S._tensor_cache["antipode"] == memo and not calls
 
 
 def _line():

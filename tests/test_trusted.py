@@ -511,6 +511,16 @@ def test_rewriting_memos_hold_only_nonzero_canonical_triples(name):
             t * s
         dmap.apply_to_leg(t, 0)
         dmap.apply_to_leg(t, 1)
+    # and so does the antipode memo, filled by the antipode and both
+    # convolutions
+    for a in operands:
+        antipode(a)
+    for t in tensors:
+        antipode_convolution(t, 0)
+        antipode_convolution(t, 1)
+    antipodes = S._tensor_cache["antipode"]
+    assert any(len(w) > 1 for w, _ in antipodes)
+    assert any(any(e) for _, e in antipodes) or not S.algebra.ngens
     n = S.algebra.ngens
     # the leg memo is keyed (e, v) -> w, and its entries wrap each word in a
     # one-word tuple: the entries of leg 0 are partial terms as they stand
@@ -523,7 +533,8 @@ def test_rewriting_memos_hold_only_nonzero_canonical_triples(name):
             assert w == tuple(sorted(w))
             assert all(type(z) is tuple and len(z) == 1 for z, _, _ in entry)
             leg_entries.append(tuple((z[0], g, x) for z, g, x in entry))
-    entries = list(S._nf_cache.values()) + list(S._poly_cache.values()) + leg_entries
+    entries = (list(S._nf_cache.values()) + list(S._poly_cache.values()) + leg_entries
+               + list(antipodes.values()))
     assert entries
     # exponents are packed: an int whose unpacked tuple packs back to it
     pack = _packing(S.algebra)
