@@ -120,9 +120,9 @@ def tokenize(text: str):
             tokens.append(Token("ident", text[start:i], line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start

@@ -23,7 +23,7 @@ loop would never end, is refused with `_empty`'s ValueError.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -191,10 +191,27 @@ def random_multivector(rng: random.Random, structure, grade: int,
     if grade > structure.rank:
         raise ValueError("grade exceeds the module rank")
     mv = _MultiVector.zero(structure, grade)
-    tuples = list(itertools.combinations(range(structure.rank), grade))
+    rank = structure.rank
     for _ in range(1 + _below(rng, terms)):
         mv = mv + _MultiVector.single(
-            structure, tuples[_below(rng, len(tuples))],
+            structure, _combination(rank, grade, _below(rng, math.comb(rank, grade))),
             random_poly(rng, structure.algebra, max_degree, terms=1),
         )
     return mv
+
+
+def _combination(n: int, k: int, r: int) -> tuple:
+    """The r-th k-subset of range(n) in itertools.combinations order: each
+    place takes the least index x whose block of comb(n - x - 1, places
+    left) subsets still holds r, counting r down past the blocks skipped."""
+    out = []
+    x = 0
+    for left in range(k - 1, -1, -1):
+        block = math.comb(n - x - 1, left)
+        while r >= block:
+            r -= block
+            x += 1
+            block = math.comb(n - x - 1, left)
+        out.append(x)
+        x += 1
+    return tuple(out)

@@ -347,6 +347,15 @@ def test_an_overlong_integer_literal_is_an_input_error_at_its_column(capsys, pre
     assert err == f"error: line 1:{column}: integer literal of {len(digits)} digits is too long\n"
 
 
+def test_a_digit_that_int_does_not_read_is_an_unexpected_character(capsys):
+    # a superscript two is a digit to str.isdigit, but int() refuses it
+    code, out, err = run(capsys, "nf", fixture_path("euler.lra"), "x^\u00b2")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1:3: unexpected character '\u00b2'\n"
+    # a decimal digit of another script is an integer literal, as int() reads it
+    assert run(capsys, "nf", fixture_path("euler.lra"), "\u0663*x") == (0, "3*x\n", "")
+
+
 def test_an_expression_starting_with_a_minus_goes_after_a_double_dash(capsys):
     assert run(capsys, "nf", fixture_path("aff2.lra"), "--", "-x1") == (0, "-x1\n", "")
 

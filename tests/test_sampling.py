@@ -4,6 +4,7 @@ the generator state of its randint/randrange/choice form, which
 tests/sampling_oracle.py keeps verbatim.  A seed therefore names the same
 random cases, and the goldens stay what they are."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -11,11 +12,11 @@ from fractions import Fraction
 import pytest
 
 import sampling_oracle as oracle
-from lrhopf import sampling
+from lrhopf import CommutativeAlgebra, Derivation, LieRinehartAlgebra, sampling
 from lrhopf.algebra import LaurentPoly
 from lrhopf.dsl import parse_structure_file
 from lrhopf.lie_rinehart import Combination
-from lrhopf.sampling import _below
+from lrhopf.sampling import _below, _combination
 
 from conftest import FIXTURES, read_fixture
 
@@ -64,7 +65,6 @@ def exact(x):
 def samplers(S):
     """name -> (draw with lrhopf.sampling, the same draw with the oracle)."""
     A, rank = S.algebra, S.rank
-    grades = [g for g in (1, 2) if g <= rank]
     out = {
         "fraction": lambda m, rng: m.random_fraction(rng),
         "fraction-span-1": lambda m, rng: m.random_fraction(rng, 1),
@@ -79,7 +79,8 @@ def samplers(S):
         "env-element": lambda m, rng: m.random_env_element(rng, S),
         "env-element-wide": lambda m, rng: m.random_env_element(rng, S, 2, 1, 4),
     }
-    for g in grades:
+    # every grade: the sampler unranks the index the oracle looks up
+    for g in range(rank + 1):
         out[f"multivector-{g}"] = lambda m, rng, g=g: m.random_multivector(rng, S, g)
     return out
 
@@ -95,6 +96,22 @@ def test_samplers_draw_what_the_oracle_draws(name, kind):
     for i in range(DRAWS):
         assert exact(draw(sampling, ours)) == exact(draw(oracle, theirs)), (name, kind, i)
     assert ours.getstate() == theirs.getstate()
+
+
+def test_a_combination_is_unranked_in_itertools_order():
+    for n in range(8):
+        for k in range(n + 1):
+            listed = list(itertools.combinations(range(n), k))
+            assert [_combination(n, k, r) for r in range(len(listed))] == listed, (n, k)
+
+
+def test_a_multivector_of_half_the_rank_lists_no_combinations():
+    # comb(30, 15) = 155,117,520 index tuples, one of which is drawn
+    A = CommutativeAlgebra([])
+    S = LieRinehartAlgebra(A, [f"x{i}" for i in range(30)], {}, [Derivation(A, [])] * 30)
+    mv = sampling.random_multivector(sampling.make_rng(0), S, 15)
+    assert mv.grade == 15 and mv.terms
+    assert all(len(idx) == 15 for idx in mv.terms)
 
 
 def test_fractions_are_canonical_and_cover_their_range():
