@@ -21,24 +21,21 @@ from .calculus import (
     ce_differential,
     check_gerstenhaber,
     check_lr_bialgebra,
-    cobracket_images,
-    conjecture_probe,
     dual_differential,
     schouten_bracket,
 )
 from .dsl import ParseError, parse_env_element, parse_expression, parse_structure_file
 from .enveloping import EnvElement, check_action, check_pbw
 from .hopf import (
-    CoproductLikeMap,
-    TensorEnvElement,
     antipode,
     check_antipode,
     check_bialgebra,
     check_hopf_lr,
+    cobracket_images,
+    conjecture_probe,
     coproduct,
     counit,
     standard_coproduct,
-    tensor_pair,
 )
 from .lie_rinehart import (
     LieRinehartAlgebra,
@@ -49,6 +46,7 @@ from .lie_rinehart import (
     tensor_square,
 )
 from .report import CheckResult, Report
+from .tensor import CoproductLikeMap, TensorEnvElement, tensor_pair
 
 __version__ = "0.1.0"
 

@@ -9,25 +9,13 @@ over the module are exactly grade-p forms on its dual.
 This module provides the differential of the structure, summed over the
 terms of a form rather than over subsets of the basis, the odd bracket
 extending the module bracket to multivectors, the induced differential
-from a dual structure, compatibility batteries for a dual pair, and a
-probe that perturbs the enveloping coproduct by the cobracket read off a
-dual structure's table.
+from a dual structure, and compatibility batteries for a dual pair.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from . import sampling
-from .algebra import coeff_str, comultiplication
-from .hopf import (
-    CoproductLikeMap,
-    TensorEnvElement,
-    _random_pairs,
-    _unit_words,
-    counit_collapse,
-    standard_coproduct,
-)
+from .algebra import coeff_str
 from .lie_rinehart import (Combination, LieRinehartAlgebra, LRElement, _add_term,
                            signed_sum)
 from .report import Report
@@ -403,71 +391,4 @@ def check_lr_bialgebra(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
 
     report.law("dual-differential-squares-to-zero", range(samples), dual_squares_to_zero)
     report.law("differential-squares-to-zero", range(samples), squares_to_zero)
-    return report
-
-
-# -- the coproduct perturbation probe -------------------------------------------
-
-
-def cobracket_images(S: LieRinehartAlgebra, dual: LieRinehartAlgebra):
-    """Read the cobracket off the dual's bracket table: the coefficient of
-    the k-th dual basis element in [d_i, d_j] contributes an antisymmetric
-    word pair to the image of the k-th basis letter, with the coefficient
-    sent through the comultiplication of A."""
-    if dual.rank != S.rank or dual.algebra != S.algebra:
-        raise ValueError("dual structure must share the algebra and the rank")
-    delta_A = comultiplication(S.algebra)
-    out = []
-    for k in range(S.rank):
-        terms: dict = {}
-        for (i, j), coeffs in dual.bracket_table.items():
-            c = coeffs[k]
-            if c.is_zero():
-                continue
-            image = delta_A(c)
-            _add_term(terms, ((i,), (j,)), image)
-            _add_term(terms, ((j,), (i,)), -image)
-        out.append(TensorEnvElement(S, terms))
-    return out
-
-
-def conjecture_probe(S: LieRinehartAlgebra, dual: LieRinehartAlgebra, *,
-                     seed: int = 0, samples: int = 25, max_word: int = 2) -> Report:
-    """Perturb each letter's coproduct image by the cobracket of the dual
-    and measure which coalgebra laws survive.  Reports verdicts; a failing
-    law is an observation about the fixture, not an error."""
-    report = Report()
-    deltas = cobracket_images(S, dual)
-    images = [e + d for e, d in zip(standard_coproduct(S).images, deltas)]
-    dmap = CoproductLikeMap(S, images)
-    report.add("perturbation-constructed", True)
-
-    rng = sampling.make_rng(seed)
-    words = _unit_words(S, max_word)
-    randoms = [
-        sampling.random_env_element(rng, S, max_word, 1) for _ in range(samples)
-    ]
-
-    def multiplicative(pair):
-        u, v = pair
-        if dmap(u * v) != dmap(u) * dmap(v):
-            return f"at u={u}, v={v}"
-
-    def coassociative(u):
-        t = dmap(u)
-        if dmap.apply_to_leg(t, 0) != dmap.apply_to_leg(t, 1):
-            return f"at u={u}"
-
-    def counital(u):
-        t = dmap(u)
-        if counit_collapse(t, 0) != u or counit_collapse(t, 1) != u:
-            return f"at u={u}"
-
-    # random pairs are drawn only when every pair of unit words passes
-    report.law("perturbed-multiplicative",
-               itertools.chain(itertools.product(words, words),
-                               _random_pairs(S, rng, samples, max_word, 1)),
-               multiplicative)
-    report.law("perturbed-coassociative", words + randoms, coassociative)
-    report.law("perturbed-counital", words + randoms, counital)
     return report

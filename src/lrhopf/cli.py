@@ -11,11 +11,11 @@ check fails, 2 on input errors (a file that cannot be read or is not
 UTF-8, a parse error, a command that needs declarations the file does
 not provide, a sample count below 1 or a negative bound, a battery or
 a coproduct or an antipode larger than its ceiling: see MAX_SAMPLES,
-MAX_WORD_PAIRS, MAX_PBW_WORD, MAX_PBW_LAYER_WORDS, MAX_DEGREE,
-MAX_COPRODUCT_TERMS and MAX_ANTIPODE_INVERSIONS, and an expression over the
-limits of `dsl`, MAX_INVERSIONS among them), 3 on any other exception,
-which is a fault of lrhopf itself: it prints the one line `error:
-internal error: <exception type>: <message>` and no traceback.
+MAX_WORD_PAIRS, MAX_BASIS_TRIPLES, MAX_PBW_WORD, MAX_PBW_LAYER_WORDS,
+MAX_DEGREE, MAX_COPRODUCT_TERMS and MAX_ANTIPODE_INVERSIONS, and an
+expression over the limits of `dsl`, MAX_INVERSIONS among them), 3 on any
+other exception, which is a fault of lrhopf itself: it prints the one line
+`error: internal error: <exception type>: <message>` and no traceback.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import math
 import sys
 import time
 
-from .calculus import check_gerstenhaber, check_lr_bialgebra, conjecture_probe
+from .calculus import check_gerstenhaber, check_lr_bialgebra
 from .dsl import ParseError, parse_env_element, parse_structure_file
 from .enveloping import check_action, check_pbw
-from .hopf import antipode, check_hopf_lr, coproduct, counit
+from .hopf import antipode, check_hopf_lr, conjecture_probe, coproduct, counit
 from .lie_rinehart import check_bi_lr, check_lr_axioms
 from .report import Report
 
@@ -96,6 +96,14 @@ _OPTIONS = {
 # --max-word 3 has 48,400).  The library batteries take any size.
 MAX_SAMPLES = 10_000
 MAX_WORD_PAIRS = 100_000
+# The rank alone bounds these commands too: check runs the Jacobi law on all
+# C(rank, 3) basis triples, check-bi and check-hopf run it once more on the
+# tensor square, and bialgebroid sends every basis pair through the dual
+# differential.  With one primitive generator and no brackets, one CPU took
+# 16.6 s (check), 18.5 s (check-bi) and 26.8 s (bialgebroid) at rank 120
+# (280,840 triples) and 38 s for check at rank 160; gl8 (rank 64, 41,664
+# triples) takes 4.1 s for check.
+MAX_BASIS_TRIPLES = 50_000
 # pbw runs no word x word law: its --max-word bounds the random words of
 # its random laws, and its cost grows with the rank through its layer law,
 # which multiplies out the reversed product of each of the C(rank +
@@ -141,6 +149,11 @@ def _refuse_huge(args, S) -> None:
     max_degree = getattr(args, "max_degree", None)
     if max_degree is not None and max_degree > MAX_DEGREE:
         raise ValueError(f"--max-degree {max_degree} is above the ceiling of {MAX_DEGREE}")
+    triples = math.comb(S.rank, 3)
+    if args.command in ("check", "check-bi", "check-hopf", "bialgebroid") and \
+            triples > MAX_BASIS_TRIPLES:
+        raise ValueError(f"{args.command} would run over {triples} basis triples on this "
+                         f"structure (rank {S.rank}), above the ceiling of {MAX_BASIS_TRIPLES}")
     max_word = getattr(args, "max_word", None)
     if args.command == "pbw":
         if max_word > MAX_PBW_WORD:

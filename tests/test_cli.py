@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from lrhopf.cli import (MAX_ANTIPODE_INVERSIONS, MAX_COPRODUCT_DEGREE, MAX_COPRODUCT_TERMS,
-                        MAX_DEGREE, MAX_PBW_LAYER_WORDS, MAX_SAMPLES, MAX_WORD_PAIRS,
-                        PBW_LAYERS, _refuse_huge, _refuse_huge_antipode,
+from lrhopf.cli import (MAX_ANTIPODE_INVERSIONS, MAX_BASIS_TRIPLES, MAX_COPRODUCT_DEGREE,
+                        MAX_COPRODUCT_TERMS, MAX_DEGREE, MAX_PBW_LAYER_WORDS, MAX_SAMPLES,
+                        MAX_WORD_PAIRS, PBW_LAYERS, _refuse_huge, _refuse_huge_antipode,
                         _refuse_huge_coproduct, build_parser, main)
 from lrhopf.dsl import MAX_EXPONENT, MAX_INVERSIONS, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
@@ -429,6 +429,51 @@ def test_pbw_is_bounded_by_its_layer_law_not_by_word_pairs(tmp_path):
     assert done.stderr == ("error: pbw's layer law would multiply out 749397 normal words on "
                            f"this structure (rank 36), above the ceiling of "
                            f"{MAX_PBW_LAYER_WORDS}\n")
+
+
+def _plain_text(rank, dual=False):
+    """One primitive generator, `rank` basis letters and no brackets, with
+    a dual block of the same rank if asked."""
+    text = (f"algebra A {{ gens: y primitive }}\n"
+            f"lie g {{ basis: {', '.join(f'x{i}' for i in range(rank))}; }}\n"
+            f"action {{ x0(y) = y; }}\n")
+    if dual:
+        text += f"dual {{ basis: {', '.join(f'd{i}' for i in range(rank))}; }}\n"
+    return text
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",), ("check-bi",), ("check-hopf", "--max-word", "0"), ("bialgebroid",),
+])
+def test_the_basis_laws_above_their_ceiling_are_refused_at_once(capsys, tmp_path, argv):
+    # at rank 120, check took 16.6 s and bialgebroid 26.8 s; at rank 240
+    # check was still running after 100 s.  check-hopf at --max-word 0 has
+    # one word pair, which the word-pair ceiling admits at any rank
+    command, *flags = argv
+    path = tmp_path / "plain240.lra"
+    path.write_text(_plain_text(240, dual=command == "bialgebroid"), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: {command} would run over {math.comb(240, 3)} basis triples on "
+                   f"this structure (rank 240), above the ceiling of {MAX_BASIS_TRIPLES}\n")
+
+
+def test_the_basis_triple_ceiling_admits_gl8_and_bounds_only_the_basis_laws():
+    from lrhopf.dsl import parse_structure_file
+    from make_gln import gln_text
+
+    parse = build_parser().parse_args
+    assert math.comb(64, 3) <= MAX_BASIS_TRIPLES < math.comb(120, 3)
+    gl8 = parse_structure_file(gln_text(8)).build()[0]
+    for command in ("check", "check-bi", "bialgebroid"):
+        _refuse_huge(parse([command, "gl8.lra"]), gl8)
+    _refuse_huge(parse(["check-hopf", "gl8.lra", "--max-word", "0"]), gl8)
+    # the batteries with no exhaustive basis law take any rank
+    plain = parse_structure_file(_plain_text(240)).build()[0]
+    _refuse_huge(parse(["gerstenhaber", "plain.lra", "--samples", "1"]), plain)
+    _refuse_huge(parse(["probe-conjecture", "plain.lra", "--max-word", "0"]), plain)
 
 
 def _parsed(name, expr):

@@ -26,13 +26,12 @@ from lrhopf import (
 )
 from lrhopf import hopf
 from lrhopf.algebra import counit_morphism, spread_copies, tensor_embed
-from lrhopf.calculus import cobracket_images
 from lrhopf.dsl import parse_env_element, parse_structure_file
 from lrhopf.enveloping import _packing, _wrap
-from lrhopf.hopf import (_agrees, _closed_terms, _form_sums, _right_form, _tensor_terms,
-                         _unit_words, antipode_convolution, counit_collapse,
-                         standard_coproduct, tensor_power_structure)
+from lrhopf.hopf import (_agrees, _unit_words, antipode_convolution, cobracket_images,
+                         counit_collapse, standard_coproduct, tensor_power_structure)
 from lrhopf.sampling import make_rng, random_env_element, random_poly
+from lrhopf.tensor import _closed_terms, _form_sums, _right_form, _tensor_terms
 
 from conftest import FIXTURES, FRACTIONAL, read_fixture, run_python
 from flat_oracle import flat_apply_to_leg, flat_product, from_flat, to_flat

@@ -3,8 +3,8 @@ derivations, batteries and calculus by name and reads the per-structure
 rewriting memo: a rename on either side would silently zero its per-layer
 counters.  It is imported read-only, installed around one gl2 product and
 one coproduct, around one gl2 module battery and one Gerstenhaber
-battery, or around the one-leg application of a gl2 coproduct, and
-uninstalled."""
+battery, or around the one-leg application of a gl2 coproduct, or with no
+call at all to see which names it rebinds, and uninstalled."""
 
 import os
 import sys
@@ -19,16 +19,20 @@ from conftest import read_fixture
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def _tracer_class():
+def _tracer_module():
     # read-only: no bytecode is written next to the benchmark
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     sys.path.insert(0, PERFBENCH)
     try:
-        from tracer import Tracer
+        import tracer
     finally:
         sys.path.remove(PERFBENCH)
         sys.dont_write_bytecode = dont_write
-    return Tracer
+    return tracer
+
+
+def _tracer_class():
+    return _tracer_module().Tracer
 
 
 def test_tracer_counts_the_product_and_the_rewriting_memo():
@@ -89,3 +93,22 @@ def test_tracer_counts_the_one_leg_application_and_its_products():
     agg = summary["agg"]
     assert agg["hopf.apply_to_leg"][0] == 2
     assert agg["hopf.tensor_mul"][0] > 0
+
+
+def test_the_tracer_rebinds_every_battery_and_finds_the_hopf_names():
+    # the tracer finds a battery only in the modules it scans, by name and
+    # __module__, so a battery moved elsewhere would silently lose its span;
+    # and it wraps these names of lrhopf.hopf by attribute
+    tracer = _tracer_module()
+    for name in ("TensorEnvElement", "CoproductLikeMap", "tensor_power_structure",
+                 *tracer.HOPF_FUNCS):
+        assert hasattr(lrhopf.hopf, name), name
+    originals = {fn: getattr(lrhopf, fn) for fn in tracer.BATTERIES}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rebound = {fn for fn, original in originals.items() if getattr(lrhopf, fn) is not original}
+    finally:
+        t.uninstall()
+    assert rebound == set(tracer.BATTERIES)
+    assert all(getattr(lrhopf, fn) is original for fn, original in originals.items())
