@@ -11,7 +11,6 @@ from .algebra import (
     GeneratorDecl,
     LaurentPoly,
     antipode_morphism,
-    check_hopf_axioms,
     comultiplication,
     counit_morphism,
     identity_morphism,
@@ -30,6 +29,7 @@ from .hopf import (
     antipode,
     check_antipode,
     check_bialgebra,
+    check_hopf_axioms,
     check_hopf_lr,
     cobracket_images,
     conjecture_probe,

@@ -27,6 +27,7 @@ import math
 import sys
 import time
 
+from .algebra import comultiplication
 from .calculus import check_gerstenhaber, check_lr_bialgebra
 from .dsl import ParseError, parse_env_element, parse_structure_file
 from .enveloping import check_action, check_pbw
@@ -126,8 +127,9 @@ MAX_DEGREE = 10
 # computed: the number of monomials of its closed form, at most the sum
 # over terms a w of the splits of w (the product over the runs x^n of w
 # of n + 1) times the monomials of coproduct_A(a) (the sum over the
-# monomials of a of the product over their primitive generators y^e of
-# e + 1), and the degree of a coefficient's monomial, since
+# monomials of a of the product over their generators y^e of the
+# monomials of coproduct_A(y^e): e + 1 for a primitive y, 1 for a
+# group-like one), and the degree of a coefficient's monomial, since
 # coproduct_A(y^n) takes about n^2 big-integer steps.
 MAX_COPRODUCT_TERMS = 20_000
 MAX_COPRODUCT_DEGREE = 200
@@ -169,16 +171,19 @@ def _refuse_huge(args, S) -> None:
 
 
 def _refuse_huge_coproduct(u) -> None:
-    primitive = [g.hopf_kind == "primitive" for g in u.structure.algebra.gens]
-    size = degree = 0
-    for w, a in u.terms.items():
-        splits = math.prod(len(list(run)) + 1 for _, run in itertools.groupby(w))
-        for e in a.terms:
-            degree = max(degree, sum(map(abs, e)))
-            size += splits * math.prod(n + 1 for n, p in zip(e, primitive) if p)
+    degree = max((sum(map(abs, e)) for a in u.terms.values() for e in a.terms), default=0)
     if degree > MAX_COPRODUCT_DEGREE:
         raise ValueError(f"a coefficient of degree {degree} is above the coproduct's "
                          f"ceiling of {MAX_COPRODUCT_DEGREE}")
+    # coproduct_A(y^e) has at most C(|e| + t - 1, |e|) monomials when
+    # coproduct_A(y) has t
+    sizes = [len(img.terms) for img in comultiplication(u.structure.algebra).images]
+    size = 0
+    for w, a in u.terms.items():
+        splits = math.prod(len(list(run)) + 1 for _, run in itertools.groupby(w))
+        for e in a.terms:
+            size += splits * math.prod(math.comb(abs(n) + t - 1, abs(n))
+                                       for n, t in zip(e, sizes))
     if size > MAX_COPRODUCT_TERMS:
         raise ValueError(f"a coproduct of up to {size} terms is above the ceiling of "
                          f"{MAX_COPRODUCT_TERMS}")

@@ -43,10 +43,9 @@ products made) and dies with it; none is module-level.
     (u0, p0, x0, u1, p1, x1, ...) whose words and packed exponents are
     interned through `S._word_pool`; a one-letter v reads `_nf_cache`;
   * `S._tensor_cache["legs"]`, the leg memo of the legwise tensor
-    product (`hopf`): (e, v) -> a row w -> w * y^e * v as triples whose
-    words are wrapped in one-word tuples, ((word,), packed, rational);
-  the antipode memo (`hopf`) sits on top: `S._tensor_cache["antipode"]`,
-  (w, e) -> S(y^e w) as (word, packed exponents, rational) triples.
+    product, owned by `tensor` (`_LegRow`);
+  the antipode memo `S._tensor_cache["antipode"]`, owned by `hopf`
+  (`_antipode_memo`), sits on top.
 
 Products sum one accumulator grouped by word as it goes, word -> packed
 exponents -> rational, from the rewriting memos up: `_word_poly_word`
@@ -58,16 +57,14 @@ term.  It is the one implementation of w y^e v: `_product_into` passes
 it the left coefficient's packed monomials and the right monomial's
 rational, the bracket term of `_word_times_gen` a bracket coefficient's
 rational, the antipode memo and convolution of `hopf` a memo entry's
-terms, and the leg memo of `hopf` neither.  The sums run on integers:
+terms, and the leg memo of `tensor` neither.  The sums run on integers:
 the product clears each operand's denominators by their lcm
 (`_common_denominator`, `_cleared` of `algebra`, the helpers the legwise
 tensor product uses too) and `_wrap` divides once per summed value,
 dropping what cancelled, unpacking the exponents and putting each
 coefficient back in canonical form (an `int` when integral), one
-LaurentPoly per word.  The legwise tensor product of `hopf` sums the
-same way, its key a tuple of words: its leg memo holds the same
-triples, each word wrapped in a one-word tuple, and `_wrap` wraps its
-sum.
+LaurentPoly per word.  The legwise tensor product of `tensor` sums the
+same way, its key a tuple of words, and `_wrap` wraps its sum.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ def signed_sum(pieces) -> str:
 class Combination:
     """A sparse sum over a structure: `terms` maps keys to coefficients in
     `algebra`.  The base of LRElement, EnvElement (`enveloping`),
-    TensorEnvElement (`hopf`) and MultiVector (`calculus`).
+    TensorEnvElement (`tensor`) and MultiVector (`calculus`).
 
     Invariant of `terms`, kept by every constructor:
       * each key is one that the subclass's `_normal_key` returns;
@@ -320,10 +320,11 @@ class LieRinehartAlgebra:
         self._poly_cache = {}
         self._word_cache = {}
         self._word_pool = {}
-        # the coalgebra layer's per-structure caches, built on demand (see
-        # lrhopf.hopf): the leg memo "legs", the antipode memo "antipode",
-        # (w, e) -> S(y^e w) as the triples above, the standard coproduct
-        # "std" and the flat tensor power structures by number of legs
+        # the coalgebra layer's per-structure caches, built on demand: the
+        # leg memo "legs" (see lrhopf.tensor), and the antipode memo
+        # "antipode", (w, e) -> S(y^e w) as the triples above, the standard
+        # coproduct "std" and the flat tensor power structures by number of
+        # legs (see lrhopf.hopf)
         self._tensor_cache = {}
         if validate:
             _require_basis_laws(check_lr_axioms(self, samples=0))
@@ -566,24 +567,23 @@ def tensor_square(S: LieRinehartAlgebra, validate: bool = True) -> LieRinehartAl
         comultiplication;
       * the diagonal action turns the pushed bracket into the commutator.
     """
-    T = _tensor_square(S, _diagonal_action(S), validate, validate)
+    T = _tensor_square(S, _diagonal_action(S), validate)
     if validate:
         _require_basis_laws(check_lr_axioms(T, samples=0))
     return T
 
 
-def _tensor_square(S: LieRinehartAlgebra, lifted, restricts: bool,
-                   commutes: bool) -> LieRinehartAlgebra:
+def _tensor_square(S: LieRinehartAlgebra, lifted, validate: bool) -> LieRinehartAlgebra:
     """The tensor square with the diagonal action `lifted`, built
-    unvalidated, after checking the first and the second hypothesis of
-    `tensor_square` when asked."""
+    unvalidated, after checking both hypotheses of `tensor_square` when
+    asked."""
     delta = comultiplication(S.algebra)
     doubled = delta.target
     table = {
         key: tuple(delta(c) for c in coeffs)
         for key, coeffs in S.bracket_table.items()
     }
-    if restricts:
+    if validate:
         for i, g in itertools.product(range(S.rank), range(S.algebra.ngens)):
             a = S.algebra.gen(g)
             lhs = lifted[i](delta(a))
@@ -593,7 +593,6 @@ def _tensor_square(S: LieRinehartAlgebra, lifted, restricts: bool,
                     f"lift of {S.basis_names[i]} does not extend its anchor: "
                     f"on {S.algebra.gens[g].name}: {lhs} != {rhs}"
                 )
-    if commutes:
         for i, j in itertools.combinations(range(S.rank), 2):
             expected = Derivation.zero(doubled)
             for c, d in zip(table.get((i, j), ()), lifted):
@@ -649,8 +648,7 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
                 f"= {val} != 0"
             )
 
-    unequal = report.law("comultiplication-equivariance", generators,
-                         comultiplication_equivariant)
+    report.law("comultiplication-equivariance", generators, comultiplication_equivariant)
     report.law("counit-annihilates-action", generators, counit_annihilates)
 
     rng = sampling.make_rng(seed)
@@ -673,9 +671,7 @@ def check_bi_lr(S: LieRinehartAlgebra, *, seed: int = 0, samples: int = 50,
     report.law("equivariance-random", range(samples), equivariant)
 
     try:
-        # the law has made the first hypothesis's comparisons one for one;
-        # it runs again only when the law failed, for its own witness
-        TS = _tensor_square(S, diag, restricts=unequal is not None, commutes=True)
+        TS = _tensor_square(S, diag, validate=True)
     except _TensorSquareError as exc:
         report.add("tensor-square-structure", False, str(exc))
         return report

@@ -3,8 +3,8 @@
     python3 tests/make_gln.py N [PATH]
 
 The basis is the matrix units E_ij = y_i d/dy_j, in row-major order, so
-E_ij(y_j) = y_i and every other generator goes to 0.  The bracket is the
-commutator of matrix units,
+E_ij(y_j) = y_i and every other generator goes to 0.  E_ij is named `Eij`,
+or `Ei_j` when N >= 10.  The bracket is the commutator of matrix units,
 
     [E_ij, E_kl] = delta_jk E_il - delta_li E_kj,
 
@@ -22,7 +22,8 @@ def gln_text(n: int) -> str:
     if n < 1:
         raise ValueError("gl_n needs n >= 1")
     units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    name = lambda i, j: f"E{i}{j}"
+    # from n = 10 on, a separator keeps E_1,11 and E_11,1 apart
+    name = (lambda i, j: f"E{i}_{j}") if n >= 10 else (lambda i, j: f"E{i}{j}")
     lines = [
         f"# gl{n}: the matrix units E_ij = y_i d/dy_j acting on Q[y1..y{n}].",
         "algebra A { gens: " + ", ".join(f"y{i} primitive" for i in range(1, n + 1)) + " }",

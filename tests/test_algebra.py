@@ -170,6 +170,15 @@ def test_unmarked_generators_have_no_coproduct():
         comultiplication(A)
 
 
+@pytest.mark.parametrize("build", [comultiplication, counit_morphism, antipode_morphism])
+def test_each_hopf_map_refuses_the_unmarked_generators_by_name(build):
+    A = CommutativeAlgebra([GeneratorDecl("u"), GeneratorDecl("y", hopf_kind="primitive"),
+                            GeneratorDecl("v", invertible=True)])
+    with pytest.raises(ValueError) as excinfo:
+        build(A)
+    assert str(excinfo.value) == "no Hopf structure declared for generator(s): u, v"
+
+
 def test_group_like_must_be_invertible():
     with pytest.raises(ValueError):
         GeneratorDecl("t", hopf_kind="group_like")

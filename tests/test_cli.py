@@ -17,7 +17,7 @@ from lrhopf.cli import (MAX_ANTIPODE_INVERSIONS, MAX_BASIS_TRIPLES, MAX_COPRODUC
                         _refuse_huge_coproduct, build_parser, main)
 from lrhopf.dsl import MAX_EXPONENT, MAX_INVERSIONS, MAX_NESTING, MAX_TERMS, MAX_WORD_LENGTH
 
-from conftest import fixture_path, run_python
+from conftest import FIXTURES, fixture_path, run_python
 
 
 def run(capsys, *argv):
@@ -516,6 +516,28 @@ def test_a_coproduct_above_its_ceiling_is_refused_at_once(capsys, name, expr, me
     code, out, err = run(capsys, "coproduct", fixture_path(name), expr)
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(FIXTURES) if f.endswith(".lra")))
+def test_the_coproduct_ceiling_counts_the_monomials_of_the_coproduct(monkeypatch, name):
+    # every fixture's generators carry markers, for which the count is exact:
+    # a ceiling one below the computed coproduct's monomials refuses it, and a
+    # ceiling at them admits it, so a count that came out low would show here
+    from lrhopf import coproduct
+    from lrhopf.dsl import parse_structure_file
+    from lrhopf.sampling import make_rng, random_env_element
+
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        S = parse_structure_file(fh.read()).build()[0]
+    rng = make_rng(7)
+    for _ in range(12):
+        u = random_env_element(rng, S, max_word=3, max_degree=3, terms=3)
+        count = sum(len(c.terms) for c in coproduct(u).terms.values())
+        monkeypatch.setattr("lrhopf.cli.MAX_COPRODUCT_TERMS", count - 1)
+        with pytest.raises(ValueError, match=f"a coproduct of up to {count} terms "):
+            _refuse_huge_coproduct(u)
+        monkeypatch.setattr("lrhopf.cli.MAX_COPRODUCT_TERMS", count)
+        _refuse_huge_coproduct(u)
 
 
 def test_a_max_degree_above_its_ceiling_is_refused_at_once(capsys):

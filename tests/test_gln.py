@@ -38,3 +38,17 @@ def test_gl3_passes_the_hopf_battery_at_word_length_two():
     code, out, err = cli("check-hopf", os.path.join(LARGE, "gl3.lra"), "--max-word", "2")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1].startswith("check-hopf: PASS (27 checks,")
+
+
+def test_generated_gl11_has_distinct_names_and_rewrites(tmp_path):
+    # from gl11 on, E_1,11 and E_11,1 need the separator to stay apart
+    from lrhopf.dsl import parse_structure_file
+
+    text = gln_text(11)
+    S = parse_structure_file(text).build()[0]
+    assert S.rank == 121
+    assert len(set(S.basis_names)) == 121
+    assert {"E1_11", "E11_1"} <= set(S.basis_names)
+    path = tmp_path / "gl11.lra"
+    path.write_text(text, encoding="utf-8")
+    assert cli("nf", str(path), "E1_11*E11_1") == (0, "E1_11*E11_1\n", "")

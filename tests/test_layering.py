@@ -1,9 +1,10 @@
 """The import graph of the package's modules, read from their sources:
 the module-level relative imports form no cycle, the tensor layer sits
-below the Hopf maps, and the calculus needs neither.  The two imports
-made inside functions to break a cycle (`sampling`'s deferred
-`MultiVector`, and `from . import sampling` in `check_hopf_axioms`) are
-not module-level, so they are not edges here."""
+below the Hopf maps, the calculus needs neither, and the coefficient
+algebras import nothing from the package.  The only imports made inside
+functions, `sampling`'s deferred bindings of `EnvElement` and
+`MultiVector`, break a cycle; they are not module-level, so they are not
+edges of the graph."""
 
 import ast
 import os
@@ -11,6 +12,25 @@ import os
 import lrhopf
 
 SRC = os.path.dirname(os.path.abspath(lrhopf.__file__))
+
+
+def _tree(module: str) -> ast.Module:
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _package_imports(node) -> list:
+    """The imports of the package anywhere under `node`, nested ones
+    included, as (line, relative level, module) triples."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and (sub.level or
+                                                 (sub.module or "").split(".")[0] == "lrhopf"):
+            found.append((sub.lineno, sub.level, sub.module))
+        elif isinstance(sub, ast.Import):
+            found += [(sub.lineno, 0, alias.name) for alias in sub.names
+                      if alias.name.split(".")[0] == "lrhopf"]
+    return found
 
 
 def _imports() -> dict:
@@ -71,3 +91,17 @@ def test_no_module_imports_a_private_name_of_the_hopf_maps():
     for module, edges in _imports().items():
         private = {name for name in edges.get("hopf", ()) if name.startswith("_")}
         assert not private, f"{module} imports {sorted(private)} from hopf"
+
+
+def test_the_coefficient_algebras_import_nothing_from_the_package():
+    assert _package_imports(_tree("algebra")) == []
+
+
+def test_only_sampling_imports_inside_a_function():
+    nested = {}
+    for module in _graph():
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for _, _, name in _package_imports(node):
+                    nested.setdefault(module, set()).add(name)
+    assert nested == {"sampling": {"enveloping", "calculus"}}
